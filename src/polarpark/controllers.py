@@ -30,6 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import ModuleType
+
+import numpy as np
 
 from .geometry import DomainError, PolarState, StateSpace
 
@@ -46,6 +49,50 @@ __all__ = [
     "omega_tilde",
     "control",
 ]
+
+
+def _exp_or_inf(x: float) -> float:
+    # Barrier storage values can exceed the exp overflow threshold (~709);
+    # saturating to inf keeps downstream comparisons meaningful.
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exp_saturating(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
+def _namespace(name: str, **functions) -> ModuleType:
+    # A module object rather than a SimpleNamespace: CPython specialises
+    # attribute calls on modules, which keeps the float path as fast as
+    # calling the math module directly.
+    namespace = ModuleType(name)
+    namespace.__dict__.update(functions)
+    return namespace
+
+
+# The steering laws here and the certificates in lyapunov.py are written once,
+# against a numeric namespace `xp` holding the math-module names they use:
+# FLOAT_MATH evaluates them on floats with the math module, ARRAY_MATH on
+# numpy arrays, element-wise.  `any`/`all` reduce a domain test to one answer.
+FLOAT_MATH = _namespace(
+    "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
+    log1p=math.log1p, exp=_exp_or_inf, any=bool, all=bool,
+)
+ARRAY_MATH = _namespace(
+    "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
+    log1p=np.log1p, exp=_exp_saturating, any=np.any, all=np.all,
+)
+
+
+def math_for(a, b=None):
+    """ARRAY_MATH if `a` or `b` is a numpy array, else FLOAT_MATH."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return ARRAY_MATH
+    return FLOAT_MATH
 
 
 class ControllerKind(Enum):
@@ -71,6 +118,10 @@ class ControllerKind(Enum):
         """True when the decrease certificate assumes k1*k3 >= k2^2."""
         return self in (ControllerKind.BOLSA, ControllerKind.BAGAL)
 
+
+# Members looked up once: attribute access on an Enum class, and the
+# Python-level Enum hash, cost more than the arithmetic of a scalar call.
+_GLOBA, _BARFLI, _BOLSA, _BAGAL = ControllerKind
 
 _SPACES = {
     ControllerKind.GLOBA: StateSpace.S,
@@ -157,7 +208,10 @@ class ControlInput:
 
 @dataclass(frozen=True)
 class BacksteppingAux:
-    """Intermediate quantities of the backstepping designs."""
+    """Intermediate quantities of the backstepping designs.
+
+    Floats, or arrays when backstepping_aux was given arrays.
+    """
 
     Delta: float
     """Shaped angle: delta itself (GLOBA) or 2*tan(delta/2) (BARFLI)."""
@@ -181,12 +235,28 @@ def forward_velocity(state: PolarState, gains: Gains) -> float:
     return gains.k1 * state.rho * math.cos(state.gamma)
 
 
-def delta_shaping(kind: ControllerKind, delta: float) -> tuple[float, float]:
+def _require_delta_inside(xp, delta) -> None:
+    if xp.any(abs(delta) >= math.pi):
+        raise DomainError("steering undefined at |delta| >= pi")
+
+
+def _delta_shaping(xp, kind: ControllerKind, delta):
+    if kind is _GLOBA:
+        return delta, 1.0
+    if kind is _BARFLI:
+        _require_delta_inside(xp, delta)
+        half_tan = xp.tan(delta / 2.0)
+        return 2.0 * half_tan, 1.0 + half_tan * half_tan
+    raise ValueError(f"no delta shaping for controller kind {kind.value}")
+
+
+def delta_shaping(kind: ControllerKind, delta):
     """Shaped angle Delta(delta) and its derivative for backstepping.
 
     Args:
         kind: GLOBA (identity shaping) or BARFLI (tangent-barrier shaping).
-        delta: Unwrapped angle; BARFLI requires |delta| < pi.
+        delta: Unwrapped angle, a float or an array; BARFLI requires
+            |delta| < pi.
 
     Returns:
         (Delta, dDelta/ddelta).
@@ -195,17 +265,36 @@ def delta_shaping(kind: ControllerKind, delta: float) -> tuple[float, float]:
         DomainError: For BARFLI at |delta| >= pi.
         ValueError: For kinds without a backstepping shaping.
     """
-    if kind is ControllerKind.GLOBA:
-        return delta, 1.0
-    if kind is ControllerKind.BARFLI:
-        if abs(delta) >= math.pi:
-            raise DomainError("steering undefined at |delta| >= pi")
-        half_tan = math.tan(delta / 2.0)
-        return 2.0 * half_tan, 1.0 + half_tan * half_tan
-    raise ValueError(f"no delta shaping for controller kind {kind.value}")
+    return _delta_shaping(math_for(delta), kind, delta)
 
 
-def psi(z: float, gamma: float, k2: float, Delta: float) -> float:
+def _psi_series(z):
+    # Both ratios of psi to second order; below |z| = 1e-8 the truncation
+    # error is under double-precision resolution.
+    return 1.0 - (2.0 / 3.0) * z * z, z * (1.0 - z * z / 3.0)
+
+
+def _psi(xp, z, k2, Delta):
+    small = abs(z) < 1e-8
+    if xp is FLOAT_MATH and small:
+        sin_ratio, versine_ratio = _psi_series(z)
+    else:
+        # Arrays take the series element-wise, after the direct ratios were
+        # evaluated at a harmless stand-in for the small z.
+        z_direct = z if xp is FLOAT_MATH else np.where(small, 1.0, z)
+        sin_z = xp.sin(z_direct)
+        sin_ratio = xp.sin(2.0 * z_direct) / (2.0 * z_direct)
+        versine_ratio = sin_z * sin_z / z_direct
+        if xp is ARRAY_MATH:
+            series = _psi_series(z)
+            sin_ratio = np.where(small, series[0], sin_ratio)
+            versine_ratio = np.where(small, series[1], versine_ratio)
+    return (sin_ratio + 2.0 * k2 * Delta * versine_ratio) / xp.sqrt(
+        1.0 + 4.0 * k2 * k2 * Delta * Delta
+    )
+
+
+def psi(z, gamma, k2: float, Delta):
     """Interconnection factor of the backstepping laws.
 
     Defined as (sin(2z - 2*gamma) + sin(2*gamma)) / (2z), where gamma ties
@@ -219,49 +308,60 @@ def psi(z: float, gamma: float, k2: float, Delta: float) -> float:
     replaces both ratios for |z| below 1e-8, where the truncation error is
     under double-precision resolution.  At z = 0 the value is
     1/sqrt(1 + 4*k2^2*Delta^2) = cos(2*gamma) for consistent arguments, and
-    psi(0, 0) = 1 is the global maximum.
+    psi(0, 0) = 1 is the global maximum.  z and Delta may be floats or
+    arrays.
     """
     del gamma  # enters only through the identity above
-    if abs(z) < 1e-8:
-        sin_ratio = 1.0 - (2.0 / 3.0) * z * z
-        versine_ratio = z * (1.0 - z * z / 3.0)
-    else:
-        sin_ratio = math.sin(2.0 * z) / (2.0 * z)
-        sin_z = math.sin(z)
-        versine_ratio = sin_z * sin_z / z
-    return (sin_ratio + 2.0 * k2 * Delta * versine_ratio) / math.sqrt(
-        1.0 + 4.0 * k2 * k2 * Delta * Delta
-    )
+    return _psi(math_for(z, Delta), z, k2, Delta)
 
 
-def backstepping_aux(kind: ControllerKind, gains: Gains, delta: float, gamma: float) -> BacksteppingAux:
-    """Assemble the backstepping quantities at an angular state."""
-    Delta, dDelta = delta_shaping(kind, delta)
-    z = gamma + 0.5 * math.atan(2.0 * gains.k2 * Delta)
-    return BacksteppingAux(Delta, dDelta, z, psi(z, gamma, gains.k2, Delta))
+def backstepping_terms(xp, kind: ControllerKind, k2: float, delta, gamma):
+    """(Delta, dDelta/ddelta, z) in the namespace `xp`.
+
+    The backstepping quantities without psi, which only the steering law
+    needs; the storage functions in lyapunov.py use these three.
+    """
+    Delta, dDelta = _delta_shaping(xp, kind, delta)
+    return Delta, dDelta, gamma + 0.5 * xp.atan(2.0 * k2 * Delta)
 
 
-def _omega_tilde_backstepping(kind: ControllerKind, gains: Gains, delta: float, gamma: float) -> float:
-    # Same quantities as backstepping_aux, kept inline: this sits on the
-    # simulator's hot path.
-    Delta, dDelta = delta_shaping(kind, delta)
-    k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
-    z = gamma + 0.5 * math.atan(2.0 * k2 * Delta)
-    gain_sq = 1.0 + 4.0 * k2 * k2 * Delta * Delta
-    return k4 * z + dDelta * (
-        k1 * k2 * math.sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * psi(z, gamma, k2, Delta) * Delta
-    )
+def backstepping_aux(kind: ControllerKind, gains: Gains, delta, gamma) -> BacksteppingAux:
+    """Assemble the backstepping quantities at an angular state (floats or arrays)."""
+    xp = math_for(delta, gamma)
+    Delta, dDelta, z = backstepping_terms(xp, kind, gains.k2, delta, gamma)
+    return BacksteppingAux(Delta, dDelta, z, _psi(xp, z, gains.k2, Delta))
 
 
-def _bounded_gamma_factor(gamma: float) -> float:
+def _bounded_gamma_factor(xp, gamma):
     # cos(gamma) / (1 + tan(gamma/2)^2)^2 written via the half-angle
     # identity 1/(1 + tan^2) = (1 + cos)/2, so it extends smoothly through
     # |gamma| = pi where it vanishes.
-    cos_g = math.cos(gamma)
+    cos_g = xp.cos(gamma)
     return cos_g * (1.0 + cos_g) ** 2 / 4.0
 
 
-def omega_tilde(spec: ControllerSpec, delta: float, gamma: float) -> float:
+def steering_correction(xp, kind: ControllerKind, gains: Gains, delta, gamma):
+    """omega_tilde of `kind` at `gains`, evaluated in the namespace `xp`.
+
+    The shared body of omega_tilde and of the Lyapunov derivatives, which
+    know a kind and gains but no ControllerSpec.
+    """
+    k1, k2, k3 = gains.k1, gains.k2, gains.k3
+    if kind is _BOLSA:
+        return k2 * xp.sin(gamma) + k3 * _bounded_gamma_factor(xp, gamma) * delta
+    if kind is _BAGAL:
+        _require_delta_inside(xp, delta)
+        half_tan = xp.tan(delta / 2.0)
+        steep_delta = (1.0 + half_tan * half_tan) * half_tan
+        return k2 * xp.sin(gamma) + 2.0 * k3 * _bounded_gamma_factor(xp, gamma) * steep_delta
+    Delta, dDelta, z = backstepping_terms(xp, kind, k2, delta, gamma)
+    gain_sq = 1.0 + 4.0 * k2 * k2 * Delta * Delta
+    return gains.k4 * z + dDelta * (
+        k1 * k2 * xp.sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * _psi(xp, z, k2, Delta) * Delta
+    )
+
+
+def omega_tilde(spec: ControllerSpec, delta, gamma):
     """Steering correction of a controller at an angular state.
 
     Args:
@@ -272,24 +372,18 @@ def omega_tilde(spec: ControllerSpec, delta: float, gamma: float) -> float:
             smoothly through |gamma| = pi, where their steering reduces to
             k2*sin(gamma).
 
+    delta and gamma are floats, evaluated with the math module, or
+    equal-shape arrays, evaluated element-wise with numpy.
+
     Returns:
         omega_tilde such that gamma' = -omega_tilde in closed loop.
 
     Raises:
-        DomainError: When the state is outside the controller's space in
-            a direction the formula cannot be extended through.
+        DomainError: When the state (for arrays: any element) is outside
+            the controller's space in a direction the formula cannot be
+            extended through.
     """
-    gains = spec.gains
-    if spec.kind.uses_backstepping:
-        return _omega_tilde_backstepping(spec.kind, gains, delta, gamma)
-    if spec.kind is ControllerKind.BOLSA:
-        return gains.k2 * math.sin(gamma) + gains.k3 * _bounded_gamma_factor(gamma) * delta
-    # BAGAL
-    if abs(delta) >= math.pi:
-        raise DomainError("steering undefined at |delta| >= pi")
-    half_tan = math.tan(delta / 2.0)
-    steep_delta = (1.0 + half_tan * half_tan) * half_tan
-    return gains.k2 * math.sin(gamma) + 2.0 * gains.k3 * _bounded_gamma_factor(gamma) * steep_delta
+    return steering_correction(math_for(delta, gamma), spec.kind, spec.gains, delta, gamma)
 
 
 def control(spec: ControllerSpec, state: PolarState) -> ControlInput:

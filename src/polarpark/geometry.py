@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -107,24 +109,36 @@ class StateSpace(Enum):
     @property
     def delta_bounded(self) -> bool:
         """True when the space excludes |delta| >= pi."""
-        return self in (StateSpace.S1, StateSpace.S3)
+        return self is _S1 or self is _S3
 
     @property
     def gamma_bounded(self) -> bool:
         """True when the space excludes |gamma| >= pi."""
-        return self in (StateSpace.S2, StateSpace.S3)
+        return self is _S2 or self is _S3
 
-    def contains_angles(self, delta: float, gamma: float) -> bool:
-        """Check whether unwrapped angles lie in the open angular space."""
-        if self.delta_bounded and abs(delta) >= math.pi:
-            return False
-        if self.gamma_bounded and abs(gamma) >= math.pi:
-            return False
-        return True
+    def contains_angles(self, delta, gamma):
+        """Check whether unwrapped angles lie in the open angular space.
+
+        Takes floats or arrays.  With arrays the answer is element-wise: a
+        boolean array, or plain True when the space bounds neither angle.
+        Only an angle with |a| >= pi in a bounded coordinate is outside, so
+        NaN counts as inside.
+        """
+        outside = False
+        if self.delta_bounded:
+            outside = abs(delta) >= math.pi
+        if self.gamma_bounded:
+            outside = outside | (abs(gamma) >= math.pi)
+        return np.logical_not(outside) if isinstance(outside, np.ndarray) else not outside
 
     def contains(self, state: PolarState) -> bool:
         """Check whether a polar state lies in the open space (rho > 0)."""
         return state.rho > 0.0 and self.contains_angles(state.delta, state.gamma)
+
+
+# Members looked up once: attribute access on an Enum class is slow, and
+# the bounded-angle tests run on every Lyapunov evaluation.
+_S1, _S2, _S3 = StateSpace.S1, StateSpace.S2, StateSpace.S3
 
 
 def cart_to_polar(state: CartesianState) -> PolarState:

@@ -21,16 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .controllers import (
     ControllerKind,
     ControllerSpec,
     Gains,
-    backstepping_aux,
-    omega_tilde,
+    backstepping_terms,
+    math_for,
+    steering_correction,
 )
-from .geometry import DomainError
+from .geometry import DomainError, StateSpace
+
+_BOLSA, _BAGAL = ControllerKind.BOLSA, ControllerKind.BAGAL
 
 __all__ = [
     "LyapunovFn",
@@ -46,17 +50,14 @@ __all__ = [
 ]
 
 
-def _check_angles(kind: ControllerKind, delta: float, gamma: float) -> None:
-    space = kind.space
-    if space.delta_bounded and abs(delta) >= math.pi:
-        raise DomainError("barrier blow-up at |delta| >= pi")
-    if space.gamma_bounded and abs(gamma) >= math.pi:
-        raise DomainError("barrier blow-up at |gamma| >= pi")
-
-
 @dataclass(frozen=True)
 class LyapunovFn:
-    """Angular storage function matched to a controller kind."""
+    """Angular storage function matched to a controller kind.
+
+    value, grad and vdot take floats, evaluated with the math module, or
+    equal-shape arrays of angles, evaluated element-wise with numpy.
+    Gain-only constants are computed once per instance.
+    """
 
     kind: ControllerKind
     gains: Gains
@@ -65,77 +66,94 @@ class LyapunovFn:
     def for_controller(cls, spec: ControllerSpec) -> "LyapunovFn":
         return cls(spec.kind, spec.gains)
 
-    @property
-    def space(self):
+    @cached_property
+    def space(self) -> StateSpace:
         return self.kind.space
 
-    def _spec(self) -> ControllerSpec:
-        # The derivative formulas are meaningful at any positive gains;
-        # the coupling condition only affects the decrease certificate.
-        return ControllerSpec(self.kind, self.gains, allow_unproven_gains=True)
+    @cached_property
+    def _q(self) -> float:
+        return self.gains.q
 
-    def value(self, delta: float, gamma: float) -> float:
+    @cached_property
+    def _q_sq(self) -> float:
+        # k1/k3 weights z^2 in the backstepping storage functions.
+        return self.gains.k1 / self.gains.k3
+
+    @cached_property
+    def _bolsa_slopes(self) -> tuple[float, float]:
+        g = self.gains
+        return g.k3 * (1.0 + self._q / g.k2), g.k3 / (2.0 * self._q * g.k2)
+
+    @cached_property
+    def _bagal_amp(self) -> float:
+        g, q = self.gains, self._q
+        return max(g.k1 * q, 2.0 * math.sqrt(g.k1 * g.k2)) / (3.0 * g.k2 * q * q)
+
+    def _require_inside(self, xp, delta, gamma) -> None:
+        if not xp.all(self.space.contains_angles(delta, gamma)):
+            raise DomainError(f"barrier blow-up outside the open space {self.space.value}")
+
+    def _bolsa_terms(self, xp, delta, gamma):
+        q = self._q
+        t = xp.tan(gamma / 2.0)
+        u = delta * delta + 4.0 * q * q * t * t
+        return t, u, delta + 2.0 * q * t
+
+    def _bagal_terms(self, xp, delta, gamma):
+        q = self._q
+        d = xp.tan(delta / 2.0)
+        t = xp.tan(gamma / 2.0)
+        return d, t, d * d + q * q * t * t, d + q * t
+
+    def value(self, delta, gamma):
         """V(delta, gamma) >= 0, zero only at the angular origin.
 
         Raises:
             DomainError: On or outside a barriered line, where the
-                storage function is infinite.
+                storage function is infinite (for arrays: at any element).
         """
-        _check_angles(self.kind, delta, gamma)
+        xp = math_for(delta, gamma)
+        self._require_inside(xp, delta, gamma)
         g = self.gains
-        if self.kind.uses_backstepping:
-            aux = backstepping_aux(self.kind, g, delta, gamma)
-            return aux.Delta**2 + (g.k1 / g.k3) * aux.z**2
-        if self.kind is ControllerKind.BOLSA:
-            q = g.q
-            t = math.tan(gamma / 2.0)
-            u = delta * delta + 4.0 * q * q * t * t
-            shifted = delta + 2.0 * q * t
+        if self.kind is _BOLSA:
+            q = self._q
+            _, u, shifted = self._bolsa_terms(xp, delta, gamma)
             return g.k3 * (1.0 + (2.0 * q * q + u) / (2.0 * q * g.k2)) * u + shifted * shifted
-        # BAGAL
-        q = g.q
-        d = math.tan(delta / 2.0)
-        t = math.tan(gamma / 2.0)
-        u = d * d + q * q * t * t
-        amp = max(g.k1 * q, 2.0 * math.sqrt(g.k1 * g.k2)) / (3.0 * g.k2 * q * q)
-        shifted = d + q * t
-        return amp * ((1.0 + u) ** 3 - 1.0) + shifted * shifted
+        if self.kind is _BAGAL:
+            _, _, u, shifted = self._bagal_terms(xp, delta, gamma)
+            return self._bagal_amp * ((1.0 + u) ** 3 - 1.0) + shifted * shifted
+        Delta, _, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
+        return Delta**2 + self._q_sq * z**2
 
-    def grad(self, delta: float, gamma: float) -> tuple[float, float]:
+    def grad(self, delta, gamma):
         """Analytic gradient (dV/ddelta, dV/dgamma)."""
-        _check_angles(self.kind, delta, gamma)
+        xp = math_for(delta, gamma)
+        self._require_inside(xp, delta, gamma)
         g = self.gains
-        if self.kind.uses_backstepping:
-            aux = backstepping_aux(self.kind, g, delta, gamma)
-            q_sq = g.k1 / g.k3
-            dz_ddelta = g.k2 * aux.dDelta_ddelta / (1.0 + 4.0 * g.k2**2 * aux.Delta**2)
-            d_delta = 2.0 * aux.Delta * aux.dDelta_ddelta + 2.0 * q_sq * aux.z * dz_ddelta
-            d_gamma = 2.0 * q_sq * aux.z
-            return d_delta, d_gamma
-        if self.kind is ControllerKind.BOLSA:
-            q = g.q
-            t = math.tan(gamma / 2.0)
+        if self.kind is _BOLSA:
+            q = self._q
+            t, u, shifted = self._bolsa_terms(xp, delta, gamma)
             sec_sq = 1.0 + t * t
-            c1 = g.k3 * (1.0 + q / g.k2)
-            c2 = g.k3 / (2.0 * q * g.k2)
-            u = delta * delta + 4.0 * q * q * t * t
-            shifted = delta + 2.0 * q * t
+            c1, c2 = self._bolsa_slopes
             outer = c1 + 2.0 * c2 * u
             d_delta = outer * 2.0 * delta + 2.0 * shifted
             d_gamma = outer * 4.0 * q * q * t * sec_sq + 2.0 * shifted * q * sec_sq
             return d_delta, d_gamma
-        q = g.q
-        d = math.tan(delta / 2.0)
-        t = math.tan(gamma / 2.0)
-        u = d * d + q * q * t * t
-        amp = max(g.k1 * q, 2.0 * math.sqrt(g.k1 * g.k2)) / (3.0 * g.k2 * q * q)
-        shifted = d + q * t
-        outer = 3.0 * amp * (1.0 + u) ** 2
-        d_delta = (outer * 2.0 * d + 2.0 * shifted) * (1.0 + d * d) / 2.0
-        d_gamma = (outer * 2.0 * q * q * t + 2.0 * shifted * q) * (1.0 + t * t) / 2.0
+        if self.kind is _BAGAL:
+            q = self._q
+            d, t, u, shifted = self._bagal_terms(xp, delta, gamma)
+            outer = 3.0 * self._bagal_amp * (1.0 + u) ** 2
+            d_delta = (outer * 2.0 * d + 2.0 * shifted) * (1.0 + d * d) / 2.0
+            d_gamma = (outer * 2.0 * q * q * t + 2.0 * shifted * q) * (1.0 + t * t) / 2.0
+            return d_delta, d_gamma
+        Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
+        q_sq = self._q_sq
+        dz_ddelta = g.k2 * dDelta / (1.0 + 4.0 * g.k2**2 * Delta**2)
+        d_delta = 2.0 * Delta * dDelta + 2.0 * q_sq * z * dz_ddelta
+        d_gamma = 2.0 * q_sq * z
         return d_delta, d_gamma
 
-    def vdot(self, delta: float, gamma: float) -> float:
+    def vdot(self, delta, gamma):
         """Exact derivative of V along the matched closed loop.
 
         For the backstepping kinds this is the closed-form expression
@@ -149,46 +167,34 @@ class LyapunovFn:
         inequalities, checked separately (see bolsa_decay_bound and the
         verification module).
         """
+        xp = math_for(delta, gamma)
         g = self.gains
-        if self.kind.uses_backstepping:
-            _check_angles(self.kind, delta, gamma)
-            aux = backstepping_aux(self.kind, g, delta, gamma)
-            root = math.sqrt(1.0 + 4.0 * g.k2**2 * aux.Delta**2)
-            return (
-                -2.0 * g.k1 * g.k2 * aux.Delta**2 / root * aux.dDelta_ddelta
-                - 2.0 * g.k4 * (g.k1 / g.k3) * aux.z**2
-            )
-        d_delta, d_gamma = self.grad(delta, gamma)
-        delta_rate = 0.5 * g.k1 * math.sin(2.0 * gamma)
-        gamma_rate = -omega_tilde(self._spec(), delta, gamma)
-        return d_delta * delta_rate + d_gamma * gamma_rate
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            d_delta, d_gamma = self.grad(delta, gamma)
+            delta_rate = 0.5 * g.k1 * xp.sin(2.0 * gamma)
+            gamma_rate = -steering_correction(xp, self.kind, g, delta, gamma)
+            return d_delta * delta_rate + d_gamma * gamma_rate
+        self._require_inside(xp, delta, gamma)
+        Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
+        root = xp.sqrt(1.0 + 4.0 * g.k2**2 * Delta**2)
+        return -2.0 * g.k1 * g.k2 * Delta**2 / root * dDelta - 2.0 * g.k4 * self._q_sq * z**2
 
 
-def bolsa_decay_bound(
-    gains: Gains, delta: float, gamma: float, shift_weight: float = 1.0
-) -> float:
+def bolsa_decay_bound(gains: Gains, delta, gamma, shift_weight: float = 1.0):
     """Certified upper bound on the BOLSA storage derivative.
 
     Returns -2*k1*k2*V0 - (3/2)*k2*(delta + w*q*tan(gamma/2))^2 - 2*k1*q*V0^2
     with V0 = 4*tan(gamma/2)^2 and w = shift_weight.  The default weight 1
     is the stated certificate; weight 2 matches the combined variable
     delta + 2*q*tan(gamma/2) that appears in the storage function itself,
-    and is the variant the grid certification reports alongside it.
+    and is the variant the grid certification reports alongside it.  delta
+    and gamma may be floats or arrays.
     """
     q = gains.q
-    t = math.tan(gamma / 2.0)
+    t = math_for(gamma).tan(gamma / 2.0)
     v0 = 4.0 * t * t
     penalty = delta + shift_weight * q * t
     return -2.0 * gains.k1 * gains.k2 * v0 - 1.5 * gains.k2 * penalty * penalty - 2.0 * gains.k1 * q * v0 * v0
-
-
-def _exp_or_inf(x: float) -> float:
-    # Barrier storage values can exceed the exp overflow threshold (~709);
-    # saturating to inf keeps downstream comparisons meaningful.
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 class CompositorForm(Enum):
@@ -214,6 +220,11 @@ class Compositor:
     Built-in forms: SUM C = r + s, LOG_SUM C = ln(1 + r) + s, and
     EXP_PRODUCT C = (1 + r)*exp(s) - 1.  CUSTOM supplies callables for the
     value and both partials; composite() screens them numerically.
+
+    value and partials take floats or equal-shape arrays.  CUSTOM callables
+    are called with whatever the caller passes, so they must work
+    element-wise on arrays (use numpy functions, not math) to serve the
+    certification checks; a partial may return a constant.
     """
 
     form: CompositorForm
@@ -251,52 +262,58 @@ class Compositor:
     ) -> "Compositor":
         return cls(CompositorForm.CUSTOM, order, fn, dfn_dr, dfn_ds)
 
-    def value(self, r: float, s: float) -> float:
+    def value(self, r, s):
+        """C(r, s); exp_product saturates to inf instead of overflowing."""
         if self.form is CompositorForm.SUM:
             return r + s
         if self.form is CompositorForm.LOG_SUM:
-            return math.log1p(r) + s
+            return math_for(r).log1p(r) + s
         if self.form is CompositorForm.EXP_PRODUCT:
-            return (1.0 + r) * _exp_or_inf(s) - 1.0
+            return (1.0 + r) * math_for(s).exp(s) - 1.0
         return self.fn(r, s)
 
-    def partials(self, r: float, s: float) -> tuple[float, float]:
+    def partials(self, r, s):
         """(dC/dr, dC/ds)."""
         if self.form is CompositorForm.SUM:
             return 1.0, 1.0
         if self.form is CompositorForm.LOG_SUM:
             return 1.0 / (1.0 + r), 1.0
         if self.form is CompositorForm.EXP_PRODUCT:
-            exp_s = _exp_or_inf(s)
+            exp_s = math_for(s).exp(s)
             return exp_s, (1.0 + r) * exp_s
         return self.dfn_dr(r, s), self.dfn_ds(r, s)
 
 
 @dataclass(frozen=True)
 class CompositeLyapunovFn:
-    """Full-state Lyapunov function built from a compositor."""
+    """Full-state Lyapunov function built from a compositor.
+
+    value, gradient and vdot take floats or equal-shape arrays of
+    (rho, delta, gamma), like LyapunovFn.
+    """
 
     compositor: Compositor
     angular: LyapunovFn
 
-    def _args(self, rho: float, delta: float, gamma: float) -> tuple[float, float]:
+    def _partials(self, rho, delta, gamma):
+        # (dC/d(rho^2), dC/dV_dg) at the state, whichever argument order.
         s = self.angular.value(delta, gamma)
         r = rho * rho
         if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            return r, s
-        return s, r
+            return self.compositor.partials(r, s)
+        p_angular, p_rho_sq = self.compositor.partials(s, r)
+        return p_rho_sq, p_angular
 
-    def value(self, rho: float, delta: float, gamma: float) -> float:
-        return self.compositor.value(*self._args(rho, delta, gamma))
-
-    def gradient(self, rho: float, delta: float, gamma: float) -> tuple[float, float, float]:
-        """Analytic gradient (dV/drho, dV/ddelta, dV/dgamma)."""
-        first, second = self._args(rho, delta, gamma)
-        p_first, p_second = self.compositor.partials(first, second)
+    def value(self, rho, delta, gamma):
+        s = self.angular.value(delta, gamma)
+        r = rho * rho
         if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            p_rho_sq, p_angular = p_first, p_second
-        else:
-            p_rho_sq, p_angular = p_second, p_first
+            return self.compositor.value(r, s)
+        return self.compositor.value(s, r)
+
+    def gradient(self, rho, delta, gamma):
+        """Analytic gradient (dV/drho, dV/ddelta, dV/dgamma)."""
+        p_rho_sq, p_angular = self._partials(rho, delta, gamma)
         dv_ddelta, dv_dgamma = self.angular.grad(delta, gamma)
         return (
             p_rho_sq * 2.0 * rho,
@@ -304,21 +321,16 @@ class CompositeLyapunovFn:
             p_angular * dv_dgamma,
         )
 
-    def vdot(self, rho: float, delta: float, gamma: float) -> float:
+    def vdot(self, rho, delta, gamma):
         """Exact derivative along the matched closed loop.
 
         Chain rule on C(rho^2, V_dg): the distance argument contributes
         dC/d(rho^2) * (-2*k1*rho^2*cos(gamma)^2) and the angular argument
         contributes dC/dV_dg * V_dg'.
         """
-        first, second = self._args(rho, delta, gamma)
-        p_first, p_second = self.compositor.partials(first, second)
-        if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            p_rho_sq, p_angular = p_first, p_second
-        else:
-            p_rho_sq, p_angular = p_second, p_first
+        p_rho_sq, p_angular = self._partials(rho, delta, gamma)
         k1 = self.angular.gains.k1
-        cos_g = math.cos(gamma)
+        cos_g = math_for(gamma).cos(gamma)
         rho_sq_rate = -2.0 * k1 * rho * rho * cos_g * cos_g
         return p_rho_sq * rho_sq_rate + p_angular * self.angular.vdot(delta, gamma)
 

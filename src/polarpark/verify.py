@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ __all__ = [
     "run_suite",
     "SUITE_NAMES",
 ]
+
+
+_NONFINITE_KEY = "worst_margin_nonfinite"
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,28 @@ class CertReport:
         return f"{self.check_name}: {verdict} (worst margin {self.worst_margin:.3e})"
 
     def to_dict(self) -> dict:
+        """JSON-ready fields.
+
+        A non-finite worst margin (inf after an overflow or NaN, -inf when
+        nothing was sampled) is written as None, with its value and the
+        reason under details["worst_margin_nonfinite"], so the dict stays
+        strict JSON; from_dict restores it.
+        """
+        worst, details = self.worst_margin, self.details
+        if not math.isfinite(worst):
+            reason = "no sampled point" if worst < 0.0 else "a margin overflowed or was NaN"
+            details = {**details, _NONFINITE_KEY: {"value": repr(worst), "reason": reason}}
+            worst = None
         return {
             "check_name": self.check_name,
             "domain": self.domain,
-            "worst_margin": self.worst_margin,
+            "worst_margin": worst,
             "witness": list(self.witness) if self.witness is not None else None,
             "pass": self.passed,
             "tolerance": self.tolerance,
             "criterion": self.criterion,
             "seed": self.seed,
-            "details": self.details,
+            "details": details,
         }
 
     def to_json(self) -> str:
@@ -93,16 +108,20 @@ class CertReport:
     @classmethod
     def from_dict(cls, d: dict) -> "CertReport":
         witness = d["witness"]
+        worst, details = d["worst_margin"], d["details"]
+        if worst is None:
+            details = dict(details)
+            worst = float(details.pop(_NONFINITE_KEY)["value"])
         return cls(
             check_name=d["check_name"],
             domain=d["domain"],
-            worst_margin=d["worst_margin"],
+            worst_margin=worst,
             witness=tuple(witness) if witness is not None else None,
             passed=d["pass"],
             tolerance=d["tolerance"],
             criterion=d["criterion"],
             seed=d["seed"],
-            details=d["details"],
+            details=details,
         )
 
     @classmethod
@@ -128,12 +147,13 @@ def _sample_states(
     *,
     barrier_offset: float,
     rho_range: tuple[float, float] = _RHO_RANGE,
-    accept: Callable[[float, float], bool] | None = None,
+    accept: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, str]:
     """Draw (rho, delta, gamma) rows inside the open space.
 
-    Optionally rejects angle pairs failing `accept`; the returned domain
-    string records all truncations so reports stay self-describing.
+    Optionally rejects angle pairs failing `accept`, which maps arrays of
+    delta and gamma to a boolean array; the returned domain string records
+    all truncations so reports stay self-describing.
     """
     d_max = _angle_bound(space.delta_bounded, barrier_offset)
     g_max = _angle_bound(space.gamma_bounded, barrier_offset)
@@ -149,8 +169,8 @@ def _sample_states(
             ]
         )
         if accept is not None:
-            keep = [accept(r[1], r[2]) for r in cand]
-            cand = cand[np.asarray(keep, dtype=bool)]
+            with np.errstate(all="ignore"):
+                cand = cand[accept(cand[:, 1], cand[:, 2])]
         take = min(n - got, len(cand))
         rows[got : got + take] = cand[:take]
         got += take
@@ -163,13 +183,22 @@ def _sample_states(
     return rows, desc
 
 
-def _worse(margin: float, state, worst: float, witness):
-    """Track the running maximum; NaN counts as an outright violation."""
-    if math.isnan(margin):
-        return math.inf, state
-    if margin > worst:
-        return margin, state
-    return worst, witness
+def _worst(margins: np.ndarray) -> tuple[float, int | None]:
+    """Largest margin and the flat index of its first occurrence.
+
+    NaN counts as an outright violation (+inf).  An empty array gives
+    (-inf, None).
+    """
+    margins = np.ravel(margins)
+    if margins.size == 0:
+        return -math.inf, None
+    margins = np.where(np.isnan(margins), math.inf, margins)
+    i = int(np.argmax(margins))
+    return float(margins[i]), i
+
+
+def _row(points: np.ndarray, i: int | None) -> tuple | None:
+    return None if i is None else tuple(float(v) for v in points[i])
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +234,11 @@ def check_lemma1(
     tan_half_sq = np.tan(0.5 * gamma) ** 2
     worst = -math.inf
     witness = None
-    for k in k_arr:
+    for k in k_arr:  # one row at a time keeps the temporaries small
         margins = (1.0 - k * cos_g * (1.0 + cos_g)) - 2.0 * (1.0 + k) * tan_half_sq
-        i = int(np.argmax(margins))
-        worst, witness = _worse(float(margins[i]), (float(k), float(gamma[i])), worst, witness)
+        margin, i = _worst(margins)
+        if margin > worst:
+            worst, witness = margin, (float(k), float(gamma[i]))
 
     return CertReport(
         check_name="lemma1",
@@ -250,8 +280,9 @@ def check_clf(
         samples: Optional explicit (n, 3) array of (rho, delta, gamma) rows;
             overrides random sampling.
         omega_fn: Override for the turn-rate input, signature
-            (rho, delta, gamma) -> omega.  Used to show the check rejects
-            perturbed feedback; None uses the designed turn rate.
+            (rho, delta, gamma) -> omega on floats, called once per row.
+            Used to show the check rejects perturbed feedback; None uses
+            the designed turn rate.
         value_cap: When set, rejects samples whose angular value exceeds
             the cap.  Needed for exponential merges, whose gradient entries
             overflow the double range near barriers; the term-by-term
@@ -273,27 +304,26 @@ def check_clf(
         domain = f"{len(samples)} caller-supplied samples on {spec.space.value}"
 
     k1 = spec.gains.k1
-    worst = -math.inf
-    witness = None
-    for row in samples:
-        # Plain floats here: IEEE overflow saturates to inf quietly.
-        rho, delta, gamma = (float(v) for v in row)
+    rho, delta, gamma = samples[:, 0], samples[:, 1], samples[:, 2]
+    # As with floats, overflow saturates to inf and inf - inf gives NaN,
+    # both quietly; _worst counts NaN as a violation.
+    with np.errstate(all="ignore"):
         g_rho, g_delta, g_gamma = fn.gradient(rho, delta, gamma)
-        cos_g = math.cos(gamma)
+        cos_g = np.cos(gamma)
         rho_rate = -k1 * rho * cos_g * cos_g
-        slip = 0.5 * k1 * math.sin(2.0 * gamma)
+        slip = 0.5 * k1 * np.sin(2.0 * gamma)
         if omega_fn is None:
             omega = slip + omega_tilde(spec, delta, gamma)
         else:
-            omega = omega_fn(rho, delta, gamma)
+            omega = np.array([omega_fn(*row) for row in samples.tolist()], dtype=float)
         vdot = g_rho * rho_rate + g_delta * slip + g_gamma * (slip - omega)
-        worst, witness = _worse(vdot, (rho, delta, gamma), worst, witness)
+    worst, i = _worst(np.broadcast_to(vdot, rho.shape))
 
     return CertReport(
         check_name=f"clf[{spec.kind.value}]",
         domain=domain,
         worst_margin=worst,
-        witness=witness,
+        witness=_row(samples, i),
         passed=worst < 0.0,
         tolerance=0.0,
         criterion="worst_margin < 0",
@@ -355,9 +385,11 @@ def check_proposition1(
         fn.space, n_samples, rng, barrier_offset=barrier_offset
     )
     full = CompositeLyapunovFn(comp, fn)
-    for row in states:
-        rho, delta, gamma = (float(v) for v in row)
-        note(full.vdot(rho, delta, gamma), (rho, delta, gamma), "closed-loop-decrease")
+    with np.errstate(all="ignore"):
+        vdot = full.vdot(states[:, 0], states[:, 1], states[:, 2])
+    margin, i = _worst(np.broadcast_to(vdot, (len(states),)))
+    if i is not None:
+        note(margin, _row(states, i), "closed-loop-decrease")
 
     return CertReport(
         check_name=f"prop1[{comp.form.value}/{comp.order.value}+{fn.kind.value}]",
@@ -401,12 +433,16 @@ def check_kl_decay(
     if np.isnan(values).any():
         raise ValueError("trajectory carries no Lyapunov samples")
 
-    for i in range(len(traj)):
-        rho_i = float(traj.rho[i])
-        if rho_i < -1e-9 or not space.contains_angles(float(traj.delta[i]), float(traj.gamma[i])):
-            raise DomainError(
-                f"trajectory left the open space {space.value} at t={float(traj.t[i]):.6g}"
-            )
+    rho = np.asarray(traj.rho, dtype=float)
+    inside = space.contains_angles(
+        np.asarray(traj.delta, dtype=float), np.asarray(traj.gamma, dtype=float)
+    )
+    left = (rho < -1e-9) | np.logical_not(inside)
+    if left.any():
+        i = int(np.argmax(left))
+        raise DomainError(
+            f"trajectory left the open space {space.value} at t={float(traj.t[i]):.6g}"
+        )
 
     final = PolarState(max(float(traj.rho[-1]), 0.0), float(traj.delta[-1]), float(traj.gamma[-1]))
     final_metric = metric(space, final)
@@ -489,31 +525,25 @@ def check_gradient(
         rows = np.asarray(samples, dtype=float)
         domain = f"{len(rows)} caller-supplied samples on {space.value}; fd step {step:g}"
 
-    if composite:
-        evaluate = lambda p: fn.value(float(p[0]), float(p[1]), float(p[2]))  # noqa: E731
-        analytic_fn = lambda p: fn.gradient(float(p[0]), float(p[1]), float(p[2]))  # noqa: E731
-    else:
-        evaluate = lambda p: fn.value(float(p[0]), float(p[1]))  # noqa: E731
-        analytic_fn = lambda p: fn.grad(float(p[0]), float(p[1]))  # noqa: E731
-
-    worst = -math.inf
-    witness = None
-    for row in rows:
-        analytic = analytic_fn(row)
-        for j in range(len(row)):
-            hi = row.copy()
-            lo = row.copy()
-            hi[j] += step
-            lo[j] -= step
-            fd = (evaluate(hi) - evaluate(lo)) / (2.0 * step)
-            err = abs(analytic[j] - fd) / max(1.0, abs(analytic[j]), abs(fd))
-            worst, witness = _worse(err, tuple(float(v) for v in row), worst, witness)
+    # One column per coordinate; the central-difference stencil is two
+    # array evaluations per coordinate.
+    cols = [rows[:, j] for j in range(rows.shape[1])]
+    errs = np.empty(rows.shape)
+    with np.errstate(all="ignore"):
+        analytic = fn.gradient(*cols) if composite else fn.grad(*cols)
+        for j, col in enumerate(cols):
+            hi, lo = list(cols), list(cols)
+            hi[j], lo[j] = col + step, col - step
+            fd = (fn.value(*hi) - fn.value(*lo)) / (2.0 * step)
+            scale = np.maximum(np.maximum(1.0, np.abs(analytic[j])), np.abs(fd))
+            errs[:, j] = np.abs(analytic[j] - fd) / scale
+    worst, i = _worst(errs)
 
     return CertReport(
         check_name=f"gradient[{'composite ' if composite else ''}{angular.kind.value}]",
         domain=domain,
         worst_margin=worst,
-        witness=witness,
+        witness=_row(rows, None if i is None else i // rows.shape[1]),
         passed=worst < rel_tol,
         tolerance=rel_tol,
         criterion="worst_margin < tolerance",
@@ -592,8 +622,8 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
                     full = CompositeLyapunovFn(factory(order), angular)
                     cap = _EXP_CLF_CAP if form_name == "exp_product" else None
                     rep = check_clf(full, spec, n_samples=2_000, seed=tick, value_cap=cap)
-                    rep = _rename(rep, f"clf[{kind.value}+{form_name}/{order.value}]")
-                    reports.append(rep)
+                    reports.append(replace(
+                        rep, check_name=f"clf[{kind.value}+{form_name}/{order.value}]"))
 
     if which in ("all", "prop1"):
         tick = seed + 200
@@ -613,8 +643,7 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
             cfg = SimConfig(capture_radius=2e-4)
             traj = simulate(spec, _KL_START, cfg, lyapunov=full)
             rep = check_kl_decay(traj, spec.space)
-            rep = _rename(rep, f"kl[{kind.value}]")
-            reports.append(rep)
+            reports.append(replace(rep, check_name=f"kl[{kind.value}]"))
 
     if which in ("all", "gradient"):
         tick = seed + 300
@@ -628,23 +657,8 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
                     full = CompositeLyapunovFn(factory(order), angular)
                     cap = _EXP_VALUE_CAP if form_name == "exp_product" else _COMPOSITE_VALUE_CAP
                     rep = check_gradient(full, seed=tick, value_cap=cap)
-                    rep = _rename(
-                        rep, f"gradient[{kind.value}+{form_name}/{order.value}]"
-                    )
-                    reports.append(rep)
+                    reports.append(replace(
+                        rep, check_name=f"gradient[{kind.value}+{form_name}/{order.value}]"))
 
     return reports
 
-
-def _rename(rep: CertReport, name: str) -> CertReport:
-    return CertReport(
-        check_name=name,
-        domain=rep.domain,
-        worst_margin=rep.worst_margin,
-        witness=rep.witness,
-        passed=rep.passed,
-        tolerance=rep.tolerance,
-        criterion=rep.criterion,
-        seed=rep.seed,
-        details=rep.details,
-    )

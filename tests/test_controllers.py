@@ -141,6 +141,12 @@ class TestPsi:
         z = 0.5 * math.atan(2.0)
         assert psi(z, 0.0, 1.0, 1.0) == pytest.approx(0.80786544447433758928, rel=1e-15)
 
+    def test_arrays_take_the_series_element_wise(self):
+        z = np.array([0.0, 3e-9, -7e-9, 9.9e-9, 1e-8, -0.3, 2.0])
+        Delta = np.linspace(-2.0, 2.0, z.size)
+        want = [psi(float(a), 0.0, 0.7, float(b)) for a, b in zip(z, Delta)]
+        np.testing.assert_allclose(psi(z, 0.0, 0.7, Delta), want, rtol=1e-15, atol=0)
+
 
 class TestOmegaTilde:
     def test_globa_frozen_value(self):

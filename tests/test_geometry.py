@@ -138,6 +138,16 @@ class TestStateSpaces:
         assert not StateSpace.S2.contains_angles(0.0, -math.pi)
         assert not StateSpace.S3.contains_angles(0.0, math.pi)
 
+    def test_containment_of_arrays_is_element_wise(self):
+        delta = np.array([0.0, math.pi, -4.0, 1.0, np.nan])
+        gamma = np.array([0.0, 0.0, 0.0, -math.pi, 0.0])
+        for space in StateSpace:
+            got = space.contains_angles(delta, gamma)
+            want = [space.contains_angles(float(d), float(g)) for d, g in zip(delta, gamma)]
+            assert np.array_equal(np.broadcast_to(got, delta.shape), want)
+        # only an angle at or beyond a barrier is outside: NaN is not
+        assert StateSpace.S3.contains_angles(math.nan, 0.0)
+
     def test_contains_needs_positive_distance(self):
         assert not StateSpace.S.contains(PolarState(0.0, 0.0, 0.0))
         assert StateSpace.S.contains(PolarState(0.5, 9.0, -9.0))

@@ -301,3 +301,96 @@ class TestCompositeFunction:
         assert g_rho == pytest.approx(4.0)
         assert g_d == 0.0
         assert g_g == 0.0
+
+
+def scalar_rows(f, *cols):
+    """Reference: f on each row of the columns, through the float path."""
+    return np.array([f(*(float(c[i]) for c in cols)) for i in range(len(cols[0]))], dtype=float)
+
+
+def capped_states(fn, rng, n, cap=600.0):
+    """n (rho, delta, gamma) columns inside the kind's space with V_dg <= cap,
+    which keeps exponential merges inside the double range."""
+    rows = []
+    while len(rows) < n:
+        d, g = interior_angles(fn.kind, rng, 1)[0]
+        if fn.value(float(d), float(g)) <= cap:
+            rows.append((float(rng.uniform(0.01, 5.0)), d, g))
+    return np.array(rows).T
+
+
+def merge_partials(full, rho, delta, gamma):
+    """(dC/d(rho^2), dC/dV_dg) at one state, through the float path."""
+    r, s = rho * rho, full.angular.value(delta, gamma)
+    if full.compositor.order is ArgumentOrder.RHO_FIRST:
+        return full.compositor.partials(r, s)
+    p_s, p_r = full.compositor.partials(s, r)
+    return p_r, p_s
+
+
+ARRAY_COMPOSITORS = (
+    Compositor.sum_form,
+    Compositor.log_sum,
+    Compositor.exp_product,
+    lambda order: Compositor.custom(
+        fn=lambda r, s: r + s + r * s,
+        dfn_dr=lambda r, s: 1.0 + s,
+        dfn_ds=lambda r, s: 1.0 + r,
+        order=order,
+    ),
+    # partials that return constants broadcast against array arguments
+    lambda order: Compositor.custom(
+        fn=lambda r, s: r + s, dfn_dr=lambda r, s: 1.0, dfn_ds=lambda r, s: 1.0, order=order
+    ),
+)
+
+
+class TestArrayInputs:
+    """Array arguments evaluate element-wise, matching the float path."""
+
+    def test_angular_functions_match_scalar_path(self):
+        rng = np.random.default_rng(27)
+        for gains in (UNIT, Gains(2.0, 0.7, 1.3, 0.5)):
+            for kind in ControllerKind:
+                fn = LyapunovFn(kind, gains)
+                spec = ControllerSpec(kind, gains, allow_unproven_gains=True)
+                d, g = interior_angles(kind, rng, 1_000).T
+                tilde = scalar_rows(lambda a, b: omega_tilde(spec, a, b), d, g)
+                np.testing.assert_allclose(omega_tilde(spec, d, g), tilde, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(fn.value(d, g), scalar_rows(fn.value, d, g), rtol=1e-12, atol=0)
+                grads = scalar_rows(fn.grad, d, g)
+                for got, want in zip(fn.grad(d, g), grads.T):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                terms = np.abs(grads[:, 0] * 0.5 * gains.k1 * np.sin(2.0 * g)) + np.abs(grads[:, 1] * tilde)
+                gap = np.abs(fn.vdot(d, g) - scalar_rows(fn.vdot, d, g))
+                assert np.all(gap <= 1e-12 * np.maximum(1.0, terms))
+
+    def test_composites_match_scalar_path(self):
+        rng = np.random.default_rng(28)
+        for kind in ControllerKind:
+            fn = LyapunovFn(kind, UNIT)
+            rho, d, g = capped_states(fn, rng, 1_000)
+            angular_rate = scalar_rows(fn.vdot, d, g)
+            for factory in ARRAY_COMPOSITORS:
+                for order in ArgumentOrder:
+                    full = CompositeLyapunovFn(factory(order), fn)
+                    np.testing.assert_allclose(
+                        full.value(rho, d, g), scalar_rows(full.value, rho, d, g), rtol=1e-12, atol=0)
+                    grads = scalar_rows(full.gradient, rho, d, g)
+                    for got, want in zip(full.gradient(rho, d, g), grads.T):
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                    partials = scalar_rows(lambda *x: merge_partials(full, *x), rho, d, g)
+                    rho_sq_rate = -2.0 * UNIT.k1 * rho * rho * np.cos(g) ** 2
+                    terms = np.abs(partials[:, 0] * rho_sq_rate) + np.abs(partials[:, 1] * angular_rate)
+                    gap = np.abs(full.vdot(rho, d, g) - scalar_rows(full.vdot, rho, d, g))
+                    assert np.all(gap <= 1e-12 * np.maximum(1.0, terms))
+
+    def test_any_element_outside_raises(self):
+        inside_then_out = np.array([0.5, math.pi])
+        zeros = np.zeros(2)
+        with pytest.raises(DomainError, match="barrier blow-up"):
+            LyapunovFn(ControllerKind.BARFLI, UNIT).value(inside_then_out, zeros)
+        with pytest.raises(DomainError, match="barrier blow-up"):
+            LyapunovFn(ControllerKind.BOLSA, UNIT).grad(zeros, -inside_then_out)
+        with pytest.raises(DomainError, match="steering undefined"):
+            omega_tilde(ControllerSpec(ControllerKind.BAGAL, UNIT), inside_then_out, zeros)

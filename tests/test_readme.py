@@ -1,0 +1,29 @@
+"""The README's examples run as written."""
+
+import json
+import re
+from pathlib import Path
+
+from polarpark import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def code_block(language):
+    blocks = re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1, f"expected one {language} block in README.md"
+    return blocks[0]
+
+
+def test_library_example_runs(capsys):
+    exec(compile(code_block("python"), str(README), "exec"), {})
+    assert "SimStatus" in capsys.readouterr().out
+
+
+def test_simulate_config_runs_through_the_cli(tmp_path):
+    config = tmp_path / "experiment.json"
+    config.write_text(code_block("json"), encoding="utf-8")
+    assert json.loads(config.read_text(encoding="utf-8"))["sim"]["integrator"] == "rk45"
+    out = tmp_path / "results"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "summary.json").is_file() and (out / "ic_001.csv").is_file()

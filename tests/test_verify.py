@@ -1,5 +1,6 @@
 """Certification checks: reports, sensitivity to broken inputs, battery."""
 
+import json
 import math
 
 import numpy as np
@@ -218,6 +219,10 @@ class TestKlDecayCheck:
         traj = flat_trajectory([1.0, 1.0], [0.0, math.pi], [0.0, 0.0], [1.0, 0.5])
         with pytest.raises(DomainError, match="left the open space"):
             check_kl_decay(traj, StateSpace.S1)
+        # the first offending sample is named, here by a negative distance
+        traj = flat_trajectory([1.0, -1e-6, 1.0], [0.0, 0.0, 4.0], [0.0] * 3, [1.0, 0.5, 0.2])
+        with pytest.raises(DomainError, match="at t=0.1$"):
+            check_kl_decay(traj, StateSpace.S1)
 
     def test_stationary_origin_certifies(self):
         traj = flat_trajectory([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
@@ -298,3 +303,139 @@ class TestSuite:
 
     def test_suite_names_exported(self):
         assert "all" in SUITE_NAMES and len(SUITE_NAMES) == 6
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def interior_rows(rng, n):
+    # |angles| <= 1.5 and rho <= 3 keep every angular value below ~40, so
+    # exponential merges stay finite and the references compare numbers
+    return np.column_stack([
+        rng.uniform(0.05, 3.0, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n)])
+
+
+def relative_gap(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+class TestStrictJson:
+    def test_infinite_margin_is_written_as_null(self):
+        # without a value cap the exponential merge overflows, so the worst
+        # margin is inf; the JSON must still parse strictly and round-trip
+        for kind in (ControllerKind.BARFLI, ControllerKind.BOLSA, ControllerKind.BAGAL):
+            spec = ControllerSpec(kind, UNIT)
+            fn = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+            rep = check_clf(fn, spec, seed=1)
+            assert rep.worst_margin == math.inf and not rep.passed
+            parsed = json.loads(rep.to_json(), parse_constant=_reject_constant)
+            assert parsed["worst_margin"] is None
+            assert parsed["details"]["worst_margin_nonfinite"]["value"] == "inf"
+            assert CertReport.from_json(rep.to_json()) == rep
+
+    def test_empty_sample_set_round_trips(self):
+        spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        rep = check_clf(fn, spec, samples=np.empty((0, 3)))
+        assert rep.worst_margin == -math.inf and rep.witness is None
+        json.loads(rep.to_json(), parse_constant=_reject_constant)
+        assert CertReport.from_json(rep.to_json()) == rep
+
+
+class TestArrayChecksMatchRowReference:
+    """The array checks against per-row references from the float API."""
+
+    def test_clf(self):
+        rng = np.random.default_rng(31)
+        for kind in ControllerKind:
+            spec = ControllerSpec(kind, UNIT)
+            angular = LyapunovFn(kind, UNIT)
+            rows = interior_rows(rng, 300)
+            for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
+                fn = CompositeLyapunovFn(factory(), angular)
+                rep = check_clf(fn, spec, samples=rows)
+                ref = []
+                for rho, d, g in rows.tolist():
+                    g_rho, g_d, g_g = fn.gradient(rho, d, g)
+                    slip = 0.5 * math.sin(2.0 * g)
+                    rho_rate = -rho * math.cos(g) ** 2
+                    ref.append(g_rho * rho_rate - g_g * omega_tilde(spec, d, g) + g_d * slip)
+                assert np.all(np.isfinite(ref))
+                i = int(np.argmax(ref))
+                assert relative_gap(rep.worst_margin, ref[i]) < 1e-10
+                assert rep.witness == tuple(rows[i])
+
+    def test_clf_override_is_called_once_per_row(self):
+        spec = ControllerSpec(ControllerKind.BOLSA, UNIT)
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        rows = interior_rows(np.random.default_rng(32), 50)
+        calls = []
+
+        def designed(rho, delta, gamma):
+            calls.append((rho, delta, gamma))
+            assert isinstance(delta, float)
+            return 0.5 * math.sin(2.0 * gamma) + omega_tilde(spec, delta, gamma)
+
+        rep = check_clf(fn, spec, samples=rows, omega_fn=designed)
+        assert calls == [tuple(r) for r in rows.tolist()]
+        assert rep.worst_margin == pytest.approx(
+            check_clf(fn, spec, samples=rows).worst_margin, rel=1e-12)
+
+    def test_custom_compositor_with_constant_partials(self):
+        comp = Compositor.custom(
+            fn=lambda r, s: r + s, dfn_dr=lambda r, s: 1.0, dfn_ds=lambda r, s: 1.0)
+        spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
+        angular = LyapunovFn.for_controller(spec)
+        rows = interior_rows(np.random.default_rng(33), 200)
+        custom = check_clf(CompositeLyapunovFn(comp, angular), spec, samples=rows)
+        builtin = check_clf(CompositeLyapunovFn(Compositor.sum_form(), angular), spec, samples=rows)
+        assert custom.worst_margin == builtin.worst_margin
+        assert custom.witness == builtin.witness
+
+    def test_proposition1(self):
+        from polarpark.verify import _COMP_GRID, _sample_states
+
+        for kind in ControllerKind:
+            fn = LyapunovFn(kind, UNIT)
+            for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
+                comp = factory()
+                rep = check_proposition1(comp, fn, n_samples=300, seed=4)
+                ref = [abs(comp.value(0.0, 0.0)) - 1e-12]
+                for r in _COMP_GRID:
+                    for s in _COMP_GRID:
+                        if r or s:
+                            ref += [-comp.value(r, s), -min(comp.partials(r, s))]
+                diag = [comp.value(t, t) for t in _COMP_GRID[1:]]
+                ref += [a - b for a, b in zip(diag, diag[1:])]
+                states, _ = _sample_states(
+                    fn.space, 300, np.random.default_rng(4), barrier_offset=1e-3)
+                full = CompositeLyapunovFn(comp, fn)
+                ref += [full.vdot(*row) for row in states.tolist()]
+                assert not np.isnan(ref).any()  # -inf: exp merge saturated, fine
+                assert relative_gap(rep.worst_margin, max(ref)) < 1e-10
+
+    def test_gradient(self):
+        rng = np.random.default_rng(34)
+        step = 1e-6
+        for kind in ControllerKind:
+            angular = LyapunovFn(kind, UNIT)
+            rows = interior_rows(rng, 200)
+            cases = [(angular, rows[:, 1:], angular.grad)]
+            for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
+                full = CompositeLyapunovFn(factory(), angular)
+                cases.append((full, rows, full.gradient))
+            for fn, points, analytic in cases:
+                rep = check_gradient(fn, samples=points, step=step)
+                ref = -math.inf
+                for row in points.tolist():
+                    exact = analytic(*row)
+                    for j in range(len(row)):
+                        hi, lo = list(row), list(row)
+                        hi[j] += step
+                        lo[j] -= step
+                        fd = (fn.value(*hi) - fn.value(*lo)) / (2.0 * step)
+                        err = abs(exact[j] - fd) / max(1.0, abs(exact[j]), abs(fd))
+                        assert math.isfinite(err)
+                        ref = max(ref, err)
+                assert abs(rep.worst_margin - ref) < 1e-8
