@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -120,36 +120,26 @@ def _parse_ics(cfg: dict) -> list:
 
 
 def _parse_sim(cfg: dict, frame_flag: str | None) -> SimConfig:
+    """SimConfig from the optional sim block; absent keys keep SimConfig's defaults."""
     sim = cfg.get("sim", {})
     if not isinstance(sim, dict):
         _fail("sim must be an object")
-    known = {
-        "dt", "t_final", "capture_radius", "frame", "integrator", "rtol", "atol", "h_min",
-    }
-    unknown = set(sim) - known
+    unknown = set(sim) - {f.name for f in fields(SimConfig)}
     if unknown:
         _fail(f"unknown sim keys: {sorted(unknown)}")
-    frame_name = frame_flag or sim.get("frame", "polar")
+    frame_name = frame_flag or sim.get("frame", SimConfig.frame.value)
     try:
         frame = Frame(str(frame_name).lower())
     except ValueError:
         _fail(f"unknown frame '{frame_name}'; choose polar or cartesian")
-    integ_name = sim.get("integrator", "rk45")
+    integ_name = sim.get("integrator", SimConfig.integrator.value)
     try:
         integrator = IntegratorKind(str(integ_name).lower())
     except ValueError:
         _fail(f"unknown integrator '{integ_name}'; choose rk45 or rk4")
     try:
-        return SimConfig(
-            dt=float(sim.get("dt", 0.05)),
-            t_final=float(sim.get("t_final", 60.0)),
-            capture_radius=float(sim.get("capture_radius", 1e-3)),
-            frame=frame,
-            integrator=integrator,
-            rtol=float(sim.get("rtol", 1e-10)),
-            atol=float(sim.get("atol", 1e-10)),
-            h_min=float(sim.get("h_min", 1e-9)),
-        )
+        numbers = {k: float(v) for k, v in sim.items() if k not in ("frame", "integrator")}
+        return SimConfig(frame=frame, integrator=integrator, **numbers)
     except (TypeError, ValueError) as exc:
         _fail(f"bad sim settings: {exc}")
 
@@ -182,15 +172,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _json_safe(x):
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
-    return x
+def _null_nonfinite(entry: dict, reasons: dict | None = None) -> dict:
+    """Write the non-finite float values of `entry` as None, so it stays strict JSON.
+
+    Each such value is kept, with the reason it is not finite (from
+    `reasons`, by key), under entry["nonfinite"].
+    """
+    bad = {k: v for k, v in entry.items() if isinstance(v, float) and not math.isfinite(v)}
+    if bad:
+        entry["nonfinite"] = {
+            k: {"value": repr(v), "reason": (reasons or {}).get(k, "overflow or NaN in the run")}
+            for k, v in bad.items()
+        }
+        entry.update(dict.fromkeys(bad))
+    return entry
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -224,19 +224,12 @@ def _final_state(traj: Trajectory) -> dict:
     }
 
 
-def _run_many(tasks, worker):
-    """Run tasks concurrently, preserving order; results collected centrally."""
-    if len(tasks) == 1:
-        return [worker(tasks[0])]
-    with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _v_monotone(traj: Trajectory, tol: float = 1e-8) -> tuple[bool, float]:
-    vals = np.asarray(traj.lyapunov, dtype=float)
+    vals = traj.lyapunov
     if np.isnan(vals).any() or len(vals) < 2:
         return True, 0.0
-    max_rise = float(np.diff(vals).max())
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, reported as non-finite
+        max_rise = float(np.diff(vals).max())
     return max_rise <= tol, max_rise
 
 
@@ -259,7 +252,7 @@ def _cmd_simulate(args) -> int:
         except DomainError as exc:
             return i, None, str(exc)
 
-    results = _run_many(list(enumerate(ics)), worker)
+    results = [worker(item) for item in enumerate(ics)]
 
     entries = []
     statuses = []
@@ -271,19 +264,21 @@ def _cmd_simulate(args) -> int:
         traj.to_csv(csv_path)
         monotone, max_rise = _v_monotone(traj)
         statuses.append(traj.status)
-        entries.append(
+        n_bad = int(np.count_nonzero(~np.isfinite(traj.lyapunov)))
+        entries.append(_null_nonfinite(
             {
                 "ic_index": i,
                 "file": csv_path.name,
                 "status": traj.status.value,
-                "capture_time": _json_safe(traj.capture_time),
+                "capture_time": traj.capture_time,
                 "path_length": _path_length(traj),
                 "final_state": _final_state(traj),
                 "V_monotone": monotone,
                 "max_V_increase": max_rise,
                 "note": traj.note,
-            }
-        )
+            },
+            {"max_V_increase": f"V is not finite on {n_bad} of {len(traj)} rows"},
+        ))
 
     summary = {
         "command": "simulate",
@@ -383,7 +378,7 @@ def _cmd_compare(args) -> int:
         except DomainError as exc:
             return i, spec, None, str(exc)
 
-    results = _run_many(tasks, worker)
+    results = [worker(task) for task in tasks]
 
     rows = []
     trajs: dict[tuple[int, str], Trajectory] = {}
@@ -401,18 +396,18 @@ def _cmd_compare(args) -> int:
             continue
         trajs[(i, spec.kind.value)] = traj
         statuses.append(traj.status)
-        rows.append(
+        rows.append(_null_nonfinite(
             {
                 "ic_index": i,
                 "controller": spec.kind.value,
                 "status": traj.status.value,
-                "capture_time": _json_safe(traj.capture_time),
+                "capture_time": traj.capture_time,
                 "path_length": _path_length(traj),
                 "max_abs_omega": float(np.abs(traj.omega).max()),
                 "min_barrier_distance": _barrier_distance(spec.space, traj),
                 "flag": "",
             }
-        )
+        ))
 
     pairs = []
     for i in range(len(ics)):
@@ -423,14 +418,14 @@ def _cmd_compare(args) -> int:
                 if ta is None or tb is None:
                     continue
                 sim_val = _compare_rows(ta, tb)
-                pairs.append(
+                pairs.append(_null_nonfinite(
                     {
                         "ic_index": i,
                         "pair": [ka, kb],
-                        "max_state_discrepancy": _json_safe(sim_val),
+                        "max_state_discrepancy": sim_val,
                         "essentially_identical": sim_val < sim_tol,
                     }
-                )
+                ))
 
     cols = (
         "ic_index", "controller", "status", "capture_time", "path_length",
@@ -504,7 +499,7 @@ def _cmd_sweep(args) -> int:
         except DomainError as exc:
             return j, i, None, str(exc)
 
-    results = _run_many(tasks, worker)
+    results = [worker(task) for task in tasks]
 
     statuses = []
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import ModuleType
 
 import numpy as np
 
-from .geometry import DomainError, PolarState, StateSpace
+from .geometry import ARRAY_MATH, FLOAT_MATH, DomainError, PolarState, StateSpace, math_for
 
 __all__ = [
     "ControllerKind",
@@ -49,50 +48,6 @@ __all__ = [
     "omega_tilde",
     "control",
 ]
-
-
-def _exp_or_inf(x: float) -> float:
-    # Barrier storage values can exceed the exp overflow threshold (~709);
-    # saturating to inf keeps downstream comparisons meaningful.
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _exp_saturating(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(x)
-
-
-def _namespace(name: str, **functions) -> ModuleType:
-    # A module object rather than a SimpleNamespace: CPython specialises
-    # attribute calls on modules, which keeps the float path as fast as
-    # calling the math module directly.
-    namespace = ModuleType(name)
-    namespace.__dict__.update(functions)
-    return namespace
-
-
-# The steering laws here and the certificates in lyapunov.py are written once,
-# against a numeric namespace `xp` holding the math-module names they use:
-# FLOAT_MATH evaluates them on floats with the math module, ARRAY_MATH on
-# numpy arrays, element-wise.  `any`/`all` reduce a domain test to one answer.
-FLOAT_MATH = _namespace(
-    "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
-    log1p=math.log1p, exp=_exp_or_inf, any=bool, all=bool,
-)
-ARRAY_MATH = _namespace(
-    "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
-    log1p=np.log1p, exp=_exp_saturating, any=np.any, all=np.all,
-)
-
-
-def math_for(a, b=None):
-    """ARRAY_MATH if `a` or `b` is a numpy array, else FLOAT_MATH."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return ARRAY_MATH
-    return FLOAT_MATH
 
 
 class ControllerKind(Enum):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import ModuleType
 
 import numpy as np
 
@@ -31,17 +32,78 @@ class DomainError(ValueError):
     """State left the domain where the requested quantity is defined."""
 
 
-def wrap_angle(angle: float) -> float:
+def _exp_or_inf(x: float) -> float:
+    # Barrier storage values can exceed the exp overflow threshold (~709);
+    # saturating to inf keeps downstream comparisons meaningful.
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exp_saturating(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
+def _round_half_even(x: np.ndarray) -> np.ndarray:
+    # round() returns an int, whose zero has no sign; adding 0.0 turns the
+    # -0.0 of np.rint into that same 0.0.
+    return np.rint(x) + 0.0
+
+
+def _namespace(name: str, **functions) -> ModuleType:
+    # A module object rather than a SimpleNamespace: CPython specialises
+    # attribute calls on modules, which keeps the float path as fast as
+    # calling the math module directly.
+    namespace = ModuleType(name)
+    namespace.__dict__.update(functions)
+    return namespace
+
+
+# The angle wrap here, the steering laws in controllers.py and the
+# certificates in lyapunov.py are written once, against a numeric namespace
+# `xp` holding the math-module names they use: FLOAT_MATH evaluates them on
+# floats with the math module, ARRAY_MATH on numpy arrays, element-wise.
+# `any`/`all` reduce a domain test to one answer.
+FLOAT_MATH = _namespace(
+    "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
+    log1p=math.log1p, exp=_exp_or_inf, atan2=math.atan2, hypot=math.hypot, round=round,
+    any=bool, all=bool,
+)
+ARRAY_MATH = _namespace(
+    "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
+    log1p=np.log1p, exp=_exp_saturating, atan2=np.arctan2, hypot=np.hypot, round=_round_half_even,
+    any=np.any, all=np.all,
+)
+
+
+def math_for(a, b=None):
+    """ARRAY_MATH if `a` or `b` is a numpy array, else FLOAT_MATH."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return ARRAY_MATH
+    return FLOAT_MATH
+
+
+def wrap_angle(angle):
     """Wrap an angle into the interval (-pi, pi].
 
     Args:
-        angle: Angle in radians, any finite value.
+        angle: Angle in radians, any finite value; a float or an array.
 
     Returns:
-        The equivalent angle in (-pi, pi].
+        The equivalent angle in (-pi, pi], element-wise for arrays.
     """
-    wrapped = angle - TWO_PI * round(angle / TWO_PI)
-    if wrapped <= -math.pi:
+    # Both namespaces round half to even, so both paths agree bit for bit.
+    # Here and in polar_image one type test replaces math_for: they run on
+    # every Cartesian right-hand side.
+    array = isinstance(angle, np.ndarray)
+    wrapped = angle - TWO_PI * (ARRAY_MATH if array else FLOAT_MATH).round(angle / TWO_PI)
+    if array:
+        low, high = wrapped <= -math.pi, wrapped > math.pi
+        wrapped[low] += TWO_PI
+        wrapped[high] -= TWO_PI
+    elif wrapped <= -math.pi:
         wrapped += TWO_PI
     elif wrapped > math.pi:
         wrapped -= TWO_PI
@@ -141,6 +203,17 @@ class StateSpace(Enum):
 _S1, _S2, _S3 = StateSpace.S1, StateSpace.S2, StateSpace.S3
 
 
+def polar_image(x, y, theta):
+    """(rho, delta, gamma) of a pose, with both angles wrapped into (-pi, pi].
+
+    Takes floats or equal-shape arrays.  No check at rho = 0, where the
+    angles are meaningless; cart_to_polar adds it.
+    """
+    xp = ARRAY_MATH if isinstance(x, np.ndarray) else FLOAT_MATH
+    delta = wrap_angle(xp.atan2(y, x) + math.pi)
+    return xp.hypot(x, y), delta, wrap_angle(delta - theta)
+
+
 def cart_to_polar(state: CartesianState) -> PolarState:
     """Transform a Cartesian pose to polar coordinates.
 
@@ -154,11 +227,9 @@ def cart_to_polar(state: CartesianState) -> PolarState:
         DomainError: At the target position, where the polar chart is
             undefined.
     """
-    rho = math.hypot(state.x, state.y)
+    rho, delta, gamma = polar_image(state.x, state.y, state.theta)
     if rho == 0.0:
         raise DomainError("polar chart undefined at rho=0")
-    delta = wrap_angle(math.atan2(state.y, state.x) + math.pi)
-    gamma = wrap_angle(delta - state.theta)
     return PolarState(rho, delta, gamma)
 
 

@@ -13,12 +13,19 @@ Both frames describe the same flow while the trajectory stays inside the
 principal angle range, which is how the frame-equivalence checks are run.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
-baselines, and an adaptive Dormand-Prince 5(4) pair with PI step control
-for accuracy.  Results are sampled on the uniform grid k*dt in both cases.
-The adaptive integrator reports a boundary stop when step control pushes
-the step size below h_min, which happens when the state runs into an
-excluded set (for example a barrier line approached too closely to
-resolve in double precision).
+baselines, and an adaptive Dormand-Prince 5(4) pair for accuracy.  Results
+are sampled on the uniform grid k*dt in both cases.  The adaptive
+integrator lets error control alone choose its steps (a step is cut short
+only at the end of the horizon) and fills the grid points inside each
+accepted step from the pair's quartic dense output (Shampine's
+interpolant, the one scipy's RK45 uses; Hairer, Norsett & Wanner, Solving
+ODEs I, section II.6), so the sampling interval does not bound the step
+size.  Capture is tested on the grid samples.  The adaptive integrator
+reports a boundary stop when step control pushes the step size below
+h_min, which happens when the state runs into an excluded set (for
+example a barrier line approached too closely to resolve in double
+precision); the fixed-step one reports it when a stage leaves the
+controller's space.
 """
 from __future__ import annotations
 
@@ -34,8 +41,8 @@ from .geometry import (
     DomainError,
     PolarState,
     cart_to_polar,
+    polar_image,
     polar_to_cart,
-    wrap_angle,
 )
 from .lyapunov import CompositeLyapunovFn
 
@@ -73,7 +80,8 @@ class SimConfig:
     """Simulation settings.
 
     dt is the output sampling interval; with the fixed-step integrator it
-    is also the step size.  capture_radius <= 0 disables capture
+    is also the step size, while the adaptive integrator's steps are set
+    by rtol and atol alone.  capture_radius <= 0 disables capture
     detection.
     """
 
@@ -83,7 +91,7 @@ class SimConfig:
     frame: Frame = Frame.POLAR
     integrator: IntegratorKind = IntegratorKind.RK45_ADAPTIVE
     rtol: float = 1e-10
-    atol: float = 1e-10
+    atol: float = 1e-11
     h_min: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -170,6 +178,22 @@ class Trajectory:
                 fh.write(",".join(repr(float(value)) for value in row) + "\n")
 
 
+def _polar_field(spec: ControllerSpec):
+    """The closed-loop polar field as f(t, y) on (rho, delta, gamma) tuples."""
+    k1 = spec.gains.k1
+
+    def f(t, y):
+        rho, delta, gamma = y
+        cos_g = math.cos(gamma)
+        return (
+            -k1 * rho * cos_g * cos_g,
+            0.5 * k1 * math.sin(2.0 * gamma),
+            -omega_tilde(spec, delta, gamma),
+        )
+
+    return f
+
+
 def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, float]:
     """Closed-loop right-hand side in polar coordinates.
 
@@ -177,13 +201,7 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     (k1/2)*sin(2*gamma), -omega_tilde).  Regular as rho -> 0: the angular
     rates do not involve rho.
     """
-    k1 = spec.gains.k1
-    cos_g = math.cos(state.gamma)
-    return (
-        -k1 * state.rho * cos_g * cos_g,
-        0.5 * k1 * math.sin(2.0 * state.gamma),
-        -omega_tilde(spec, state.delta, state.gamma),
-    )
+    return _polar_field(spec)(0.0, (state.rho, state.delta, state.gamma))
 
 
 def rhs_cartesian(spec: ControllerSpec, state: CartesianState) -> tuple[float, float, float]:
@@ -219,14 +237,38 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+# Dense output of the pair: the quartic interpolant of Shampine (1986), as
+# in scipy's RK45.  Over an accepted step from (t, y) with stages f1..f7,
+#     y(t + s*h) = y + h*s*(f1 + s*(q2 + s*(q3 + s*q4))),
+# where q_p = sum_j _Dpj * fj over the stages j = 1, 3, 4, 5, 6, 7.
+_D21, _D23, _D24, _D25, _D26, _D27 = (
+    -8048581381.0 / 2820520608.0, 131558114200.0 / 32700410799.0,
+    -1754552775.0 / 470086768.0, 127303824393.0 / 49829197408.0,
+    -282668133.0 / 205662961.0, 40617522.0 / 29380423.0,
+)
+_D31, _D33, _D34, _D35, _D36, _D37 = (
+    8663915743.0 / 2820520608.0, -68118460800.0 / 10900136933.0,
+    14199869525.0 / 1410260304.0, -318862633887.0 / 49829197408.0,
+    2019193451.0 / 616988883.0, -110615467.0 / 29380423.0,
+)
+_D41, _D43, _D44, _D45, _D46, _D47 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
+
+
 class _BoundaryHit(Exception):
-    """Internal: adaptive stepping could not continue."""
+    """Internal: stepping could not continue."""
 
 
 def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
     """Advance y' = f(t, y) and call record(i, t, y) at t = i*dt.
 
-    Returns "done", or raises _BoundaryHit when the step size collapses
+    Error control alone sets the step size; only the last step is cut
+    short, to end on t = n_samples*dt.  The samples inside an accepted
+    step come from the dense output.  Returns "done" or "stopped" (record
+    returned True), or raises _BoundaryHit when the step size collapses
     below cfg.h_min (stage evaluations that leave the domain count as
     failed steps and shrink the step first).
     """
@@ -234,78 +276,116 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
     y = y0
     dt = cfg.dt
     rtol, atol = cfg.rtol, cfg.atol
+    t_end = n_samples * dt
+    i = 1
+    t_sample = dt
     k1 = f(t, y)
     h = min(dt, 1e-3)
-    for i in range(1, n_samples + 1):
-        t_target = i * dt
-        while t < t_target - 1e-12:
-            h = min(h, t_target - t)
-            if h < cfg.h_min:
-                raise _BoundaryHit(f"step size {h:.3e} below h_min at t={t:.6g}")
-            y1, y2, y3 = y
-            f1 = k1
-            try:
-                f2 = f(t + _C[0] * h, (
-                    y1 + h * _A21 * f1[0], y2 + h * _A21 * f1[1], y3 + h * _A21 * f1[2]))
-                f3 = f(t + _C[1] * h, (
-                    y1 + h * (_A31 * f1[0] + _A32 * f2[0]),
-                    y2 + h * (_A31 * f1[1] + _A32 * f2[1]),
-                    y3 + h * (_A31 * f1[2] + _A32 * f2[2])))
-                f4 = f(t + _C[2] * h, (
-                    y1 + h * (_A41 * f1[0] + _A42 * f2[0] + _A43 * f3[0]),
-                    y2 + h * (_A41 * f1[1] + _A42 * f2[1] + _A43 * f3[1]),
-                    y3 + h * (_A41 * f1[2] + _A42 * f2[2] + _A43 * f3[2])))
-                f5 = f(t + _C[3] * h, (
-                    y1 + h * (_A51 * f1[0] + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-                    y2 + h * (_A51 * f1[1] + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-                    y3 + h * (_A51 * f1[2] + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2])))
-                f6 = f(t + h, (
-                    y1 + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-                    y2 + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-                    y3 + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2])))
-                z1 = y1 + h * (_B1 * f1[0] + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
-                z2 = y2 + h * (_B1 * f1[1] + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
-                z3 = y3 + h * (_B1 * f1[2] + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
-                f7 = f(t + h, (z1, z2, z3))
-            except DomainError:
-                # A stage left the domain; retry with a smaller step until
-                # h_min decides this is a genuine boundary approach.
-                h *= 0.25
-                continue
-            e1 = h * (_E1 * f1[0] + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * f7[0])
-            e2 = h * (_E1 * f1[1] + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * f7[1])
-            e3 = h * (_E1 * f1[2] + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * f7[2])
-            s1 = atol + rtol * max(abs(y1), abs(z1))
-            s2 = atol + rtol * max(abs(y2), abs(z2))
-            s3 = atol + rtol * max(abs(y3), abs(z3))
-            err = math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
-            if err <= 1.0:
-                t += h
-                y = (z1, z2, z3)
-                k1 = f7
-                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-            else:
-                h *= max(0.2, 0.9 * err**-0.2)
-        if record(i, t_target, y):
-            return "stopped"
-    return "done"
+    while True:
+        if h < cfg.h_min:
+            raise _BoundaryHit(f"step size {h:.3e} below h_min at t={t:.6g}")
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        y1, y2, y3 = y
+        f1 = k1
+        try:
+            f2 = f(t + _C[0] * h, (
+                y1 + h * _A21 * f1[0], y2 + h * _A21 * f1[1], y3 + h * _A21 * f1[2]))
+            f3 = f(t + _C[1] * h, (
+                y1 + h * (_A31 * f1[0] + _A32 * f2[0]),
+                y2 + h * (_A31 * f1[1] + _A32 * f2[1]),
+                y3 + h * (_A31 * f1[2] + _A32 * f2[2])))
+            f4 = f(t + _C[2] * h, (
+                y1 + h * (_A41 * f1[0] + _A42 * f2[0] + _A43 * f3[0]),
+                y2 + h * (_A41 * f1[1] + _A42 * f2[1] + _A43 * f3[1]),
+                y3 + h * (_A41 * f1[2] + _A42 * f2[2] + _A43 * f3[2])))
+            f5 = f(t + _C[3] * h, (
+                y1 + h * (_A51 * f1[0] + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
+                y2 + h * (_A51 * f1[1] + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
+                y3 + h * (_A51 * f1[2] + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2])))
+            f6 = f(t + h, (
+                y1 + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
+                y2 + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
+                y3 + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2])))
+            z1 = y1 + h * (_B1 * f1[0] + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
+            z2 = y2 + h * (_B1 * f1[1] + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
+            z3 = y3 + h * (_B1 * f1[2] + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
+            f7 = f(t + h, (z1, z2, z3))
+        except DomainError:
+            # A stage left the domain; retry with a smaller step until
+            # h_min decides this is a genuine boundary approach.
+            h *= 0.25
+            continue
+        e1 = h * (_E1 * f1[0] + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * f7[0])
+        e2 = h * (_E1 * f1[1] + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * f7[1])
+        e3 = h * (_E1 * f1[2] + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * f7[2])
+        s1 = atol + rtol * max(abs(y1), abs(z1))
+        s2 = atol + rtol * max(abs(y2), abs(z2))
+        s3 = atol + rtol * max(abs(y3), abs(z3))
+        err = math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
+        if not err <= 1.0:  # also rejects a NaN error
+            h *= max(0.2, 0.9 * err**-0.2)
+            continue
+        t_new = t_end if last else t + h
+        if t_sample <= t_new:
+            q21 = _D21 * f1[0] + _D23 * f3[0] + _D24 * f4[0] + _D25 * f5[0] + _D26 * f6[0] + _D27 * f7[0]
+            q22 = _D21 * f1[1] + _D23 * f3[1] + _D24 * f4[1] + _D25 * f5[1] + _D26 * f6[1] + _D27 * f7[1]
+            q23 = _D21 * f1[2] + _D23 * f3[2] + _D24 * f4[2] + _D25 * f5[2] + _D26 * f6[2] + _D27 * f7[2]
+            q31 = _D31 * f1[0] + _D33 * f3[0] + _D34 * f4[0] + _D35 * f5[0] + _D36 * f6[0] + _D37 * f7[0]
+            q32 = _D31 * f1[1] + _D33 * f3[1] + _D34 * f4[1] + _D35 * f5[1] + _D36 * f6[1] + _D37 * f7[1]
+            q33 = _D31 * f1[2] + _D33 * f3[2] + _D34 * f4[2] + _D35 * f5[2] + _D36 * f6[2] + _D37 * f7[2]
+            q41 = _D41 * f1[0] + _D43 * f3[0] + _D44 * f4[0] + _D45 * f5[0] + _D46 * f6[0] + _D47 * f7[0]
+            q42 = _D41 * f1[1] + _D43 * f3[1] + _D44 * f4[1] + _D45 * f5[1] + _D46 * f6[1] + _D47 * f7[1]
+            q43 = _D41 * f1[2] + _D43 * f3[2] + _D44 * f4[2] + _D45 * f5[2] + _D46 * f6[2] + _D47 * f7[2]
+            while t_sample <= t_new:
+                if t_sample == t_new:
+                    sample = (z1, z2, z3)
+                else:
+                    s = (t_sample - t) / h
+                    hs = h * s
+                    sample = (
+                        y1 + hs * (f1[0] + s * (q21 + s * (q31 + s * q41))),
+                        y2 + hs * (f1[1] + s * (q22 + s * (q32 + s * q42))),
+                        y3 + hs * (f1[2] + s * (q23 + s * (q33 + s * q43))),
+                    )
+                if record(i, t_sample, sample):
+                    return "stopped"
+                i += 1
+                t_sample = i * dt
+        if last:
+            return "done"
+        t = t_new
+        y = (z1, z2, z3)
+        k1 = f7
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
 
 
 def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
+    """Classic RK4 with step dt; record(i, t, y) after each step.
+
+    The right-hand side at each new state is evaluated before the state is
+    recorded, so a step that leaves the domain ends the run (_BoundaryHit)
+    on the last valid sample instead of raising DomainError.
+    """
     t = 0.0
     y = y0
     h = cfg.dt
+    f1 = f(t, y)
     for i in range(1, n_samples + 1):
         y1, y2, y3 = y
-        f1 = f(t, y)
-        f2 = f(t + h / 2, (y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
-        f3 = f(t + h / 2, (y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
-        f4 = f(t + h, (y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
-        y = (
-            y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
-            y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
-            y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
-        )
+        try:
+            f2 = f(t + h / 2, (y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
+            f3 = f(t + h / 2, (y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
+            f4 = f(t + h, (y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
+            y = (
+                y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
+                y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
+                y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
+            )
+            f1 = f(i * h, y)
+        except DomainError as exc:
+            raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
         if record(i, t, y):
             return "stopped"
@@ -398,53 +478,39 @@ def simulate(
         )
 
     if cfg.frame is Frame.POLAR:
-        def f(t, y):
-            rho, delta, gamma = y
-            k1 = spec.gains.k1
-            cos_g = math.cos(gamma)
-            return (
-                -k1 * rho * cos_g * cos_g,
-                0.5 * k1 * math.sin(2.0 * gamma),
-                -omega_tilde(spec, delta, gamma),
-            )
-
         y0 = (polar0.rho, polar0.delta, polar0.gamma)
-        times, ys, status, capture_time, note = _run(f, y0, cfg, _capture_test(cfg, lambda y: y))
+        times, ys, status, capture_time, note = _run(
+            _polar_field(spec), y0, cfg, _capture_test(cfg, lambda y: y))
         rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
         theta = delta - gamma
         x = -rho * np.cos(delta)
         y_pos = -rho * np.sin(delta)
+        rho_fb, delta_fb, gamma_fb = np.maximum(rho, 0.0), delta, gamma
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
 
         def f(t, y):
             return rhs_cartesian(spec, CartesianState(y[0], y[1], y[2]))
 
-        def to_polar(y):
-            rho = math.hypot(y[0], y[1])
-            delta = wrap_angle(math.atan2(y[1], y[0]) + math.pi)
-            return rho, delta, wrap_angle(delta - y[2])
-
         y0 = (cart0.x, cart0.y, cart0.theta)
-        times, ys, status, capture_time, note = _run(f, y0, cfg, _capture_test(cfg, to_polar))
+        times, ys, status, capture_time, note = _run(
+            f, y0, cfg, _capture_test(cfg, lambda y: polar_image(*y)))
         x, y_pos, theta = ys[:, 0], ys[:, 1], ys[:, 2]
         rho, delta, gamma = _reconstruct_cartesian(ys, polar0.delta)
+        # Feedback as computed during integration: from the wrapped image.
+        rho_fb, delta_fb, gamma_fb = polar_image(x, y_pos, theta)
+        if not rho_fb.all():
+            raise DomainError("polar chart undefined at rho=0")
 
-    n = len(times)
-    v = np.empty(n)
-    omega = np.empty(n)
-    tilde = np.empty(n)
-    values = np.full(n, np.nan)
-    for i in range(n):
-        if cfg.frame is Frame.POLAR:
-            state_i = PolarState(max(rho[i], 0.0), delta[i], gamma[i])
-        else:
-            # Feedback as computed during integration: wrapped image.
-            state_i = cart_to_polar(CartesianState(x[i], y_pos[i], theta[i]))
-        inp = control(spec, state_i)
-        v[i], omega[i], tilde[i] = inp.v, inp.omega, inp.omega_tilde
-        if lyapunov is not None:
-            values[i] = lyapunov.value(rho[i], delta[i], gamma[i])
+    k1 = spec.gains.k1
+    tilde = omega_tilde(spec, delta_fb, gamma_fb)
+    v = k1 * rho_fb * np.cos(gamma_fb)
+    omega = 0.5 * k1 * np.sin(2.0 * gamma_fb) + tilde
+    if lyapunov is None:
+        values = np.full(len(times), np.nan)
+    else:
+        with np.errstate(over="ignore"):  # as with floats, V overflows quietly to inf
+            values = lyapunov.value(rho, delta, gamma)
 
     return Trajectory(
         t=times, rho=rho, delta=delta, gamma=gamma, x=x, y=y_pos, theta=theta,

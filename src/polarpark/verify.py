@@ -292,7 +292,8 @@ def check_clf(
     accept = None
     if value_cap is not None:
         accept = lambda d, g: fn.angular.value(d, g) <= value_cap  # noqa: E731
-    if samples is None:
+    drawn = samples is None
+    if drawn:
         samples, domain = _sample_states(
             spec.space, n_samples, rng, barrier_offset=barrier_offset, accept=accept
         )
@@ -327,7 +328,7 @@ def check_clf(
         passed=worst < 0.0,
         tolerance=0.0,
         criterion="worst_margin < 0",
-        seed=seed if samples is None else None,
+        seed=seed if drawn else None,
         details={"n_samples": int(len(samples)), "turn_rate": "designed" if omega_fn is None else "override"},
     )
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import polarpark.cli as cli
-from polarpark import CertReport
+from polarpark import CertReport, Frame, IntegratorKind, SimConfig
 from polarpark.cli import main
 
 
@@ -96,8 +96,37 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "stopped on a barrier" in capsys.readouterr().err
 
+    def test_overflowing_V_is_written_as_null_with_a_reason(self, tmp_path):
+        # the exponential merge overflows from delta0 = 3.0, so V is inf on
+        # every row and its largest increase is inf - inf
+        payload = {**BASE_SIM, "controller": "bagal", "compositor": "exp_product",
+                   "initial_conditions": [{"rho": 1.0, "delta": 3.0, "gamma": 0.0}],
+                   "sim": {"t_final": 1.0}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        entry = json.loads(text, parse_constant=_reject_constant)["results"][0]
+        assert entry["V_monotone"] is False
+        assert entry["max_V_increase"] is None
+        nonfinite = entry["nonfinite"]["max_V_increase"]
+        assert nonfinite["value"] == "nan"
+        assert nonfinite["reason"] == "V is not finite on 21 of 21 rows"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
 
 class TestConfigValidation:
+    def test_absent_sim_settings_take_the_simconfig_defaults(self):
+        assert cli._parse_sim({}, None) == SimConfig()
+        assert cli._parse_sim({"sim": {}}, None) == SimConfig()
+        assert SimConfig().frame is Frame.POLAR
+        assert SimConfig().integrator is IntegratorKind.RK45_ADAPTIVE
+        assert cli._parse_sim({"sim": {"atol": 1e-9}}, "cartesian") == SimConfig(
+            atol=1e-9, frame=Frame.CARTESIAN)
+
     def exit_code(self, tmp_path, payload, capsys):
         cfg = write_config(tmp_path, payload)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -16,6 +16,7 @@ from polarpark import (
     polar_to_cart,
     wrap_angle,
 )
+from polarpark.geometry import polar_image
 
 
 class TestWrapAngle:
@@ -44,6 +45,18 @@ class TestWrapAngle:
     @given(st.floats(-1e6, 1e6))
     def test_idempotent(self, a):
         assert wrap_angle(wrap_angle(a)) == wrap_angle(a)
+
+    def test_arrays_match_floats_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        angles = np.concatenate([
+            rng.uniform(-50.0, 50.0, 2000),
+            [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, 1e-300],
+        ])
+        before = angles.copy()
+        wrapped = wrap_angle(angles)
+        reference = np.array([wrap_angle(float(a)) for a in angles])
+        assert np.array_equal(wrapped.view(np.int64), reference.view(np.int64))
+        assert np.array_equal(angles, before)
 
 
 class TestStates:
@@ -122,6 +135,20 @@ class TestTransforms:
             assert d.x == pytest.approx(c.x, abs=1e-12)
             assert d.y == pytest.approx(c.y, abs=1e-12)
             assert wrap_angle(d.theta - c.theta) == pytest.approx(0.0, abs=1e-12)
+
+    def test_polar_image_of_arrays_matches_cart_to_polar(self):
+        # numpy's arctan2/hypot may differ from libm's by an ulp, and the
+        # wrap seam can move a value by 2*pi
+        rng = np.random.default_rng(13)
+        x, y, theta = rng.uniform(-5.0, 5.0, (3, 1000))
+        theta *= 4.0
+        rho, delta, gamma = polar_image(x, y, theta)
+        for row in range(len(x)):
+            ref = cart_to_polar(CartesianState(float(x[row]), float(y[row]), float(theta[row])))
+            assert rho[row] == pytest.approx(ref.rho, rel=1e-15)
+            for a, b in ((delta[row], ref.delta), (gamma[row], ref.gamma)):
+                assert -math.pi < a <= math.pi
+                assert abs(wrap_angle(float(a - b))) < 1e-14
 
 
 class TestStateSpaces:

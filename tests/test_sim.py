@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import polarpark.sim as sim
 from polarpark import (
     CartesianState,
     CompositeLyapunovFn,
@@ -22,6 +23,7 @@ from polarpark import (
     SimStatus,
     Trajectory,
     cart_to_polar,
+    control,
     polar_to_cart,
     rhs_cartesian,
     rhs_polar,
@@ -140,6 +142,23 @@ class TestIntegrators:
         expected = np.array([i * cfg.dt for i in range(41)])
         assert np.array_equal(traj.t, expected)
 
+    def test_error_control_alone_sets_the_steps(self, monkeypatch):
+        # 60 s at the reference gains: clamping every step to the dt = 0.05
+        # grid cost 7,513 right-hand-side evaluations; steps chosen by error
+        # control, with the grid filled from the dense output, need far fewer
+        calls = []
+        original = sim.omega_tilde
+
+        def counted(spec, delta, gamma):
+            calls.append(1)
+            return original(spec, delta, gamma)
+
+        monkeypatch.setattr(sim, "omega_tilde", counted)
+        spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
+        traj = simulate(spec, PolarState(3.0, 0.5, -1.0), SimConfig(capture_radius=0.0))
+        assert traj.status is SimStatus.HORIZON_REACHED and len(traj) == 1201
+        assert len(calls) <= 2000
+
     def test_runs_are_deterministic(self):
         spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
         cfg = SimConfig(dt=0.05, t_final=5.0)
@@ -179,6 +198,18 @@ class TestTermination:
         assert traj.status is SimStatus.BOUNDARY_STOP
         assert "h_min" in traj.note
         assert traj.capture_time is None
+
+    def test_fixed_step_leaving_the_domain_is_boundary_stop(self):
+        # RK4 cannot follow the stiff gamma mode from this start: a stage
+        # crosses the delta barrier; the run ends on the last valid sample
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        cfg = SimConfig(dt=0.05, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, math.pi - 0.05, 0.0), cfg)
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert "left the domain" in traj.note
+        assert traj.capture_time is None
+        assert traj.t[-1] < 5.0
+        assert np.all(np.abs(traj.delta) < math.pi)
 
     def test_initial_state_outside_space_rejected(self):
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
@@ -237,6 +268,46 @@ class TestLyapunovColumn:
                 float(traj.rho[i]), float(traj.delta[i]), float(traj.gamma[i]))
         increases = np.diff(traj.lyapunov)
         assert np.max(increases) <= 1e-8
+
+    @pytest.mark.parametrize("frame", list(Frame))
+    @pytest.mark.parametrize("integrator", list(IntegratorKind))
+    def test_columns_match_per_sample_reference(self, frame, integrator):
+        # whole-array post-processing against the per-sample float path:
+        # numpy's sin/cos/tan/exp may differ from libm's by an ulp
+        def close(a, b):
+            return abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+        cfg = SimConfig(dt=0.05, t_final=8.0, frame=frame, integrator=integrator)
+        for kind, comp in ((ControllerKind.GLOBA, Compositor.sum_form()),
+                           (ControllerKind.BARFLI, Compositor.log_sum()),
+                           (ControllerKind.BAGAL, Compositor.exp_product())):
+            spec = ControllerSpec(kind, UNIT)
+            fn = CompositeLyapunovFn(comp, LyapunovFn.for_controller(spec))
+            traj = simulate(spec, PolarState(2.0, 1.2, -0.7), cfg, lyapunov=fn)
+            for i in range(len(traj)):
+                if frame is Frame.POLAR:
+                    state = PolarState(max(float(traj.rho[i]), 0.0), float(traj.delta[i]),
+                                       float(traj.gamma[i]))
+                else:
+                    state = cart_to_polar(CartesianState(
+                        float(traj.x[i]), float(traj.y[i]), float(traj.theta[i])))
+                inp = control(spec, state)
+                value = fn.value(float(traj.rho[i]), float(traj.delta[i]), float(traj.gamma[i]))
+                assert close(traj.v[i], inp.v)
+                assert close(traj.omega[i], inp.omega)
+                assert close(traj.omega_tilde[i], inp.omega_tilde)
+                assert close(traj.lyapunov[i], value)
+
+    def test_overflowing_value_is_inf(self):
+        # the exponential merge overflows on the first two samples, on the
+        # second only in the final product; as with floats, the column holds
+        # inf and no overflow warning is raised
+        spec = ControllerSpec(ControllerKind.BOLSA, UNIT)
+        fn = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+        x0 = PolarState(1.4012611272853541, -0.03190936426466173, -2.5174776835150827)
+        traj = simulate(spec, x0, SimConfig(dt=0.05, t_final=1.0), lyapunov=fn)
+        assert traj.lyapunov[0] == traj.lyapunov[1] == math.inf
+        assert np.all(np.isfinite(traj.lyapunov[2:]))
 
     def test_without_attachment_column_is_nan(self):
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)

@@ -297,6 +297,13 @@ class TestSuite:
             sliced = [r for r in full if r.check_name.startswith(family)]
             assert alone == sliced
 
+    def test_clf_reports_record_their_seed(self):
+        # like prop1 and gradient, each clf check draws from its own seed,
+        # derived from the base seed, and its report records that seed
+        clf = [r for r in run_suite("all", seed=3) if r.check_name.startswith("clf[")]
+        assert [r.seed for r in clf] == list(range(104, 128))
+        assert all(f"; seed {r.seed}" in r.domain for r in clf)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
