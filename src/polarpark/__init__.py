@@ -6,12 +6,10 @@ certificates, a trajectory simulator, and numerical certification tools.
 """
 
 from .controllers import (
-    BacksteppingAux,
     ControlInput,
     ControllerKind,
     ControllerSpec,
     Gains,
-    backstepping_aux,
     control,
     delta_shaping,
     forward_velocity,
@@ -36,9 +34,6 @@ from .lyapunov import (
     LyapunovFn,
     bolsa_decay_bound,
     composite,
-    gradient,
-    v_delta_gamma,
-    v_dot_analytic,
 )
 from .sim import (
     Frame,
@@ -64,12 +59,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BacksteppingAux",
     "ControlInput",
     "ControllerKind",
     "ControllerSpec",
     "Gains",
-    "backstepping_aux",
     "control",
     "delta_shaping",
     "forward_velocity",
@@ -90,9 +83,6 @@ __all__ = [
     "LyapunovFn",
     "bolsa_decay_bound",
     "composite",
-    "gradient",
-    "v_delta_gamma",
-    "v_dot_analytic",
     "Frame",
     "IntegratorKind",
     "SimConfig",

@@ -22,7 +22,7 @@ import numpy as np
 from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
-from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate
+from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -224,6 +224,25 @@ def _final_state(traj: Trajectory) -> dict:
     }
 
 
+def _run_one(spec: ControllerSpec, ic, sim_cfg: SimConfig, lyapunov=None):
+    """(trajectory, None) for one start, or (None, the error) for a start outside the space."""
+    try:
+        return simulate(spec, ic, sim_cfg, lyapunov=lyapunov), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def _exit_code(statuses: list[SimStatus], no_run_message: str) -> int:
+    """0, or 1 when no run completed, or 3 when every run stopped on a barrier."""
+    if not statuses:
+        print(f"error: {no_run_message}", file=sys.stderr)
+        return 1
+    if all(s is SimStatus.BOUNDARY_STOP for s in statuses):
+        print("error: every run stopped on a barrier", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _v_monotone(traj: Trajectory, tol: float = 1e-8) -> tuple[bool, float]:
     vals = traj.lyapunov
     if np.isnan(vals).any() or len(vals) < 2:
@@ -241,22 +260,13 @@ def _cmd_simulate(args) -> int:
     spec = _parse_spec(cfg, cfg.get("controller"))
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     lyap = CompositeLyapunovFn(_parse_compositor(cfg), LyapunovFn(spec.kind, spec.gains))
     out = _out_dir(args)
 
-    def worker(item):
-        i, ic = item
-        try:
-            return i, simulate(spec, ic, sim_cfg, lyapunov=lyap), None
-        except DomainError as exc:
-            return i, None, str(exc)
-
-    results = [worker(item) for item in enumerate(ics)]
-
     entries = []
     statuses = []
-    for i, traj, err in results:
+    for i, ic in enumerate(ics):
+        traj, err = _run_one(spec, ic, sim_cfg, lyap)
         if err is not None:
             entries.append({"ic_index": i, "error": err})
             continue
@@ -286,19 +296,11 @@ def _cmd_simulate(args) -> int:
         "gains": [spec.gains.k1, spec.gains.k2, spec.gains.k3, spec.gains.k4],
         "frame": sim_cfg.frame.value,
         "integrator": sim_cfg.integrator.value,
-        "seed": seed,
         "results": entries,
     }
     _write_json(out / "summary.json", summary)
     print(f"simulate: {len(statuses)}/{len(ics)} runs completed, outputs in {out}")
-
-    if not statuses:
-        print("error: no initial condition could be run", file=sys.stderr)
-        return 1
-    if all(s is SimStatus.BOUNDARY_STOP for s in statuses):
-        print("error: every run stopped on a barrier", file=sys.stderr)
-        return 3
-    return 0
+    return _exit_code(statuses, "no initial condition could be run")
 
 
 # ---------------------------------------------------------------------------
@@ -368,46 +370,38 @@ def _cmd_compare(args) -> int:
     sim_tol = float(cfg.get("similarity_tol", _SIMILARITY_TOL))
     out = _out_dir(args)
 
-    tasks = [(i, ic, spec) for i, ic in enumerate(ics) for spec in specs]
-
-    def worker(item):
-        i, ic, spec = item
-        lyap = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(spec.kind, spec.gains))
-        try:
-            return i, spec, simulate(spec, ic, sim_cfg, lyapunov=lyap), None
-        except DomainError as exc:
-            return i, spec, None, str(exc)
-
-    results = [worker(task) for task in tasks]
+    lyaps = [CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(s.kind, s.gains)) for s in specs]
 
     rows = []
     trajs: dict[tuple[int, str], Trajectory] = {}
     statuses = []
-    for i, spec, traj, err in results:
-        if err is not None:
-            rows.append(
+    for i, ic in enumerate(ics):
+        for spec, lyap in zip(specs, lyaps):
+            traj, err = _run_one(spec, ic, sim_cfg, lyap)
+            if err is not None:
+                rows.append(
+                    {
+                        "ic_index": i,
+                        "controller": spec.kind.value,
+                        "flag": "outside-space",
+                        "error": err,
+                    }
+                )
+                continue
+            trajs[(i, spec.kind.value)] = traj
+            statuses.append(traj.status)
+            rows.append(_null_nonfinite(
                 {
                     "ic_index": i,
                     "controller": spec.kind.value,
-                    "flag": "outside-space",
-                    "error": err,
+                    "status": traj.status.value,
+                    "capture_time": traj.capture_time,
+                    "path_length": _path_length(traj),
+                    "max_abs_omega": float(np.abs(traj.omega).max()),
+                    "min_barrier_distance": _barrier_distance(spec.space, traj),
+                    "flag": "",
                 }
-            )
-            continue
-        trajs[(i, spec.kind.value)] = traj
-        statuses.append(traj.status)
-        rows.append(_null_nonfinite(
-            {
-                "ic_index": i,
-                "controller": spec.kind.value,
-                "status": traj.status.value,
-                "capture_time": traj.capture_time,
-                "path_length": _path_length(traj),
-                "max_abs_omega": float(np.abs(traj.omega).max()),
-                "min_barrier_distance": _barrier_distance(spec.space, traj),
-                "flag": "",
-            }
-        ))
+            ))
 
     pairs = []
     for i in range(len(ics)):
@@ -431,19 +425,7 @@ def _cmd_compare(args) -> int:
         "ic_index", "controller", "status", "capture_time", "path_length",
         "max_abs_omega", "min_barrier_distance", "flag",
     )
-    with open(out / "compare.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                val = row.get(c)
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, float):
-                    cells.append(repr(val))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+    write_csv(out / "compare.csv", cols, ([row.get(c) for c in cols] for row in rows))
     _write_json(
         out / "compare_summary.json",
         {
@@ -460,14 +442,7 @@ def _cmd_compare(args) -> int:
         f"{sum(p['essentially_identical'] for p in pairs)}/{len(pairs)} pairs essentially identical, "
         f"outputs in {out}"
     )
-
-    if not statuses:
-        print("error: no run completed", file=sys.stderr)
-        return 1
-    if all(s is SimStatus.BOUNDARY_STOP for s in statuses):
-        print("error: every run stopped on a barrier", file=sys.stderr)
-        return 3
-    return 0
+    return _exit_code(statuses, "no run completed")
 
 
 # ---------------------------------------------------------------------------
@@ -490,35 +465,23 @@ def _cmd_sweep(args) -> int:
     sim_cfg = _parse_sim(cfg, args.frame)
     out = _out_dir(args)
 
-    tasks = [(j, spec, i, ic) for j, spec in enumerate(specs) for i, ic in enumerate(ics)]
-
-    def worker(item):
-        j, spec, i, ic = item
-        try:
-            return j, i, simulate(spec, ic, sim_cfg), None
-        except DomainError as exc:
-            return j, i, None, str(exc)
-
-    results = [worker(task) for task in tasks]
-
+    rows = []
     statuses = []
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(
-            "gain_set,ic_index,k1,k2,k3,k4,status,capture_time,path_length,final_metric,error\n"
-        )
-        for (j, i, traj, err), (jj, spec, ii, _ic) in zip(results, tasks):
-            g = spec.gains
+    for j, spec in enumerate(specs):
+        g = spec.gains
+        for i, ic in enumerate(ics):
+            traj, err = _run_one(spec, ic, sim_cfg)
             if err is not None:
-                fh.write(f"{j},{i},{g.k1!r},{g.k2!r},{g.k3!r},{g.k4!r},,,,,{err}\n")
+                rows.append((j, i, g.k1, g.k2, g.k3, g.k4, None, None, None, None, err))
                 continue
             statuses.append(traj.status)
             final = traj.final_state()
             fm = metric(spec.space, PolarState(max(final.rho, 0.0), final.delta, final.gamma))
-            cap = "" if traj.capture_time is None else repr(traj.capture_time)
-            fh.write(
-                f"{j},{i},{g.k1!r},{g.k2!r},{g.k3!r},{g.k4!r},{traj.status.value},"
-                f"{cap},{_path_length(traj)!r},{fm!r},\n"
-            )
+            rows.append((j, i, g.k1, g.k2, g.k3, g.k4, traj.status.value, traj.capture_time,
+                         _path_length(traj), fm, None))
+    write_csv(out / "sweep.csv", (
+        "gain_set", "ic_index", "k1", "k2", "k3", "k4", "status", "capture_time", "path_length",
+        "final_metric", "error"), rows)
     _write_json(
         out / "sweep_summary.json",
         {
@@ -526,19 +489,12 @@ def _cmd_sweep(args) -> int:
             "controller": kind.value,
             "n_gain_sets": len(specs),
             "n_ics": len(ics),
-            "n_runs": len(results),
+            "n_runs": len(rows),
             "n_completed": len(statuses),
         },
     )
-    print(f"sweep: {len(statuses)}/{len(results)} runs completed, outputs in {out}")
-
-    if not statuses:
-        print("error: no run completed", file=sys.stderr)
-        return 1
-    if all(s is SimStatus.BOUNDARY_STOP for s in statuses):
-        print("error: every run stopped on a barrier", file=sys.stderr)
-        return 3
-    return 0
+    print(f"sweep: {len(statuses)}/{len(rows)} runs completed, outputs in {out}")
+    return _exit_code(statuses, "no run completed")
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +507,9 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument(
             "--frame", choices=[f.value for f in Frame], default=None,
             help="integration frame override",

@@ -40,11 +40,9 @@ __all__ = [
     "Gains",
     "ControllerSpec",
     "ControlInput",
-    "BacksteppingAux",
     "forward_velocity",
     "delta_shaping",
     "psi",
-    "backstepping_aux",
     "omega_tilde",
     "control",
 ]
@@ -62,11 +60,6 @@ class ControllerKind(Enum):
     def space(self) -> StateSpace:
         """Open state space on which the controller is defined."""
         return _SPACES[self]
-
-    @property
-    def uses_backstepping(self) -> bool:
-        """True for the two backstepping designs (GLOBA, BARFLI)."""
-        return self in (ControllerKind.GLOBA, ControllerKind.BARFLI)
 
     @property
     def needs_gain_coupling(self) -> bool:
@@ -159,26 +152,6 @@ class ControlInput:
 
     omega_tilde: float
     """Steering correction acting on the line-of-sight angle."""
-
-
-@dataclass(frozen=True)
-class BacksteppingAux:
-    """Intermediate quantities of the backstepping designs.
-
-    Floats, or arrays when backstepping_aux was given arrays.
-    """
-
-    Delta: float
-    """Shaped angle: delta itself (GLOBA) or 2*tan(delta/2) (BARFLI)."""
-
-    dDelta_ddelta: float
-    """Derivative of the shaping with respect to delta."""
-
-    z: float
-    """Backstepping variable z = gamma + (1/2)*arctan(2*k2*Delta)."""
-
-    psi: float
-    """Interconnection factor psi(z, gamma); equals cos(2*gamma) at z=0."""
 
 
 def forward_velocity(state: PolarState, gains: Gains) -> float:
@@ -278,13 +251,6 @@ def backstepping_terms(xp, kind: ControllerKind, k2: float, delta, gamma):
     """
     Delta, dDelta = _delta_shaping(xp, kind, delta)
     return Delta, dDelta, gamma + 0.5 * xp.atan(2.0 * k2 * Delta)
-
-
-def backstepping_aux(kind: ControllerKind, gains: Gains, delta, gamma) -> BacksteppingAux:
-    """Assemble the backstepping quantities at an angular state (floats or arrays)."""
-    xp = math_for(delta, gamma)
-    Delta, dDelta, z = backstepping_terms(xp, kind, gains.k2, delta, gamma)
-    return BacksteppingAux(Delta, dDelta, z, _psi(xp, z, gains.k2, Delta))
 
 
 def _bounded_gamma_factor(xp, gamma):

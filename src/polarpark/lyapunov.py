@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from .controllers import (
     ControllerKind,
@@ -43,9 +43,6 @@ __all__ = [
     "Compositor",
     "CompositeLyapunovFn",
     "composite",
-    "v_delta_gamma",
-    "v_dot_analytic",
-    "gradient",
     "bolsa_decay_bound",
 ]
 
@@ -373,29 +370,3 @@ def composite(comp: Compositor, fn: LyapunovFn) -> CompositeLyapunovFn:
             raise ValueError("compositor not increasing along the diagonal probe")
     return CompositeLyapunovFn(comp, fn)
 
-
-def v_delta_gamma(fn: LyapunovFn, delta: float, gamma: float) -> float:
-    """Angular storage value; see LyapunovFn.value."""
-    return fn.value(delta, gamma)
-
-
-def v_dot_analytic(fn: LyapunovFn, delta: float, gamma: float) -> float:
-    """Exact closed-loop derivative of the angular storage function."""
-    return fn.vdot(delta, gamma)
-
-
-def gradient(fn: LyapunovFn | CompositeLyapunovFn, state: Sequence[float]) -> tuple[float, ...]:
-    """Analytic gradient of an angular or composite Lyapunov function.
-
-    Args:
-        fn: LyapunovFn with state (delta, gamma), or CompositeLyapunovFn
-            with state (rho, delta, gamma).
-
-    Returns:
-        Tuple of partial derivatives matching the state layout.
-    """
-    if isinstance(fn, LyapunovFn):
-        delta, gamma = state
-        return fn.grad(delta, gamma)
-    rho, delta, gamma = state
-    return fn.gradient(rho, delta, gamma)

@@ -25,7 +25,10 @@ reports a boundary stop when step control pushes the step size below
 h_min, which happens when the state runs into an excluded set (for
 example a barrier line approached too closely to resolve in double
 precision); the fixed-step one reports it when a stage leaves the
-controller's space.
+controller's space.  With either integrator, a run whose sampled state
+(unwrapped, in both frames) leaves the space ends before its first sample
+outside, as a boundary stop: the wrapped Cartesian feedback and the
+extended bounded-gamma laws do not notice such a crossing themselves.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .controllers import ControlInput, ControllerSpec, control, omega_tilde
+from .controllers import ControllerSpec, omega_tilde
 from .geometry import (
     CartesianState,
     DomainError,
@@ -56,7 +59,21 @@ __all__ = [
     "rhs_cartesian",
     "simulate",
     "simulate_unsteered",
+    "write_csv",
 ]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV: None is an empty cell, any other value str().
+
+    str() of a float is its shortest round-trip form, so a file is
+    byte-stable for identical inputs.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join(["" if value is None else str(value) for value in row]) + "\n" for row in rows
+        )
 
 
 class Frame(Enum):
@@ -140,21 +157,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t
-
-    @property
-    def states(self) -> list[PolarState]:
-        return [self.state(i) for i in range(len(self.t))]
-
-    @property
-    def inputs(self) -> list[ControlInput]:
-        return [
-            ControlInput(float(v), float(w), float(wt))
-            for v, w, wt in zip(self.v, self.omega, self.omega_tilde)
-        ]
-
     def state(self, i: int) -> PolarState:
         return PolarState(float(self.rho[i]), float(self.delta[i]), float(self.gamma[i]))
 
@@ -162,20 +164,11 @@ class Trajectory:
         return self.state(len(self.t) - 1)
 
     def to_csv(self, path) -> None:
-        """Write the trajectory with the fixed header t,x,y,theta,rho,delta,gamma,v,omega,V.
-
-        Values are written with shortest round-trip formatting, so the
-        file is byte-stable for identical inputs.
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,theta,rho,delta,gamma,v,omega,V\n")
-            for i in range(len(self.t)):
-                row = (
-                    self.t[i], self.x[i], self.y[i], self.theta[i],
-                    self.rho[i], self.delta[i], self.gamma[i],
-                    self.v[i], self.omega[i], self.lyapunov[i],
-                )
-                fh.write(",".join(repr(float(value)) for value in row) + "\n")
+        """Write the trajectory with the fixed header t,x,y,theta,rho,delta,gamma,v,omega,V."""
+        columns = (self.t, self.x, self.y, self.theta, self.rho, self.delta, self.gamma,
+                   self.v, self.omega, self.lyapunov)
+        write_csv(path, ("t", "x", "y", "theta", "rho", "delta", "gamma", "v", "omega", "V"),
+                  zip(*(column.tolist() for column in columns)))
 
 
 def _polar_field(spec: ControllerSpec):
@@ -204,6 +197,22 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     return _polar_field(spec)(0.0, (state.rho, state.delta, state.gamma))
 
 
+def _cartesian_field(spec: ControllerSpec):
+    """The closed-loop Cartesian field as f(t, y) on (x, y, theta) tuples."""
+    k1 = spec.gains.k1
+
+    def f(t, y):
+        x, y_pos, theta = y
+        rho, delta, gamma = polar_image(x, y_pos, theta)
+        if rho == 0.0:
+            raise DomainError("polar chart undefined at rho=0")
+        omega = 0.5 * k1 * math.sin(2.0 * gamma) + omega_tilde(spec, delta, gamma)
+        v = k1 * rho * math.cos(gamma)
+        return (v * math.cos(theta), v * math.sin(theta), omega)
+
+    return f
+
+
 def rhs_cartesian(spec: ControllerSpec, state: CartesianState) -> tuple[float, float, float]:
     """Closed-loop right-hand side in Cartesian coordinates.
 
@@ -213,13 +222,7 @@ def rhs_cartesian(spec: ControllerSpec, state: CartesianState) -> tuple[float, f
         DomainError: At the origin, or when the wrapped image leaves the
             controller's space.
     """
-    polar = cart_to_polar(state)
-    inp = control(spec, polar)
-    return (
-        inp.v * math.cos(state.theta),
-        inp.v * math.sin(state.theta),
-        inp.omega,
-    )
+    return _cartesian_field(spec)(0.0, (state.x, state.y, state.theta))
 
 
 # Dormand-Prince 5(4) tableau.
@@ -439,14 +442,16 @@ def _capture_test(cfg: SimConfig, to_polar):
     return captured
 
 
-def _reconstruct_cartesian(ys: np.ndarray, delta0: float):
+def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):
+    """Unwrapped (rho, delta, gamma) of Cartesian samples, continuous from the start's angles."""
     x, y, theta = ys[:, 0], ys[:, 1], ys[:, 2]
-    rho = np.hypot(x, y)
-    raw = np.arctan2(y, x) + math.pi
-    delta = np.unwrap(raw)
-    delta += 2.0 * math.pi * round((delta0 - delta[0]) / (2.0 * math.pi))
+    delta = np.unwrap(np.arctan2(y, x) + math.pi)
+    delta += 2.0 * math.pi * round((start.delta - delta[0]) / (2.0 * math.pi))
     gamma = delta - theta
-    return rho, delta, gamma
+    turns = round((start.gamma - gamma[0]) / (2.0 * math.pi))
+    if turns:  # a Cartesian start whose heading is not delta - gamma itself
+        gamma += 2.0 * math.pi * turns
+    return np.hypot(x, y), delta, gamma
 
 
 def simulate(
@@ -466,7 +471,9 @@ def simulate(
 
     Returns:
         Trajectory sampled at multiples of cfg.dt; ends early with status
-        CAPTURED or BOUNDARY_STOP when those events occur.
+        CAPTURED or BOUNDARY_STOP when those events occur.  A run whose
+        (unwrapped) state leaves the controller's space ends on the last
+        sample inside it, as BOUNDARY_STOP.
 
     Raises:
         DomainError: If x0 lies outside the controller's open space.
@@ -482,21 +489,27 @@ def simulate(
         times, ys, status, capture_time, note = _run(
             _polar_field(spec), y0, cfg, _capture_test(cfg, lambda y: y))
         rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
+    else:
+        cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
+        y0 = (cart0.x, cart0.y, cart0.theta)
+        times, ys, status, capture_time, note = _run(
+            _cartesian_field(spec), y0, cfg, _capture_test(cfg, lambda y: polar_image(*y)))
+        rho, delta, gamma = _reconstruct_cartesian(ys, polar0)
+
+    inside = spec.space.contains_angles(delta, gamma)
+    if not np.all(inside):
+        n = int(np.argmin(inside))
+        note = f"state left the domain {spec.space.value} at t={times[n]:.6g}"
+        status, capture_time = SimStatus.BOUNDARY_STOP, None
+        times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
+
+    if cfg.frame is Frame.POLAR:
         theta = delta - gamma
         x = -rho * np.cos(delta)
         y_pos = -rho * np.sin(delta)
         rho_fb, delta_fb, gamma_fb = np.maximum(rho, 0.0), delta, gamma
     else:
-        cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
-
-        def f(t, y):
-            return rhs_cartesian(spec, CartesianState(y[0], y[1], y[2]))
-
-        y0 = (cart0.x, cart0.y, cart0.theta)
-        times, ys, status, capture_time, note = _run(
-            f, y0, cfg, _capture_test(cfg, lambda y: polar_image(*y)))
         x, y_pos, theta = ys[:, 0], ys[:, 1], ys[:, 2]
-        rho, delta, gamma = _reconstruct_cartesian(ys, polar0.delta)
         # Feedback as computed during integration: from the wrapped image.
         rho_fb, delta_fb, gamma_fb = polar_image(x, y_pos, theta)
         if not rho_fb.all():

@@ -488,7 +488,7 @@ def check_gradient(
     n_samples: int = 1_000,
     seed: int = 0,
     rel_tol: float = 1e-5,
-    step: float = 1e-6,
+    step: float = 1e-5,
     barrier_margin: float = 0.01,
     value_cap: float | None = None,
 ) -> CertReport:
@@ -569,10 +569,15 @@ _FORM_FACTORIES = (
 _SUITE_GAINS_ARGS = (1.0, 1.0, 1.0, 1.0)
 
 # Value caps keep finite-difference validation inside the region where the
-# stencil itself is trustworthy in double precision.  Near a barrier the
-# angular value blows up, and three separate failure modes appear:
-#   - plain angular functions: truncation error from barrier stiffness
-#     (higher derivatives grow like powers of tan); cap 1e6 keeps it ~1e-9;
+# stencil itself is trustworthy in double precision.  A central difference
+# carries a rounding error of about eps*|V|/step, large next to a partial
+# that is small against V (dV/dgamma = 3.98 at V = 3.4e5 for BAGAL); the
+# default step 1e-5 keeps it below the 1e-5 tolerance where 1e-6 did not
+# (over run_suite("gradient") seeds 0-59: 8 failing reports at 1e-6, none
+# at 1e-5, worst error 6.7e-6).  Near a barrier the angular value blows up,
+# and three separate failure modes appear:
+#   - plain angular functions: V and its higher derivatives grow like
+#     powers of tan; cap 1e6 bounds both error terms (worst 2.0e-6);
 #   - additive/log merges: the rho-direction difference cancels against a
 #     huge total value (difference ~ 1e-5 vs value ~ 1e10); cap 1e3 keeps
 #     rounding noise ~1e-8;

@@ -311,3 +311,21 @@ class TestEntryPoint:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", BASE_SIM),
+        ("compare", TestCompare.PAYLOAD),
+        ("sweep", TestSweep.PAYLOAD),
+    ])
+    def test_seed_is_a_usage_error_outside_verify(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_summary_has_no_seed(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE_SIM, "seed": 5})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "seed" not in json.loads((out / "summary.json").read_text())

@@ -12,13 +12,14 @@ from polarpark import (
     DomainError,
     Gains,
     PolarState,
-    backstepping_aux,
     control,
     delta_shaping,
     forward_velocity,
     omega_tilde,
     psi,
 )
+from polarpark.controllers import backstepping_terms
+from polarpark.geometry import FLOAT_MATH
 
 UNIT = Gains(1.0, 1.0, 1.0, 1.0)
 
@@ -155,10 +156,10 @@ class TestOmegaTilde:
         assert got == pytest.approx(1.3614398033713828408, rel=1e-15)
 
     def test_backstepping_variable_frozen(self):
-        aux = backstepping_aux(ControllerKind.GLOBA, UNIT, 1.0, 0.0)
-        assert aux.z == pytest.approx(0.55357435889704525151, rel=1e-15)
-        assert aux.Delta == 1.0
-        assert aux.dDelta_ddelta == 1.0
+        Delta, dDelta, z = backstepping_terms(FLOAT_MATH, ControllerKind.GLOBA, 1.0, 1.0, 0.0)
+        assert z == pytest.approx(0.55357435889704525151, rel=1e-15)
+        assert Delta == 1.0
+        assert dDelta == 1.0
 
     def test_bolsa_frozen_value(self):
         spec = spec_of(ControllerKind.BOLSA, Gains(1.0, 1.0, 0.1, 1.0), allow_unproven_gains=True)

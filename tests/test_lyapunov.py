@@ -18,10 +18,7 @@ from polarpark import (
     PolarState,
     bolsa_decay_bound,
     composite,
-    gradient,
     omega_tilde,
-    v_delta_gamma,
-    v_dot_analytic,
 )
 
 UNIT = Gains(1.0, 1.0, 1.0, 1.0)
@@ -76,13 +73,11 @@ class TestAngularValues:
         with pytest.raises(DomainError, match="barrier blow-up"):
             fn.value(4.0, 0.0)
 
-    def test_for_controller_and_module_helpers(self):
+    def test_for_controller(self):
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
         fn = LyapunovFn.for_controller(spec)
         assert fn.kind is ControllerKind.GLOBA
         assert fn.space.value == "S"
-        assert v_delta_gamma(fn, 1.0, 0.0) == fn.value(1.0, 0.0)
-        assert v_dot_analytic(fn, 1.0, 0.0) == fn.vdot(1.0, 0.0)
 
 
 class TestAngularDerivatives:
@@ -125,12 +120,6 @@ class TestAngularDerivatives:
                 if abs(d) + abs(g) < 1e-6:
                     continue
                 assert fn.vdot(float(d), float(g)) < 0.0
-
-    def test_gradient_helper_dispatch(self):
-        fn = LyapunovFn(ControllerKind.GLOBA, UNIT)
-        assert gradient(fn, (1.0, 0.0)) == fn.grad(1.0, 0.0)
-        full = CompositeLyapunovFn(Compositor.sum_form(), fn)
-        assert gradient(full, (2.0, 1.0, 0.0)) == full.gradient(2.0, 1.0, 0.0)
 
 
 class TestBolsaDecayBound:

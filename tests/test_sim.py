@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import polarpark.sim as sim
@@ -211,6 +213,41 @@ class TestTermination:
         assert traj.t[-1] < 5.0
         assert np.all(np.abs(traj.delta) < math.pi)
 
+    def test_cartesian_run_crossing_a_barrier_stops_before_post_processing(self):
+        # RK4 carries the unwrapped gamma across -pi, which the wrapped
+        # Cartesian feedback does not see; V is undefined on the samples
+        # past the barrier, so they must not reach the post-processing
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        fn = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+        cfg = SimConfig(t_final=2.0, frame=Frame.CARTESIAN, integrator=IntegratorKind.RK4_FIXED)
+        start = PolarState(1.9410805215530313, 2.795282282263783, -2.1194620870770216)
+        traj = simulate(spec, start, cfg, lyapunov=fn)
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert traj.note == "state left the domain S3 at t=0.1"
+        assert traj.t[-1] == 0.05
+
+    def test_unstable_fixed_step_run_is_not_reported_captured(self):
+        # at dt = 1 RK4 is far outside its stability region: uncut, gamma
+        # reaches -6.7e6 and the wrapped image is captured at t = 36
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        cfg = SimConfig(dt=1.0, t_final=60.0, frame=Frame.CARTESIAN,
+                        integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, 3.0, 0.0), cfg)
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert traj.capture_time is None
+        assert traj.note == "state left the domain S3 at t=1"
+        assert len(traj) == 1
+
+    def test_polar_fixed_step_run_ends_at_its_first_sample_outside(self):
+        # gamma is -933 at t = 0.05, long before a stage crosses the delta
+        # barrier (t = 2.95)
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        cfg = SimConfig(dt=0.05, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, math.pi - 0.05, 0.0), cfg)
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert traj.note == "state left the domain S3 at t=0.05"
+        assert list(traj.t) == [0.0]
+
     def test_initial_state_outside_space_rejected(self):
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
         with pytest.raises(DomainError, match="outside the open space"):
@@ -252,9 +289,48 @@ class TestFrames:
         assert np.allclose(traj.x, -traj.rho * np.cos(traj.delta), atol=1e-12)
         assert np.allclose(traj.y, -traj.rho * np.sin(traj.delta), atol=1e-12)
         assert np.allclose(traj.theta, traj.delta - traj.gamma, atol=1e-12)
-        for state, cart in zip(traj.states, zip(traj.x, traj.y, traj.theta)):
+        for i, cart in enumerate(zip(traj.x, traj.y, traj.theta)):
             back = cart_to_polar(CartesianState(*map(float, cart)))
-            assert back.rho == pytest.approx(state.rho, abs=1e-12)
+            assert back.rho == pytest.approx(traj.state(i).rho, abs=1e-12)
+
+
+    def test_cartesian_start_with_a_wound_heading(self):
+        # theta0 = 0.2 + 2*pi: the unwrapped gamma column starts at the
+        # start's own (wrapped) gamma and follows the polar-frame run
+        spec = ControllerSpec(ControllerKind.BOLSA, UNIT)
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        start = CartesianState(-2.0, 0.5, 0.2 + 2.0 * math.pi)
+        cart = simulate(spec, start, SimConfig(t_final=10.0, frame=Frame.CARTESIAN), lyapunov=fn)
+        polar = simulate(spec, start, SimConfig(t_final=10.0), lyapunov=fn)
+        assert cart.status is SimStatus.HORIZON_REACHED
+        assert cart.gamma[0] == cart_to_polar(start).gamma
+        assert np.max(np.abs(cart.gamma - polar.gamma)) < 1e-8
+
+
+def _angles(bounded):
+    if bounded:
+        return st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+    return st.floats(-2.0 * math.pi, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+@pytest.mark.parametrize("frame", list(Frame))
+@pytest.mark.parametrize("integrator", list(IntegratorKind))
+def test_runs_from_inside_the_space_stay_inside(kind, frame, integrator):
+    # simulate returns, never raises mid-run, and every sample lies in the
+    # controller's space (a run that leaves it ends as a boundary stop)
+    spec = ControllerSpec(kind, UNIT)
+    fn = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(rho=st.floats(0.01, 10.0), delta=_angles(spec.space.delta_bounded),
+           gamma=_angles(spec.space.gamma_bounded), t_final=st.floats(0.05, 2.0))
+    def check(rho, delta, gamma, t_final):
+        cfg = SimConfig(t_final=t_final, frame=frame, integrator=integrator)
+        traj = simulate(spec, PolarState(rho, delta, gamma), cfg, lyapunov=fn)
+        assert np.all(spec.space.contains_angles(traj.delta, traj.gamma))
+
+    check()
 
 
 class TestLyapunovColumn:
@@ -343,6 +419,13 @@ class TestCsv:
         self.run().to_csv(a)
         self.run().to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_writer_frozen_bytes(self, tmp_path):
+        path = tmp_path / "row.csv"
+        sim.write_csv(path, ("none", "int", "str", "float", "inf", "negzero"),
+                      [(None, 7, "boundary_stop", 0.1, math.inf, -0.0)])
+        assert path.read_bytes() == b"none,int,str,float,inf,negzero\n,7,boundary_stop,0.1,inf,-0.0\n"
 
 
 class TestUnsteered:
