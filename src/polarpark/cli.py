@@ -10,6 +10,7 @@ barrier).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -370,14 +371,13 @@ def _cmd_compare(args) -> int:
     sim_tol = float(cfg.get("similarity_tol", _SIMILARITY_TOL))
     out = _out_dir(args)
 
-    lyaps = [CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(s.kind, s.gains)) for s in specs]
-
     rows = []
-    trajs: dict[tuple[int, str], Trajectory] = {}
+    pairs = []
     statuses = []
     for i, ic in enumerate(ics):
-        for spec, lyap in zip(specs, lyaps):
-            traj, err = _run_one(spec, ic, sim_cfg, lyap)
+        done = []
+        for spec in specs:
+            traj, err = _run_one(spec, ic, sim_cfg)
             if err is not None:
                 rows.append(
                     {
@@ -388,7 +388,7 @@ def _cmd_compare(args) -> int:
                     }
                 )
                 continue
-            trajs[(i, spec.kind.value)] = traj
+            done.append((spec.kind.value, traj))
             statuses.append(traj.status)
             rows.append(_null_nonfinite(
                 {
@@ -402,24 +402,16 @@ def _cmd_compare(args) -> int:
                     "flag": "",
                 }
             ))
-
-    pairs = []
-    for i in range(len(ics)):
-        for a in range(len(specs)):
-            for b in range(a + 1, len(specs)):
-                ka, kb = specs[a].kind.value, specs[b].kind.value
-                ta, tb = trajs.get((i, ka)), trajs.get((i, kb))
-                if ta is None or tb is None:
-                    continue
-                sim_val = _compare_rows(ta, tb)
-                pairs.append(_null_nonfinite(
-                    {
-                        "ic_index": i,
-                        "pair": [ka, kb],
-                        "max_state_discrepancy": sim_val,
-                        "essentially_identical": sim_val < sim_tol,
-                    }
-                ))
+        for (ka, ta), (kb, tb) in itertools.combinations(done, 2):
+            sim_val = _compare_rows(ta, tb)
+            pairs.append(_null_nonfinite(
+                {
+                    "ic_index": i,
+                    "pair": [ka, kb],
+                    "max_state_discrepancy": sim_val,
+                    "essentially_identical": sim_val < sim_tol,
+                }
+            ))
 
     cols = (
         "ic_index", "controller", "status", "capture_time", "path_length",

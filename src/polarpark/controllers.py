@@ -222,12 +222,12 @@ def _psi(xp, z, k2, Delta):
     )
 
 
-def psi(z, gamma, k2: float, Delta):
+def psi(z, k2: float, Delta):
     """Interconnection factor of the backstepping laws.
 
     Defined as (sin(2z - 2*gamma) + sin(2*gamma)) / (2z), where gamma ties
-    to z through 2z - 2*gamma = arctan(2*k2*Delta).  Evaluation uses the
-    equivalent form
+    to z through 2z - 2*gamma = arctan(2*k2*Delta), so gamma is not an
+    argument.  Evaluation uses the equivalent form
 
         [sin(2z)/(2z) + 2*k2*Delta * (1 - cos(2z))/(2z)] / sqrt(1 + 4*k2^2*Delta^2)
 
@@ -236,10 +236,9 @@ def psi(z, gamma, k2: float, Delta):
     replaces both ratios for |z| below 1e-8, where the truncation error is
     under double-precision resolution.  At z = 0 the value is
     1/sqrt(1 + 4*k2^2*Delta^2) = cos(2*gamma) for consistent arguments, and
-    psi(0, 0) = 1 is the global maximum.  z and Delta may be floats or
-    arrays.
+    psi = 1 at z = Delta = 0 is the global maximum.  z and Delta may be
+    floats or arrays.
     """
-    del gamma  # enters only through the identity above
     return _psi(math_for(z, Delta), z, k2, Delta)
 
 

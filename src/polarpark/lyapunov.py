@@ -14,7 +14,7 @@ C(V_dg, rho^2).  Any C that vanishes only at (0, 0), grows unboundedly,
 and has strictly positive partial derivatives off the origin works; the
 built-in choices are the plain sum, a log-compressed sum, and an
 exponential product.  Custom compositors are screened numerically before
-use.
+use, with the conditions the certification battery reports.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .controllers import (
     ControllerKind,
@@ -280,6 +280,38 @@ class Compositor:
             return exp_s, (1.0 + r) * exp_s
         return self.dfn_dr(r, s), self.dfn_ds(r, s)
 
+    def screen(self, grid: Sequence[float]) -> tuple[float, tuple[float, float], str]:
+        """Worst (margin, point, condition) of the merge-function conditions.
+
+        grid starts at 0 and increases.  Margins, negative where the
+        condition holds, on grid x grid:
+
+            zero-at-origin       |C(0, 0)| - 1e-12
+            positive-off-origin  -C(r, s) off the origin
+            positive-partials    -dC/dr and -dC/ds off the origin, each its own margin
+            diagonal-increase    C(u, u) - C(t, t) for consecutive positive u < t, at (t, t)
+
+        NaN counts as +inf, and the first point with the worst margin wins.
+        The callables are called with floats.
+        """
+        def margins():
+            yield abs(self.value(0.0, 0.0)) - 1e-12, (0.0, 0.0), "zero-at-origin"
+            for r in grid:
+                for s in grid:
+                    if r or s:
+                        yield -self.value(r, s), (r, s), "positive-off-origin"
+                        for p in self.partials(r, s):
+                            yield -p, (r, s), "positive-partials"
+            diag = [self.value(t, t) for t in grid[1:]]
+            for a, b, t in zip(diag, diag[1:], grid[2:]):
+                yield a - b, (t, t), "diagonal-increase"
+
+        return max(
+            ((math.inf if math.isnan(m) else float(m), point, condition)
+             for m, point, condition in margins()),
+            key=lambda item: item[0],
+        )
+
 
 @dataclass(frozen=True)
 class CompositeLyapunovFn:
@@ -338,35 +370,19 @@ _SCREEN_GRID = [0.0] + [10.0 ** e for e in range(-6, 5)]
 def composite(comp: Compositor, fn: LyapunovFn) -> CompositeLyapunovFn:
     """Build a full-state Lyapunov function, screening custom compositors.
 
-    Custom compositors are checked numerically on a log-spaced grid
-    (r, s in [0, 1e4]) plus a diagonal probe: the value must vanish at the
-    origin, be positive elsewhere, have strictly positive partials off the
-    origin, and grow along the diagonal.  This is a screen, not a proof.
+    Custom compositors must meet Compositor.screen's conditions on the log
+    grid r, s in [0, 1e4]: zero at the origin, positive elsewhere, strictly
+    positive partials, increasing along the diagonal.  This is a screen,
+    not a proof.  Built-in forms meet the conditions exactly and are not
+    screened, and neither is a CompositeLyapunovFn built directly.
 
     Raises:
-        ValueError: With the failing condition and a witness point.
+        ValueError: Naming the worst condition, its witness and margin.
     """
     if comp.form is CompositorForm.CUSTOM:
-        at_origin = comp.value(0.0, 0.0)
-        if abs(at_origin) > 1e-12:
-            raise ValueError(f"compositor nonzero at origin: C(0,0) = {at_origin:.3e}")
-        for r in _SCREEN_GRID:
-            for s in _SCREEN_GRID:
-                if r == 0.0 and s == 0.0:
-                    continue
-                val = comp.value(r, s)
-                if not val > 0.0:
-                    raise ValueError(
-                        f"compositor not positive off origin: C({r:.3e}, {s:.3e}) = {val:.3e}"
-                    )
-                p_r, p_s = comp.partials(r, s)
-                if not (p_r > 0.0 and p_s > 0.0):
-                    raise ValueError(
-                        f"compositor partials not strictly positive at "
-                        f"({r:.3e}, {s:.3e}): ({p_r:.3e}, {p_s:.3e})"
-                    )
-        diag = [comp.value(t, t) for t in _SCREEN_GRID[1:]]
-        if any(b <= a for a, b in zip(diag, diag[1:])):
-            raise ValueError("compositor not increasing along the diagonal probe")
+        margin, (r, s), condition = comp.screen(_SCREEN_GRID)
+        if margin >= 0.0:
+            raise ValueError(
+                f"compositor fails {condition} at (r, s) = ({r:.3e}, {s:.3e}): margin {margin:.3e}"
+            )
     return CompositeLyapunovFn(comp, fn)
-

@@ -99,7 +99,7 @@ class SimConfig:
     dt is the output sampling interval; with the fixed-step integrator it
     is also the step size, while the adaptive integrator's steps are set
     by rtol and atol alone.  capture_radius <= 0 disables capture
-    detection.
+    detection.  Every numeric setting must be finite.
     """
 
     dt: float = 0.05
@@ -112,6 +112,9 @@ class SimConfig:
     h_min: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_final", "capture_radius", "rtol", "atol", "h_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.dt <= self.t_final):
             raise ValueError(f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
         for name in ("rtol", "atol", "h_min"):

@@ -19,14 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controllers import ControllerKind, ControllerSpec, omega_tilde
+from .controllers import ControllerKind, ControllerSpec, Gains, omega_tilde
 from .geometry import DomainError, PolarState, StateSpace, metric
-from .lyapunov import (
-    ArgumentOrder,
-    Compositor,
-    CompositeLyapunovFn,
-    LyapunovFn,
-)
+from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
 from .sim import SimConfig, Trajectory, simulate
 
 __all__ = [
@@ -143,18 +138,21 @@ def _angle_bound(bounded: bool, barrier_offset: float) -> float:
 def _sample_states(
     space: StateSpace,
     n: int,
-    rng: np.random.Generator,
+    seed: int,
     *,
     barrier_offset: float,
     rho_range: tuple[float, float] = _RHO_RANGE,
-    accept: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    angular: LyapunovFn | None = None,
+    value_cap: float | None = None,
+    note: str = "",
 ) -> tuple[np.ndarray, str]:
-    """Draw (rho, delta, gamma) rows inside the open space.
+    """Draw (rho, delta, gamma) rows inside the open space from `seed`.
 
-    Optionally rejects angle pairs failing `accept`, which maps arrays of
-    delta and gamma to a boolean array; the returned domain string records
-    all truncations so reports stay self-describing.
+    With value_cap set, rejects angle pairs where angular.value exceeds the
+    cap.  The returned domain string records every truncation and the seed,
+    then `note`, then the cap, so reports stay self-describing.
     """
+    rng = np.random.default_rng(seed)
     d_max = _angle_bound(space.delta_bounded, barrier_offset)
     g_max = _angle_bound(space.gamma_bounded, barrier_offset)
     rows = np.empty((n, 3))
@@ -168,9 +166,9 @@ def _sample_states(
                 rng.uniform(-g_max, g_max, m),
             ]
         )
-        if accept is not None:
+        if value_cap is not None:
             with np.errstate(all="ignore"):
-                cand = cand[accept(cand[:, 1], cand[:, 2])]
+                cand = cand[angular.value(cand[:, 1], cand[:, 2]) <= value_cap]
         take = min(n - got, len(cand))
         rows[got : got + take] = cand[:take]
         got += take
@@ -178,8 +176,11 @@ def _sample_states(
         f"{n} samples on {space.value}: rho in [{rho_range[0]:g}, {rho_range[1]:g}], "
         f"|delta| <= {d_max:.4f}, |gamma| <= {g_max:.4f}"
     )
-    if accept is not None:
+    if value_cap is not None:
         desc += " (value-capped)"
+    desc += f"; seed {seed}{note}"
+    if value_cap is not None:
+        desc += f"; angular value cap {value_cap:g}"
     return rows, desc
 
 
@@ -288,18 +289,12 @@ def check_clf(
             overflow the double range near barriers; the term-by-term
             derivative here would then hit inf - inf.
     """
-    rng = np.random.default_rng(seed)
-    accept = None
-    if value_cap is not None:
-        accept = lambda d, g: fn.angular.value(d, g) <= value_cap  # noqa: E731
     drawn = samples is None
     if drawn:
         samples, domain = _sample_states(
-            spec.space, n_samples, rng, barrier_offset=barrier_offset, accept=accept
+            spec.space, n_samples, seed, barrier_offset=barrier_offset,
+            angular=fn.angular, value_cap=value_cap,
         )
-        domain += f"; seed {seed}"
-        if value_cap is not None:
-            domain += f"; angular value cap {value_cap:g}"
     else:
         samples = np.asarray(samples, dtype=float)
         domain = f"{len(samples)} caller-supplied samples on {spec.space.value}"
@@ -346,58 +341,31 @@ def check_proposition1(
 ) -> CertReport:
     """Certify the merge-function conditions and closed-loop decrease.
 
-    Conditions checked on a log grid of nonnegative arguments (truncated at
-    1e2, matching the rho <= 10 sampling cap):
-      (1) zero at the origin, strictly positive elsewhere;
-      (2) both partial derivatives strictly positive off the origin;
-      (3) strictly increasing along the diagonal.
-    Then the induced full-state function must have a strictly negative
-    derivative along the matched closed loop at off-origin samples.
+    The merge-function conditions are Compositor.screen's, the ones
+    composite() enforces, on a log grid of nonnegative arguments truncated
+    at 1e2 to match the rho <= 10 sampling cap.  Then the induced full-state
+    function must have a strictly negative derivative along the matched
+    closed loop at off-origin samples.  details["failing_condition"] names
+    the worst condition of a failing report (closed-loop-decrease for the
+    sampled derivative).
 
     Never raises on a bad merge function: a violated condition is returned
     as a failing report with its witness.
     """
-    worst = -math.inf
-    witness = None
-    failing = None
-
-    def note(margin, point, label):
-        nonlocal worst, witness, failing
-        if math.isnan(margin):
-            margin = math.inf
-        if margin > worst:
-            worst, witness, failing = margin, point, label
-
-    origin_err = abs(comp.value(0.0, 0.0)) - 1e-12
-    note(origin_err, (0.0, 0.0), "zero-at-origin")
-    for r in _COMP_GRID:
-        for s in _COMP_GRID:
-            if r == 0.0 and s == 0.0:
-                continue
-            note(-comp.value(r, s), (r, s), "positive-off-origin")
-            p_r, p_s = comp.partials(r, s)
-            note(-min(p_r, p_s), (r, s), "positive-partials")
-    diag = [comp.value(t, t) for t in _COMP_GRID[1:]]
-    for a, b, t in zip(diag, diag[1:], _COMP_GRID[2:]):
-        note(a - b, (t, t), "diagonal-increase")
-
-    rng = np.random.default_rng(seed)
-    states, state_domain = _sample_states(
-        fn.space, n_samples, rng, barrier_offset=barrier_offset
-    )
+    worst, witness, failing = comp.screen(_COMP_GRID)
+    states, state_domain = _sample_states(fn.space, n_samples, seed, barrier_offset=barrier_offset)
     full = CompositeLyapunovFn(comp, fn)
     with np.errstate(all="ignore"):
         vdot = full.vdot(states[:, 0], states[:, 1], states[:, 2])
     margin, i = _worst(np.broadcast_to(vdot, (len(states),)))
-    if i is not None:
-        note(margin, _row(states, i), "closed-loop-decrease")
+    if margin > worst:
+        worst, witness, failing = margin, _row(states, i), "closed-loop-decrease"
 
     return CertReport(
         check_name=f"prop1[{comp.form.value}/{comp.order.value}+{fn.kind.value}]",
         domain=(
             f"merge-function log grid [0, 1e2]^2 ({len(_COMP_GRID)}x{len(_COMP_GRID)}); "
             + state_domain
-            + f"; seed {seed}"
         ),
         worst_margin=worst,
         witness=witness,
@@ -504,22 +472,11 @@ def check_gradient(
     angular = fn.angular if composite else fn
     space = angular.space
 
-    rng = np.random.default_rng(seed)
-    accept = None
-    if value_cap is not None:
-        accept = lambda d, g: angular.value(d, g) <= value_cap  # noqa: E731
     if samples is None:
         rows, domain = _sample_states(
-            space,
-            n_samples,
-            rng,
-            barrier_offset=barrier_margin,
-            rho_range=(0.01, 10.0),
-            accept=accept,
+            space, n_samples, seed, barrier_offset=barrier_margin, rho_range=(0.01, 10.0),
+            angular=angular, value_cap=value_cap, note=f"; fd step {step:g}",
         )
-        domain += f"; seed {seed}; fd step {step:g}"
-        if value_cap is not None:
-            domain += f"; angular value cap {value_cap:g}"
         if not composite:
             rows = rows[:, 1:]
     else:
@@ -558,15 +515,12 @@ def check_gradient(
 
 SUITE_NAMES = ("all", "lemma1", "clf", "prop1", "kl", "gradient")
 
-_FORM_FACTORIES = (
-    ("sum", Compositor.sum_form),
-    ("log_sum", Compositor.log_sum),
-    ("exp_product", Compositor.exp_product),
-)
-
 # Default gains for the battery; the coupling k1*k3 >= k2^2 holds with
 # equality, so every controller is admissible.
-_SUITE_GAINS_ARGS = (1.0, 1.0, 1.0, 1.0)
+_SUITE_GAINS = Gains(1.0, 1.0, 1.0, 1.0)
+
+_MERGE_FACTORIES = (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product)
+_MERGES_PER_KIND = len(_MERGE_FACTORIES) * len(ArgumentOrder)
 
 # Value caps keep finite-difference validation inside the region where the
 # stencil itself is trustworthy in double precision.  A central difference
@@ -590,6 +544,20 @@ _EXP_VALUE_CAP = 20.0
 _EXP_CLF_CAP = 600.0
 
 _KL_START = PolarState(3.0, 2.0, -1.5)
+_KL_CONFIG = SimConfig(capture_radius=2e-4)
+
+
+def _battery():
+    """(spec, angular function, merge) for every kind x built-in merge.
+
+    Kinds in ControllerKind order; each kind's merges in _MERGE_FACTORIES x
+    ArgumentOrder order, so its first merge is the rho-first plain sum.
+    """
+    for kind in ControllerKind:
+        spec, angular = ControllerSpec(kind, _SUITE_GAINS), LyapunovFn(kind, _SUITE_GAINS)
+        for factory in _MERGE_FACTORIES:
+            for order in ArgumentOrder:
+                yield spec, angular, factory(order)
 
 
 def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
@@ -606,65 +574,35 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
     if which not in SUITE_NAMES:
         raise ValueError(f"unknown suite '{which}'; choose one of {', '.join(SUITE_NAMES)}")
 
-    from .controllers import Gains  # local import keeps module header lean
-
-    gains = Gains(*_SUITE_GAINS_ARGS)
-    kinds = list(ControllerKind)
-    reports: list[CertReport] = []
-
-    if which in ("all", "lemma1"):
-        reports.append(check_lemma1())
-
-    if which in ("all", "clf"):
-        # Fixed per-family seed bases keep each report's seed independent of
-        # which selector ran it.
-        tick = seed + 100
-        for kind in kinds:
-            spec = ControllerSpec(kind, gains)
-            angular = LyapunovFn(kind, gains)
-            for form_name, factory in _FORM_FACTORIES:
-                for order in ArgumentOrder:
-                    tick += 1
-                    full = CompositeLyapunovFn(factory(order), angular)
-                    cap = _EXP_CLF_CAP if form_name == "exp_product" else None
-                    rep = check_clf(full, spec, n_samples=2_000, seed=tick, value_cap=cap)
-                    reports.append(replace(
-                        rep, check_name=f"clf[{kind.value}+{form_name}/{order.value}]"))
-
-    if which in ("all", "prop1"):
-        tick = seed + 200
-        for kind in kinds:
-            angular = LyapunovFn(kind, gains)
-            for form_name, factory in _FORM_FACTORIES:
-                for order in ArgumentOrder:
-                    tick += 1
-                    reports.append(
-                        check_proposition1(factory(order), angular, seed=tick)
-                    )
-
-    if which in ("all", "kl"):
-        for kind in kinds:
-            spec = ControllerSpec(kind, gains)
-            full = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(kind, gains))
-            cfg = SimConfig(capture_radius=2e-4)
-            traj = simulate(spec, _KL_START, cfg, lyapunov=full)
-            rep = check_kl_decay(traj, spec.space)
-            reports.append(replace(rep, check_name=f"kl[{kind.value}]"))
-
-    if which in ("all", "gradient"):
-        tick = seed + 300
-        for kind in kinds:
-            tick += 1
-            angular = LyapunovFn(kind, gains)
-            reports.append(check_gradient(angular, seed=tick, value_cap=_ANGULAR_VALUE_CAP))
-            for form_name, factory in _FORM_FACTORIES:
-                for order in ArgumentOrder:
-                    tick += 1
-                    full = CompositeLyapunovFn(factory(order), angular)
-                    cap = _EXP_VALUE_CAP if form_name == "exp_product" else _COMPOSITE_VALUE_CAP
-                    rep = check_gradient(full, seed=tick, value_cap=cap)
-                    reports.append(replace(
-                        rep, check_name=f"gradient[{kind.value}+{form_name}/{order.value}]"))
-
-    return reports
-
+    # Reports come out family by family, in SUITE_NAMES order.  Each family
+    # numbers its seeds from its own base (clf seed + 101, prop1 + 201,
+    # gradient + 301), so a report's seed does not depend on the selector.
+    families = {name: [] for name in SUITE_NAMES[1:] if which in ("all", name)}
+    if "lemma1" in families:
+        families["lemma1"].append(check_lemma1())
+    gradient_seed = seed + 300
+    for j, (spec, angular, comp) in enumerate(_battery()):
+        kind = spec.kind.value
+        label = f"{kind}+{comp.form.value}/{comp.order.value}"
+        exp = comp.form is CompositorForm.EXP_PRODUCT
+        full = CompositeLyapunovFn(comp, angular)
+        first_of_kind = j % _MERGES_PER_KIND == 0  # full is the plain sum
+        if "clf" in families:
+            rep = check_clf(full, spec, n_samples=2_000, seed=seed + 101 + j,
+                            value_cap=_EXP_CLF_CAP if exp else None)
+            families["clf"].append(replace(rep, check_name=f"clf[{label}]"))
+        if "prop1" in families:
+            families["prop1"].append(check_proposition1(comp, angular, seed=seed + 201 + j))
+        if "kl" in families and first_of_kind:
+            rep = check_kl_decay(simulate(spec, _KL_START, _KL_CONFIG, lyapunov=full), spec.space)
+            families["kl"].append(replace(rep, check_name=f"kl[{kind}]"))
+        if "gradient" in families:
+            if first_of_kind:
+                gradient_seed += 1
+                families["gradient"].append(
+                    check_gradient(angular, seed=gradient_seed, value_cap=_ANGULAR_VALUE_CAP))
+            gradient_seed += 1
+            rep = check_gradient(full, seed=gradient_seed,
+                                 value_cap=_EXP_VALUE_CAP if exp else _COMPOSITE_VALUE_CAP)
+            families["gradient"].append(replace(rep, check_name=f"gradient[{label}]"))
+    return [rep for reports in families.values() for rep in reports]

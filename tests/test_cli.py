@@ -160,6 +160,12 @@ class TestConfigValidation:
             tmp_path, {**BASE_SIM, "gains": {"k1": 1.0, "k9": 2.0}}, capsys)
         assert code == 1 and "unknown gain keys" in err
 
+    @pytest.mark.parametrize("key, value", [("t_final", math.inf), ("capture_radius", math.nan)])
+    def test_non_finite_sim_setting(self, tmp_path, capsys, key, value):
+        # json.load reads Infinity and NaN
+        code, err = self.exit_code(tmp_path, {**BASE_SIM, "sim": {key: value}}, capsys)
+        assert code == 1 and f"{key} must be finite" in err
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         code, err = self.exit_code(
             tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "step_size": 0.1}}, capsys)

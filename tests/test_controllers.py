@@ -109,7 +109,7 @@ class TestDeltaShaping:
 
 class TestPsi:
     def test_global_maximum_at_origin(self):
-        assert psi(0.0, 0.0, 1.0, 0.0) == 1.0
+        assert psi(0.0, 1.0, 0.0) == 1.0
 
     def test_small_z_series_matches_closed_form(self):
         # the series branch must agree with the exact form at the same z
@@ -119,7 +119,7 @@ class TestPsi:
 
         for Delta in (0.0, 0.5, -2.0):
             for z in (3e-9, 9.9e-9, -7e-9):
-                assert psi(z, 0.0, 1.0, Delta) == pytest.approx(
+                assert psi(z, 1.0, Delta) == pytest.approx(
                     closed_form(z, 1.0, Delta), rel=1e-12
                 )
 
@@ -134,19 +134,19 @@ class TestPsi:
                 continue
             gamma = z - 0.5 * math.atan(2.0 * k2 * Delta)
             direct = (math.sin(2.0 * z - 2.0 * gamma) + math.sin(2.0 * gamma)) / (2.0 * z)
-            assert psi(z, gamma, k2, Delta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert psi(z, k2, Delta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_frozen_value(self):
         # z for delta=1, gamma=0 at unit gains; frozen from a 40-digit
         # arbitrary-precision evaluation
         z = 0.5 * math.atan(2.0)
-        assert psi(z, 0.0, 1.0, 1.0) == pytest.approx(0.80786544447433758928, rel=1e-15)
+        assert psi(z, 1.0, 1.0) == pytest.approx(0.80786544447433758928, rel=1e-15)
 
     def test_arrays_take_the_series_element_wise(self):
         z = np.array([0.0, 3e-9, -7e-9, 9.9e-9, 1e-8, -0.3, 2.0])
         Delta = np.linspace(-2.0, 2.0, z.size)
-        want = [psi(float(a), 0.0, 0.7, float(b)) for a, b in zip(z, Delta)]
-        np.testing.assert_allclose(psi(z, 0.0, 0.7, Delta), want, rtol=1e-15, atol=0)
+        want = [psi(float(a), 0.7, float(b)) for a, b in zip(z, Delta)]
+        np.testing.assert_allclose(psi(z, 0.7, Delta), want, rtol=1e-15, atol=0)
 
 
 class TestOmegaTilde:

@@ -197,7 +197,7 @@ class TestCompositeScreening:
             dfn_ds=lambda r, s: r,
         )
         fn = LyapunovFn(ControllerKind.GLOBA, UNIT)
-        with pytest.raises(ValueError, match="not positive off origin"):
+        with pytest.raises(ValueError, match="positive-off-origin"):
             composite(c, fn)
 
     def test_nonzero_origin_rejected(self):
@@ -206,7 +206,7 @@ class TestCompositeScreening:
             dfn_dr=lambda r, s: 1.0,
             dfn_ds=lambda r, s: 1.0,
         )
-        with pytest.raises(ValueError, match="nonzero at origin"):
+        with pytest.raises(ValueError, match="zero-at-origin"):
             composite(c, LyapunovFn(ControllerKind.GLOBA, UNIT))
 
     def test_decreasing_partial_rejected(self):
@@ -215,7 +215,7 @@ class TestCompositeScreening:
             dfn_dr=lambda r, s: -1.0 / (1.0 + r * r),  # wrong sign
             dfn_ds=lambda r, s: 1.0,
         )
-        with pytest.raises(ValueError, match="not strictly positive"):
+        with pytest.raises(ValueError, match="positive-partials"):
             composite(c, LyapunovFn(ControllerKind.GLOBA, UNIT))
 
     def test_builtins_skip_screening(self):

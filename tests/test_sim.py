@@ -45,6 +45,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="rtol"):
             SimConfig(rtol=-1e-8)
 
+    def test_settings_must_be_finite(self):
+        # an infinite horizon used to overflow the sample count, and a NaN
+        # capture radius silently turned capture off
+        for name in ("dt", "t_final", "capture_radius", "rtol", "atol", "h_min"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SimConfig(**{name: bad})
+
     def test_trajectory_validation(self):
         t = np.array([0.0, 0.1])
         col = np.zeros(2)

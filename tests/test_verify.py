@@ -26,6 +26,7 @@ from polarpark import (
     check_kl_decay,
     check_lemma1,
     check_proposition1,
+    composite,
     omega_tilde,
     run_suite,
     simulate,
@@ -184,6 +185,22 @@ class TestProposition1Check:
         assert not rep.passed
         assert rep.details["failing_condition"] == "zero-at-origin"
 
+    def test_nan_partial_fails_like_composite(self):
+        # a NaN partial on the r axis is a violation, whichever partial it
+        # is; composite() screens with the same conditions and rejects it
+        comp = Compositor.custom(
+            fn=lambda r, s: r + s,
+            dfn_dr=lambda r, s: 1.0,
+            dfn_ds=lambda r, s: np.where(s == 0, np.nan, 1.0),
+        )
+        fn = LyapunovFn(ControllerKind.GLOBA, UNIT)
+        rep = check_proposition1(comp, fn, seed=1)
+        assert not rep.passed
+        assert rep.details["failing_condition"] == "positive-partials"
+        assert rep.worst_margin == math.inf and rep.witness == (1e-6, 0.0)
+        with pytest.raises(ValueError, match="positive-partials"):
+            composite(comp, fn)
+
 
 class TestKlDecayCheck:
     def run_captured(self):
@@ -292,17 +309,19 @@ class TestSuite:
 
     def test_family_runs_match_full_run(self):
         full = run_suite("all", seed=0)
-        for family in ("lemma1", "clf", "kl"):
+        for family in SUITE_NAMES[1:]:
             alone = run_suite(family, seed=0)
             sliced = [r for r in full if r.check_name.startswith(family)]
             assert alone == sliced
 
-    def test_clf_reports_record_their_seed(self):
-        # like prop1 and gradient, each clf check draws from its own seed,
-        # derived from the base seed, and its report records that seed
-        clf = [r for r in run_suite("all", seed=3) if r.check_name.startswith("clf[")]
-        assert [r.seed for r in clf] == list(range(104, 128))
-        assert all(f"; seed {r.seed}" in r.domain for r in clf)
+    def test_sampled_reports_record_their_seed(self):
+        # each sampled check draws from its own seed, numbered from its
+        # family's base, and its report records that seed
+        reports = run_suite("all", seed=3)
+        for family, first, count in (("clf", 104, 24), ("prop1", 204, 24), ("gradient", 304, 28)):
+            fam = [r for r in reports if r.check_name.startswith(family + "[")]
+            assert [r.seed for r in fam] == list(range(first, first + count))
+            assert all(f"; seed {r.seed}" in r.domain for r in fam)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -415,8 +434,7 @@ class TestArrayChecksMatchRowReference:
                             ref += [-comp.value(r, s), -min(comp.partials(r, s))]
                 diag = [comp.value(t, t) for t in _COMP_GRID[1:]]
                 ref += [a - b for a, b in zip(diag, diag[1:])]
-                states, _ = _sample_states(
-                    fn.space, 300, np.random.default_rng(4), barrier_offset=1e-3)
+                states, _ = _sample_states(fn.space, 300, 4, barrier_offset=1e-3)
                 full = CompositeLyapunovFn(comp, fn)
                 ref += [full.vdot(*row) for row in states.tolist()]
                 assert not np.isnan(ref).any()  # -inf: exp merge saturated, fine
