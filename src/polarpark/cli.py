@@ -87,10 +87,17 @@ def _parse_kind(obj) -> ControllerKind:
         _fail(f"unknown controller '{obj}'; choose one of {names}")
 
 
+def _parse_allow(cfg: dict) -> bool:
+    allow = cfg.get("allow_unproven_gains", False)
+    if not isinstance(allow, bool):
+        _fail(f"allow_unproven_gains must be true or false, got {allow!r}")
+    return allow
+
+
 def _parse_spec(cfg: dict, kind_obj) -> ControllerSpec:
     kind = _parse_kind(kind_obj)
     gains = _parse_gains(cfg.get("gains", [1.0, 1.0, 1.0, 1.0]))
-    allow = bool(cfg.get("allow_unproven_gains", False))
+    allow = _parse_allow(cfg)
     try:
         return ControllerSpec(kind, gains, allow_unproven_gains=allow)
     except ValueError as exc:
@@ -368,7 +375,12 @@ def _cmd_compare(args) -> int:
     specs = [_parse_spec(cfg, obj) for obj in kinds_obj]
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
-    sim_tol = float(cfg.get("similarity_tol", _SIMILARITY_TOL))
+    try:
+        sim_tol = float(cfg.get("similarity_tol", _SIMILARITY_TOL))
+    except (TypeError, ValueError) as exc:
+        _fail(f"bad similarity_tol: {exc}")
+    if not (math.isfinite(sim_tol) and sim_tol > 0.0):
+        _fail(f"similarity_tol must be finite and positive, got {sim_tol}")
     out = _out_dir(args)
 
     rows = []
@@ -443,7 +455,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     kind = _parse_kind(cfg.get("controller"))
-    allow = bool(cfg.get("allow_unproven_gains", False))
+    allow = _parse_allow(cfg)
     grid_obj = cfg.get("gain_sets")
     if not isinstance(grid_obj, list) or not grid_obj:
         _fail("sweep needs a non-empty gain_sets list")

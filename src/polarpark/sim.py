@@ -20,8 +20,29 @@ only at the end of the horizon) and fills the grid points inside each
 accepted step from the pair's quartic dense output (Shampine's
 interpolant, the one scipy's RK45 uses; Hairer, Norsett & Wanner, Solving
 ODEs I, section II.6), so the sampling interval does not bound the step
-size.  Capture is tested on the grid samples.  The adaptive integrator
-reports a boundary stop when step control pushes the step size below
+size.  Capture is tested on the grid samples.
+
+In the polar frame the adaptive integrator also watches for stiffness.
+Near the barrier lines the steering grows without bound, and the gamma
+mode can decay 1e4 times faster than the state moves, which holds an
+explicit method to steps at its stability limit.  DP5 runs the stiffness
+test of Hairer & Wanner's DOPRI5 (Solving ODEs II, section IV.2) on every
+10th accepted step, and on every step once an estimate was positive:
+after 15 estimates of h*|lambda| above 3.25, unless 6 in a row below it
+reset the count, the run continues with ode23s, the
+linearly implicit Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
+Comput. 18, 1997), in the manner of LSODA.  ode23s uses the field's
+Jacobian, with the partials of omega_tilde taken by complex step, and
+hands back to DP5 once h times the Jacobian's spectral radius stays
+below 1 for 6 steps.  It keeps DP5's error norm, output grid (from its own
+continuous extension), capture test, h_min and domain retries.  Each
+stiff stretch adds `stiff: ode23s on t in [a, b], N steps, M Jacobians`
+to the trajectory's note; a run that never switches is DP5's alone.  The
+Cartesian frame and simulate_unsteered stay DP5-only.  The fixed-step
+integrator notes `rk4 unstable: ...` on the first step whose estimate
+of h*|lambda| exceeds RK4's stability bound of about 2.8.
+
+The adaptive integrator reports a boundary stop when step control pushes the step size below
 h_min, which happens when the state runs into an excluded set (for
 example a barrier line approached too closely to resolve in double
 precision); the fixed-step one reports it when a stage leaves the
@@ -129,7 +150,9 @@ class Trajectory:
     All arrays share the time grid t.  The Cartesian columns are always
     populated: integrated directly in the Cartesian frame, reconstructed
     from the polar state otherwise.  lyapunov holds the attached composite
-    Lyapunov value and is NaN when none was attached.
+    Lyapunov value and is NaN when none was attached.  note holds the
+    integrator's remarks (stiff stretches, rk4 instability) and then the
+    reason for a boundary stop, joined by "; "; it is empty for a plain run.
     """
 
     t: np.ndarray
@@ -188,6 +211,28 @@ def _polar_field(spec: ControllerSpec):
         )
 
     return f
+
+
+def _polar_jacobian(spec: ControllerSpec):
+    """The polar field's Jacobian as jac(y) -> its nonzero entries (J00, J02, J12, J21, J22).
+
+    rho' depends on rho and gamma, delta' on gamma alone and gamma' on the
+    two angles.  The partials of omega_tilde are complex-step derivatives,
+    Im w(x + i*h*e_k)/h with h = 1e-30, from one array call: free of
+    cancellation, so exact to rounding.
+    """
+    k1 = spec.gains.k1
+    probe_delta, probe_gamma = np.array([1e-30j, 0.0]), np.array([0.0, 1e-30j])
+
+    def jac(y):
+        rho, delta, gamma = y
+        w_delta, w_gamma = (
+            omega_tilde(spec, delta + probe_delta, gamma + probe_gamma).imag * 1e30).tolist()
+        cos_g = math.cos(gamma)
+        return (-k1 * cos_g * cos_g, k1 * rho * math.sin(2.0 * gamma),
+                k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma)
+
+    return jac
 
 
 def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, float]:
@@ -268,28 +313,74 @@ class _BoundaryHit(Exception):
     """Internal: stepping could not continue."""
 
 
-def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
-    """Advance y' = f(t, y) and call record(i, t, y) at t = i*dt.
+def _below_h_min(h: float, t: float) -> _BoundaryHit:
+    return _BoundaryHit(f"step size {h:.3e} below h_min at t={t:.6g}")
 
-    Error control alone sets the step size; only the last step is cut
-    short, to end on t = n_samples*dt.  The samples inside an accepted
-    step come from the dense output.  Returns "done" or "stopped" (record
-    returned True), or raises _BoundaryHit when the step size collapses
-    below cfg.h_min (stage evaluations that leave the domain count as
-    failed steps and shrink the step first).
+
+def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
+    """RMS of the error estimate scaled by atol + rtol*max(|y|, |z|), per component."""
+    s1 = atol + rtol * max(abs(y[0]), abs(z[0]))
+    s2 = atol + rtol * max(abs(y[1]), abs(z[1]))
+    s3 = atol + rtol * max(abs(y[2]), abs(z[2]))
+    return math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
+
+
+class _Samples:
+    """The output grid t = i*dt, i = 1..n_samples, fed to record(i, t, y)."""
+
+    def __init__(self, cfg: SimConfig, record, n_samples: int) -> None:
+        self.dt = cfg.dt
+        self.t_end = n_samples * cfg.dt
+        self.record = record
+        self.i = 1
+        self.next = cfg.dt
+
+    def fill(self, t: float, h: float, t_new: float, z, dense) -> bool:
+        """Record the grid times in (t, t_new] of an accepted step of size h.
+
+        The sample at t_new is the step's solution z; the others are
+        dense(s), the state at t + s*h.  True when record stops the run.
+        _dp5 has this loop written out.
+        """
+        i, t_sample, record = self.i, self.next, self.record
+        while t_sample <= t_new:
+            if record(i, t_sample, z if t_sample == t_new else dense((t_sample - t) / h)):
+                return True
+            i += 1
+            t_sample = i * self.dt
+        self.i, self.next = i, t_sample
+        return False
+
+
+# DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, section IV.2,
+# and their dopri5.f): on an accepted step, h*|lambda| is estimated as
+# h*|f7 - f6| / |z - u6|, where u6 is the state of stage 6; both stages sit
+# at t + h, so the ratio measures the dominant eigenvalue along the step.
+# The problem counts as stiff after 15 estimates above 3.25 (the edge of the
+# pair's stability region on the negative real axis), reset by 6 in a row
+# below it.  As in dopri5.f, the test runs on every 10th accepted step and,
+# once an estimate was above 3.25, on every step until the count resets:
+# on every step it would cost a capture run about 3 %.
+_STIFF_RATIO_SQ = 3.25**2
+_STIFF_AFTER = 15
+_STIFF_RESET = 6
+_STIFF_EVERY = 10
+
+
+def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
+    """Dormand-Prince steps from (t, y), with k1 = f(t, y) and trial step h.
+
+    Returns (outcome, t, y, f(t, y), h): outcome "done" or "stopped"
+    (record returned True), or "stiff" with the state after the accepted
+    step on which the stiffness test fired for the 15th time.
     """
-    t = 0.0
-    y = y0
-    dt = cfg.dt
     rtol, atol = cfg.rtol, cfg.atol
-    t_end = n_samples * dt
-    i = 1
-    t_sample = dt
-    k1 = f(t, y)
-    h = min(dt, 1e-3)
+    t_end, dt, record = samples.t_end, samples.dt, samples.record
+    i, t_sample = samples.i, samples.next
+    n_accepted = n_stiff = n_nonstiff = 0
     while True:
         if h < cfg.h_min:
-            raise _BoundaryHit(f"step size {h:.3e} below h_min at t={t:.6g}")
+            raise _below_h_min(h, t)
         last = t + h >= t_end
         if last:
             h = t_end - t
@@ -310,26 +401,25 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
                 y1 + h * (_A51 * f1[0] + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
                 y2 + h * (_A51 * f1[1] + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
                 y3 + h * (_A51 * f1[2] + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2])))
-            f6 = f(t + h, (
-                y1 + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-                y2 + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-                y3 + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2])))
+            u1 = y1 + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0])
+            u2 = y2 + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1])
+            u3 = y3 + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2])
+            f6 = f(t + h, (u1, u2, u3))
             z1 = y1 + h * (_B1 * f1[0] + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
             z2 = y2 + h * (_B1 * f1[1] + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
             z3 = y3 + h * (_B1 * f1[2] + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
-            f7 = f(t + h, (z1, z2, z3))
+            z = (z1, z2, z3)
+            f7 = f(t + h, z)
         except DomainError:
             # A stage left the domain; retry with a smaller step until
             # h_min decides this is a genuine boundary approach.
             h *= 0.25
             continue
-        e1 = h * (_E1 * f1[0] + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * f7[0])
-        e2 = h * (_E1 * f1[1] + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * f7[1])
-        e3 = h * (_E1 * f1[2] + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * f7[2])
-        s1 = atol + rtol * max(abs(y1), abs(z1))
-        s2 = atol + rtol * max(abs(y2), abs(z2))
-        s3 = atol + rtol * max(abs(y3), abs(z3))
-        err = math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
+        err = _error_norm(
+            h * (_E1 * f1[0] + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * f7[0]),
+            h * (_E1 * f1[1] + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * f7[1]),
+            h * (_E1 * f1[2] + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * f7[2]),
+            y, z, rtol, atol)
         if not err <= 1.0:  # also rejects a NaN error
             h *= max(0.2, 0.9 * err**-0.2)
             continue
@@ -344,9 +434,11 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
             q41 = _D41 * f1[0] + _D43 * f3[0] + _D44 * f4[0] + _D45 * f5[0] + _D46 * f6[0] + _D47 * f7[0]
             q42 = _D41 * f1[1] + _D43 * f3[1] + _D44 * f4[1] + _D45 * f5[1] + _D46 * f6[1] + _D47 * f7[1]
             q43 = _D41 * f1[2] + _D43 * f3[2] + _D44 * f4[2] + _D45 * f5[2] + _D46 * f6[2] + _D47 * f7[2]
+            # samples.fill written out: a closure call per sample would cost
+            # this loop about 5 % of a capture run
             while t_sample <= t_new:
                 if t_sample == t_new:
-                    sample = (z1, z2, z3)
+                    sample = z
                 else:
                     s = (t_sample - t) / h
                     hs = h * s
@@ -356,33 +448,181 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
                         y3 + hs * (f1[2] + s * (q23 + s * (q33 + s * q43))),
                     )
                 if record(i, t_sample, sample):
-                    return "stopped"
+                    return "stopped", t_new, z, f7, h
                 i += 1
                 t_sample = i * dt
         if last:
-            return "done"
-        t = t_new
-        y = (z1, z2, z3)
-        k1 = f7
-        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            return "done", t_new, z, f7, h
+        h_new = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
+        n_accepted += 1
+        if stiff_test and (n_stiff or n_accepted % _STIFF_EVERY == 0):
+            d1, d2, d3 = f7[0] - f6[0], f7[1] - f6[1], f7[2] - f6[2]
+            if h * h * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
+                    (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
+                n_stiff += 1
+                n_nonstiff = 0
+                if n_stiff == _STIFF_AFTER:
+                    samples.i, samples.next = i, t_sample
+                    return "stiff", t_new, z, f7, h_new
+            else:
+                n_nonstiff += 1
+                if n_nonstiff == _STIFF_RESET:
+                    n_stiff = 0
+        t, y, k1, h = t_new, z, f7, h_new
 
 
-def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
+# ode23s, the Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
+# Comput. 18, 1997), for an autonomous field.  With W = I - h*d*J:
+#     k1 = W^-1 f0,  f1 = f(y + h/2*k1),  k2 = W^-1 (f1 - k1) + k1,
+#     z = y + h*k2,  f2 = f(z),  k3 = W^-1 (f2 - e32*(k2 - f1) - 2*(k1 - f0)),
+# z is second order, and h/6*(k1 - 2*k2 + k3) estimates its error.
+# The continuous extension is y + h*(s*(1 - s)*k1 + s*(s - 2d)*k2)/(1 - 2d).
+_ROS_D = 1.0 / (2.0 + math.sqrt(2.0))
+_ROS_E32 = 6.0 + math.sqrt(2.0)
+# Back to DP5 once h*rho(J) < 1, inside its stability region with room to
+# spare, on this many accepted steps in a row.
+_NONSTIFF_AFTER = 6
+
+
+def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list):
+    """ode23s steps from (t, y), with fy = f(t, y) and trial step h.
+
+    jac(y) gives the Jacobian's nonzero entries (J00, J02, J12, J21, J22),
+    the sparsity of the polar field.  W = I - h*d*J is solved in closed
+    form: the angular (delta, gamma) block first, then rho.  One Jacobian
+    per accepted step; a rejected step keeps it.  Returns (outcome, t, y,
+    f(t, y), h): outcome "done", "stopped", or "nonstiff" when h*rho(J) < 1
+    held on the last 6 steps.  Appends a note on the stretch run here.
+    In the formulas above, f0 is (f01, f02, f03), k1 is (a1, a2, a3), f1 is
+    (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
+    """
+    rtol, atol = cfg.rtol, cfg.atol
+    t_end = samples.t_end
+    t_start, n_steps, n_jac, n_small = t, 0, 0, 0
+    try:
+        while True:
+            j00, j02, j12, j21, j22 = jac(y)
+            n_jac += 1
+            # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
+            disc = j22 * j22 + 4.0 * j12 * j21
+            radius = max(abs(j00), (abs(j22) + math.sqrt(disc)) / 2.0 if disc >= 0.0
+                         else math.sqrt(abs(j12 * j21)))
+            y1, y2, y3 = y
+            f01, f02, f03 = fy
+            while True:
+                if h < cfg.h_min:
+                    raise _below_h_min(h, t)
+                last = t + h >= t_end
+                if last:
+                    h = t_end - t
+                hd = h * _ROS_D
+                a12, a21, a22 = hd * j12, hd * j21, 1.0 - hd * j22
+                w00, w02 = 1.0 / (1.0 - hd * j00), hd * j02
+
+                def solve(r1, r2, r3):
+                    x2 = (a22 * r2 + a12 * r3) * inv_det
+                    x3 = (r3 + a21 * r2) * inv_det
+                    return (r1 + w02 * x3) * w00, x2, x3
+
+                try:
+                    inv_det = 1.0 / (a22 - a12 * a21)
+                    a1, a2, a3 = solve(f01, f02, f03)
+                    g1, g2, g3 = f(t + 0.5 * h, (y1 + 0.5 * h * a1, y2 + 0.5 * h * a2,
+                                                 y3 + 0.5 * h * a3))
+                    b1, b2, b3 = solve(g1 - a1, g2 - a2, g3 - a3)
+                    b1, b2, b3 = b1 + a1, b2 + a2, b3 + a3
+                    z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
+                    f2 = f(t + h, z)
+                except (DomainError, ZeroDivisionError):  # a stage outside, or W singular
+                    h *= 0.25
+                    continue
+                c1, c2, c3 = solve(
+                    f2[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f01),
+                    f2[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f02),
+                    f2[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f03))
+                err = _error_norm(h / 6.0 * (a1 - 2.0 * b1 + c1), h / 6.0 * (a2 - 2.0 * b2 + c2),
+                                  h / 6.0 * (a3 - 2.0 * b3 + c3), y, z, rtol, atol)
+                if err <= 1.0:
+                    break
+                h *= max(0.2, 0.9 * err ** (-1.0 / 3.0))  # also after a NaN error
+            n_steps += 1
+            t_step, t = t, (t_end if last else t + h)
+            if samples.next <= t:
+                scale = h / (1.0 - 2.0 * _ROS_D)
+
+                def dense(s):
+                    p, q = scale * s * (1.0 - s), scale * s * (s - 2.0 * _ROS_D)
+                    return (y1 + p * a1 + q * b1, y2 + p * a2 + q * b2, y3 + p * a3 + q * b3)
+
+                if samples.fill(t_step, h, t, z, dense):
+                    return "stopped", t, z, f2, h
+            y, fy = z, f2
+            if last:
+                return "done", t, y, fy, h
+            n_small = n_small + 1 if h * radius < 1.0 else 0
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+            if n_small == _NONSTIFF_AFTER:
+                return "nonstiff", t, y, fy, h
+    finally:
+        notes.append(f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], "
+                     f"{n_steps} steps, {n_jac} Jacobians")
+
+
+def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: list,
+                        jac=None) -> str:
+    """Advance y' = f(t, y) and call record(i, t, y) at t = i*dt.
+
+    Error control alone sets the step size; only the last step is cut
+    short, to end on t = n_samples*dt.  The samples inside an accepted
+    step come from the dense output.  Runs DP5 and, when a Jacobian is
+    given and DP5's stiffness test fires, ode23s until the problem is no
+    longer stiff (each stretch adds a note).  Returns "done" or "stopped"
+    (record returned True), or raises _BoundaryHit when the step size
+    collapses below cfg.h_min (stage evaluations that leave the domain
+    count as failed steps and shrink the step first).
+    """
+    samples = _Samples(cfg, record, n_samples)
+    t, y, fy, h = 0.0, y0, f(0.0, y0), min(cfg.dt, 1e-3)
+    while True:
+        outcome, t, y, fy, h = _dp5(f, t, y, fy, h, cfg, samples, jac is not None)
+        if outcome != "stiff":
+            return outcome
+        outcome, t, y, fy, h = _ode23s(f, jac, t, y, fy, h, cfg, samples, notes)
+        if outcome != "nonstiff":
+            return outcome
+
+
+# RK4's stability interval on the negative real axis ends near -2.785.
+_RK4_STABLE = 2.8
+
+
+def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list) -> str:
     """Classic RK4 with step dt; record(i, t, y) after each step.
 
     The right-hand side at each new state is evaluated before the state is
     recorded, so a step that leaves the domain ends the run (_BoundaryHit)
-    on the last valid sample instead of raising DomainError.
+    on the last valid sample instead of raising DomainError.  The first
+    step whose estimate of h*|lambda| exceeds RK4's stability bound adds a
+    note; stages 2 and 3 share t + h/2 and differ by h/2*(f2 - f1), so
+    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.
     """
     t = 0.0
     y = y0
     h = cfg.dt
     f1 = f(t, y)
+    stable = True
     for i in range(1, n_samples + 1):
         y1, y2, y3 = y
         try:
             f2 = f(t + h / 2, (y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
             f3 = f(t + h / 2, (y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
+            if stable:
+                num = (f3[0] - f2[0]) ** 2 + (f3[1] - f2[1]) ** 2 + (f3[2] - f2[2]) ** 2
+                den = (f2[0] - f1[0]) ** 2 + (f2[1] - f1[1]) ** 2 + (f2[2] - f1[2]) ** 2
+                if 4.0 * num > _RK4_STABLE**2 * den:  # den > 0: f2 == f1 gives f3 == f2
+                    stable = False
+                    notes.append(f"rk4 unstable: h*|lambda| ~ {2.0 * math.sqrt(num / den):.3g} "
+                                 f"> {_RK4_STABLE} at t={t:.6g}")
             f4 = f(t + h, (y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
             y = (
                 y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
@@ -398,7 +638,12 @@ def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int) -> str:
     return "done"
 
 
-def _run(f, y0, cfg: SimConfig, captured) -> tuple[np.ndarray, np.ndarray, SimStatus, float | None, str]:
+def _run(f, y0, cfg: SimConfig, captured, jac=None):
+    """Integrate and sample; returns (times, ys, status, capture_time, notes, stop).
+
+    notes are the integrator's remarks on the run (stiff stretches, rk4
+    instability); stop is the reason for a boundary stop, else "".
+    """
     n_samples = int(round(cfg.t_final / cfg.dt))
     times = np.empty(n_samples + 1)
     ys = np.empty((n_samples + 1, 3))
@@ -416,13 +661,16 @@ def _run(f, y0, cfg: SimConfig, captured) -> tuple[np.ndarray, np.ndarray, SimSt
             return True
         return False
 
-    note = ""
+    notes: list[str] = []
+    stop = ""
     try:
-        outcome = (_integrate_adaptive if cfg.integrator is IntegratorKind.RK45_ADAPTIVE
-                   else _integrate_fixed)(f, y0, cfg, record, n_samples)
-    except _BoundaryHit as stop:
+        if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
+            outcome = _integrate_adaptive(f, y0, cfg, record, n_samples, notes, jac)
+        else:
+            outcome = _integrate_fixed(f, y0, cfg, record, n_samples, notes)
+    except _BoundaryHit as hit:
         outcome = "boundary"
-        note = str(stop)
+        stop = str(hit)
     n = count[0]
     if outcome == "boundary":
         status = SimStatus.BOUNDARY_STOP
@@ -430,7 +678,11 @@ def _run(f, y0, cfg: SimConfig, captured) -> tuple[np.ndarray, np.ndarray, SimSt
         status = SimStatus.CAPTURED
     else:
         status = SimStatus.HORIZON_REACHED
-    return times[:n], ys[:n], status, capture_time[0], note
+    return times[:n], ys[:n], status, capture_time[0], notes, stop
+
+
+def _join_note(notes: list, stop: str) -> str:
+    return "; ".join(notes + [stop] if stop else notes)
 
 
 def _capture_test(cfg: SimConfig, to_polar):
@@ -489,20 +741,20 @@ def simulate(
 
     if cfg.frame is Frame.POLAR:
         y0 = (polar0.rho, polar0.delta, polar0.gamma)
-        times, ys, status, capture_time, note = _run(
-            _polar_field(spec), y0, cfg, _capture_test(cfg, lambda y: y))
+        times, ys, status, capture_time, notes, stop = _run(
+            _polar_field(spec), y0, cfg, _capture_test(cfg, lambda y: y), _polar_jacobian(spec))
         rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
         y0 = (cart0.x, cart0.y, cart0.theta)
-        times, ys, status, capture_time, note = _run(
+        times, ys, status, capture_time, notes, stop = _run(
             _cartesian_field(spec), y0, cfg, _capture_test(cfg, lambda y: polar_image(*y)))
         rho, delta, gamma = _reconstruct_cartesian(ys, polar0)
 
     inside = spec.space.contains_angles(delta, gamma)
     if not np.all(inside):
         n = int(np.argmin(inside))
-        note = f"state left the domain {spec.space.value} at t={times[n]:.6g}"
+        stop = f"state left the domain {spec.space.value} at t={times[n]:.6g}"
         status, capture_time = SimStatus.BOUNDARY_STOP, None
         times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
 
@@ -531,7 +783,7 @@ def simulate(
     return Trajectory(
         t=times, rho=rho, delta=delta, gamma=gamma, x=x, y=y_pos, theta=theta,
         v=v, omega=omega, omega_tilde=tilde, lyapunov=values,
-        status=status, frame=cfg.frame, capture_time=capture_time, note=note,
+        status=status, frame=cfg.frame, capture_time=capture_time, note=_join_note(notes, stop),
     )
 
 
@@ -553,7 +805,7 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
         return (-k1 * rho * cos_g * cos_g, rate, rate)
 
     y0 = (x0.rho, x0.delta, x0.gamma)
-    times, ys, status, capture_time, note = _run(f, y0, cfg, _capture_test(cfg, lambda y: y))
+    times, ys, status, capture_time, notes, stop = _run(f, y0, cfg, _capture_test(cfg, lambda y: y))
     rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
     theta = delta - gamma
     v = k1 * rho * np.cos(gamma)
@@ -564,5 +816,5 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
         t=times, rho=rho, delta=delta, gamma=gamma,
         x=-rho * np.cos(delta), y=-rho * np.sin(delta), theta=theta,
         v=v, omega=omega, omega_tilde=tilde, lyapunov=np.full(len(times), np.nan),
-        status=status, frame=Frame.POLAR, capture_time=capture_time, note=note,
+        status=status, frame=Frame.POLAR, capture_time=capture_time, note=_join_note(notes, stop),
     )

@@ -192,6 +192,15 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_allow_unproven_gains_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        # bool("false") is True: the string used to switch the gain check off
+        payload = {**BASE_SIM, "controller": "bolsa", "gains": [1.0, 2.0, 1.0, 1.0],
+                   "allow_unproven_gains": value}
+        code, err = self.exit_code(tmp_path, payload, capsys)
+        assert code == 1 and "allow_unproven_gains must be true or false" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_compositor(self, tmp_path, capsys):
         code, err = self.exit_code(
             tmp_path, {**BASE_SIM, "compositor": "max"}, capsys)
@@ -252,6 +261,23 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "bad similarity_tol"),
+        (math.nan, "similarity_tol must be finite and positive"),
+        (math.inf, "similarity_tol must be finite and positive"),
+        (-1.0, "similarity_tol must be finite and positive"),
+        (0, "similarity_tol must be finite and positive"),
+    ])
+    def test_bad_similarity_tol_fails_before_any_run(self, tmp_path, capsys, value, message):
+        # "abc" raised a ValueError traceback; NaN ran every simulation and
+        # then left a truncated compare_summary.json; -1 was accepted
+        cfg = write_config(tmp_path, {**self.PAYLOAD, "similarity_tol": value})
+        out = tmp_path / "o"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_outside_space_row_is_flagged_not_fatal(self, tmp_path):
         payload = {
             **self.PAYLOAD,
@@ -297,6 +323,14 @@ class TestSweep:
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gain set #0" in capsys.readouterr().err
+
+    def test_allow_unproven_gains_must_be_a_json_boolean(self, tmp_path, capsys):
+        payload = {**self.PAYLOAD, "controller": "bagal", "allow_unproven_gains": "false",
+                   "gain_sets": [[1.0, 2.0, 1.0, 1.0]]}
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "allow_unproven_gains must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_gain_sets(self, tmp_path, capsys):
         payload = {k: v for k, v in self.PAYLOAD.items() if k != "gain_sets"}

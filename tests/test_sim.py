@@ -1,6 +1,8 @@
 """Closed-loop integration: fields, integrators, capture, and CSV output."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from polarpark import (
     Trajectory,
     cart_to_polar,
     control,
+    omega_tilde,
     polar_to_cart,
     rhs_cartesian,
     rhs_polar,
@@ -231,7 +234,8 @@ class TestTermination:
         start = PolarState(1.9410805215530313, 2.795282282263783, -2.1194620870770216)
         traj = simulate(spec, start, cfg, lyapunov=fn)
         assert traj.status is SimStatus.BOUNDARY_STOP
-        assert traj.note == "state left the domain S3 at t=0.1"
+        assert traj.note == ("rk4 unstable: h*|lambda| ~ 3.68 > 2.8 at t=0.05; "
+                             "state left the domain S3 at t=0.1")
         assert traj.t[-1] == 0.05
 
     def test_unstable_fixed_step_run_is_not_reported_captured(self):
@@ -243,17 +247,21 @@ class TestTermination:
         traj = simulate(spec, PolarState(1.0, 3.0, 0.0), cfg)
         assert traj.status is SimStatus.BOUNDARY_STOP
         assert traj.capture_time is None
-        assert traj.note == "state left the domain S3 at t=1"
+        assert traj.note == ("rk4 unstable: h*|lambda| ~ 8.1 > 2.8 at t=17; "
+                             "state left the domain S3 at t=1")
         assert len(traj) == 1
 
     def test_polar_fixed_step_run_ends_at_its_first_sample_outside(self):
         # gamma is -933 at t = 0.05, long before a stage crosses the delta
-        # barrier (t = 2.95)
+        # barrier (t = 2.95); the first step's stages are already far into
+        # the saturated part of the steering law, where they differ too
+        # little for the stability estimate, which fires on the third step
         spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
         cfg = SimConfig(dt=0.05, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
         traj = simulate(spec, PolarState(1.0, math.pi - 0.05, 0.0), cfg)
         assert traj.status is SimStatus.BOUNDARY_STOP
-        assert traj.note == "state left the domain S3 at t=0.05"
+        assert traj.note == ("rk4 unstable: h*|lambda| ~ 4.33 > 2.8 at t=0.1; "
+                             "state left the domain S3 at t=0.05")
         assert list(traj.t) == [0.0]
 
     def test_initial_state_outside_space_rejected(self):
@@ -263,6 +271,144 @@ class TestTermination:
         spec = ControllerSpec(ControllerKind.BOLSA, UNIT)
         with pytest.raises(DomainError, match="outside the open space"):
             simulate(spec, PolarState(1.0, 0.0, -math.pi))
+
+
+class TestStiffFallback:
+    # From delta = pi - 0.05 the gamma mode of the delta-barrier laws has
+    # d(gamma')/d(gamma) ~ -3.2e4 while delta barely moves: DP5 alone spent
+    # 3.37 M right-hand-side evaluations on the 60 s BAGAL run
+    BARRIER_START = PolarState(1.0, math.pi - 0.05, 0.0)
+
+    def test_barrier_run_is_cheap(self, monkeypatch):
+        calls = []
+        original = sim.omega_tilde
+
+        def counted(spec, delta, gamma):
+            calls.append(1)
+            return original(spec, delta, gamma)
+
+        monkeypatch.setattr(sim, "omega_tilde", counted)
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        traj = simulate(spec, self.BARRIER_START, SimConfig(dt=0.05, t_final=60.0))
+        assert traj.status is SimStatus.HORIZON_REACHED and len(traj) == 1201
+        assert len(calls) <= 5000
+        assert re.fullmatch(r"stiff: ode23s on t in \[[0-9.e-]+, 60\], \d+ steps, \d+ Jacobians",
+                            traj.note)
+
+    @pytest.mark.parametrize("kind", [ControllerKind.BAGAL, ControllerKind.BARFLI])
+    def test_barrier_runs_match_radau(self, kind):
+        spec = ControllerSpec(kind, UNIT)
+        traj = simulate(spec, self.BARRIER_START, SimConfig(dt=0.05, t_final=60.0))
+        assert traj.note.startswith("stiff: ode23s")
+
+        def f(t, y):
+            rho, delta, gamma = y
+            return (-rho * math.cos(gamma) ** 2, 0.5 * math.sin(2.0 * gamma),
+                    -omega_tilde(spec, delta, gamma))
+
+        start = self.BARRIER_START
+        ref = solve_ivp(f, (0.0, traj.t[-1]), [start.rho, start.delta, start.gamma],
+                        method="Radau", rtol=1e-12, atol=1e-13, t_eval=traj.t)
+        assert ref.success
+        assert np.max(np.abs(np.stack([traj.rho, traj.delta, traj.gamma]) - ref.y)) < 1e-8
+
+    def test_fallback_hands_back_to_dp5(self):
+        # BARFLI leaves the stiff region within half a second and captures
+        spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
+        traj = simulate(spec, self.BARRIER_START, SimConfig(dt=0.05, t_final=60.0))
+        assert traj.status is SimStatus.CAPTURED
+        (stretch,) = traj.note.split("; ")
+        end = float(re.match(r"stiff: ode23s on t in \[[^,]+, ([^\]]+)\]", stretch).group(1))
+        assert end < 1.0
+
+    def test_reference_runs_never_switch(self):
+        # criterion 05's 64 capture runs and criterion 07's polar runs are
+        # not stiff: their trajectories must stay DP5's
+        from test_acceptance import CONVERGENCE_GRIDS, REFERENCE_GAINS
+
+        cfg = SimConfig(dt=0.05, t_final=60.0, capture_radius=1e-3)
+        for kind, pairs in CONVERGENCE_GRIDS.items():
+            spec = ControllerSpec(kind, REFERENCE_GAINS, allow_unproven_gains=True)
+            for rho0, (d0, g0) in itertools.product((1.0, 3.0), pairs):
+                assert simulate(spec, PolarState(rho0, d0, g0), cfg).note == ""
+        rng = np.random.default_rng(107)
+        cfg = SimConfig(dt=0.1, t_final=10.0, capture_radius=0.0)
+        for kind in ControllerKind:
+            spec = ControllerSpec(kind, UNIT)
+            count = 0
+            while count < 50:
+                ic = PolarState(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2.2, 2.2)),
+                                float(rng.uniform(-2.2, 2.2)))
+                if not spec.space.contains(ic):
+                    continue
+                count += 1
+                assert simulate(spec, ic, cfg).note == ""
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_jacobian_matches_central_differences(self, kind):
+        spec = ControllerSpec(kind, Gains(1.3, 0.7, 1.1, 0.9))
+        field, jac = sim._polar_field(spec), sim._polar_jacobian(spec)
+        rng = np.random.default_rng(5)
+        step = 1e-6
+        for _ in range(300):
+            y = (float(rng.uniform(0.1, 5.0)), float(rng.uniform(-3.0, 3.0)),
+                 float(rng.uniform(-3.0, 3.0)))
+            full = np.zeros((3, 3))
+            for k in range(3):
+                up, down = list(y), list(y)
+                up[k] += step
+                down[k] -= step
+                full[:, k] = (np.array(field(0.0, up)) - np.array(field(0.0, down))) / (2 * step)
+            j00, j02, j12, j21, j22 = jac(y)
+            expected = np.array([[j00, 0.0, j02], [0.0, 0.0, j12], [0.0, j21, j22]])
+            assert np.all(np.abs(full - expected) <= 1e-6 * np.maximum(1.0, np.abs(expected)))
+
+    def test_stiff_stretch_keeps_retries_and_h_min(self):
+        # gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a
+        # wall at delta = 0.5: DP5 goes stiff, ode23s follows the slow
+        # manifold exactly (the problem is linear), and its stages at the
+        # wall shrink the step below h_min
+        def f(t, y):
+            if y[1] >= 0.5:
+                raise DomainError("wall")
+            return (0.0, 1.0, -1e4 * (y[2] - y[1]))
+
+        def jac(y):
+            return (0.0, 0.0, 0.0, 1e4, -1e4)
+
+        cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
+        times, ys, status, _, notes, stop = sim._run(f, (1.0, 0.0, 0.0), cfg, None, jac)
+        assert status is SimStatus.BOUNDARY_STOP
+        assert stop.startswith("step size") and "below h_min at t=0.5" in stop
+        assert len(notes) == 1 and notes[0].startswith("stiff: ode23s on t in [")
+        assert times[-1] == pytest.approx(0.49)
+        exact = times - 1e-4 * (1.0 - np.exp(-1e4 * times))
+        assert np.max(np.abs(ys[:, 2] - exact)) < 1e-9
+        assert np.max(np.abs(ys[:, 1] - times)) < 1e-12
+        assert np.all(ys[:, 0] == 1.0)
+
+
+class TestRk4StabilityNote:
+    def test_note_on_unstable_run(self):
+        # the backstepping damping k4 = 100 puts a mode at -100: h*|lambda|
+        # is 5 at dt = 0.05, where RK4 grows the error 14-fold per step,
+        # while nothing leaves GLOBA's space
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 100.0))
+        cfg = SimConfig(dt=0.05, t_final=0.25, integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, 0.5, 0.5), cfg)
+        assert traj.status is SimStatus.HORIZON_REACHED
+        assert traj.note == "rk4 unstable: h*|lambda| ~ 5 > 2.8 at t=0"
+
+    def test_no_note_on_stable_run(self):
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 100.0))
+        cfg = SimConfig(dt=0.02, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, 0.5, 0.5), cfg)
+        assert traj.status is SimStatus.HORIZON_REACHED and traj.note == ""
+        for kind in ControllerKind:
+            spec = ControllerSpec(kind, UNIT)
+            traj = simulate(spec, PolarState(2.0, 1.2, -0.7), SimConfig(
+                dt=0.05, t_final=20.0, integrator=IntegratorKind.RK4_FIXED))
+            assert traj.note == ""
 
 
 class TestFrames:
