@@ -6,13 +6,10 @@ certificates, a trajectory simulator, and numerical certification tools.
 """
 
 from .controllers import (
-    ControlInput,
     ControllerKind,
     ControllerSpec,
     Gains,
-    control,
     delta_shaping,
-    forward_velocity,
     omega_tilde,
     psi,
 )
@@ -41,7 +38,6 @@ from .sim import (
     SimConfig,
     SimStatus,
     Trajectory,
-    rhs_cartesian,
     rhs_polar,
     simulate,
     simulate_unsteered,
@@ -59,13 +55,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlInput",
     "ControllerKind",
     "ControllerSpec",
     "Gains",
-    "control",
     "delta_shaping",
-    "forward_velocity",
     "omega_tilde",
     "psi",
     "CartesianState",
@@ -88,7 +81,6 @@ __all__ = [
     "SimConfig",
     "SimStatus",
     "Trajectory",
-    "rhs_cartesian",
     "rhs_polar",
     "simulate",
     "simulate_unsteered",

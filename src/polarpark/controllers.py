@@ -33,18 +33,15 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ARRAY_MATH, FLOAT_MATH, DomainError, PolarState, StateSpace, math_for
+from .geometry import ARRAY_MATH, FLOAT_MATH, DomainError, StateSpace, math_for
 
 __all__ = [
     "ControllerKind",
     "Gains",
     "ControllerSpec",
-    "ControlInput",
-    "forward_velocity",
     "delta_shaping",
     "psi",
     "omega_tilde",
-    "control",
 ]
 
 
@@ -140,29 +137,6 @@ class ControllerSpec:
         return self.kind.space
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Velocity commands produced by a controller."""
-
-    v: float
-    """Forward velocity [m/s]."""
-
-    omega: float
-    """Turn rate [rad/s], omega = (k1/2)*sin(2*gamma) + omega_tilde."""
-
-    omega_tilde: float
-    """Steering correction acting on the line-of-sight angle."""
-
-
-def forward_velocity(state: PolarState, gains: Gains) -> float:
-    """Forward velocity feedback v = k1 * rho * cos(gamma).
-
-    Well defined everywhere, including rho = 0.  Negative when the target
-    lies behind the vehicle (|gamma| > pi/2), in which case it backs up.
-    """
-    return gains.k1 * state.rho * math.cos(state.gamma)
-
-
 def _require_delta_inside(xp, delta) -> None:
     if xp.any(abs(delta) >= math.pi):
         raise DomainError("steering undefined at |delta| >= pi")
@@ -207,14 +181,15 @@ def _psi(xp, z, k2, Delta):
     if xp is FLOAT_MATH and small:
         sin_ratio, versine_ratio = _psi_series(z)
     else:
-        # Arrays take the series element-wise, after the direct ratios were
-        # evaluated at a harmless stand-in for the small z.
+        # Arrays take the series element-wise, each form evaluated at a
+        # harmless stand-in where the other applies (a huge z would
+        # overflow z*z in the series).
         z_direct = z if xp is FLOAT_MATH else np.where(small, 1.0, z)
         sin_z = xp.sin(z_direct)
         sin_ratio = xp.sin(2.0 * z_direct) / (2.0 * z_direct)
         versine_ratio = sin_z * sin_z / z_direct
         if xp is ARRAY_MATH:
-            series = _psi_series(z)
+            series = _psi_series(np.where(small, z, 0.0))
             sin_ratio = np.where(small, series[0], sin_ratio)
             versine_ratio = np.where(small, series[1], versine_ratio)
     return (sin_ratio + 2.0 * k2 * Delta * versine_ratio) / xp.sqrt(
@@ -304,16 +279,3 @@ def omega_tilde(spec: ControllerSpec, delta, gamma):
             extended through.
     """
     return steering_correction(math_for(delta, gamma), spec.kind, spec.gains, delta, gamma)
-
-
-def control(spec: ControllerSpec, state: PolarState) -> ControlInput:
-    """Full control input (v, omega) at a polar state.
-
-    The turn rate combines the feedforward that cancels the line-of-sight
-    drift with the steering correction:
-
-        omega = (k1/2) * sin(2*gamma) + omega_tilde.
-    """
-    tilde = omega_tilde(spec, state.delta, state.gamma)
-    omega = 0.5 * spec.gains.k1 * math.sin(2.0 * state.gamma) + tilde
-    return ControlInput(forward_velocity(state, spec.gains), omega, tilde)

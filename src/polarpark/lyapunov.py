@@ -221,7 +221,8 @@ class Compositor:
     value and partials take floats or equal-shape arrays.  CUSTOM callables
     are called with whatever the caller passes, so they must work
     element-wise on arrays (use numpy functions, not math) to serve the
-    certification checks; a partial may return a constant.
+    certification checks; a partial may return a constant.  fn must also
+    accept complex arrays, which check_gradient's complex step passes.
     """
 
     form: CompositorForm

@@ -77,7 +77,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "rhs_polar",
-    "rhs_cartesian",
     "simulate",
     "simulate_unsteered",
     "write_csv",
@@ -259,18 +258,6 @@ def _cartesian_field(spec: ControllerSpec):
         return (v * math.cos(theta), v * math.sin(theta), omega)
 
     return f
-
-
-def rhs_cartesian(spec: ControllerSpec, state: CartesianState) -> tuple[float, float, float]:
-    """Closed-loop right-hand side in Cartesian coordinates.
-
-    The feedback is computed from the wrapped polar image of the pose.
-
-    Raises:
-        DomainError: At the origin, or when the wrapped image leaves the
-            controller's space.
-    """
-    return _cartesian_field(spec)(0.0, (state.x, state.y, state.theta))
 
 
 # Dormand-Prince 5(4) tableau.

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .controllers import ControllerKind, ControllerSpec, Gains, omega_tilde
 from .geometry import DomainError, PolarState, StateSpace, metric
@@ -144,13 +146,12 @@ def _sample_states(
     rho_range: tuple[float, float] = _RHO_RANGE,
     angular: LyapunovFn | None = None,
     value_cap: float | None = None,
-    note: str = "",
 ) -> tuple[np.ndarray, str]:
     """Draw (rho, delta, gamma) rows inside the open space from `seed`.
 
     With value_cap set, rejects angle pairs where angular.value exceeds the
     cap.  The returned domain string records every truncation and the seed,
-    then `note`, then the cap, so reports stay self-describing.
+    then the cap, so reports stay self-describing.
     """
     rng = np.random.default_rng(seed)
     d_max = _angle_bound(space.delta_bounded, barrier_offset)
@@ -178,7 +179,7 @@ def _sample_states(
     )
     if value_cap is not None:
         desc += " (value-capped)"
-    desc += f"; seed {seed}{note}"
+    desc += f"; seed {seed}"
     if value_cap is not None:
         desc += f"; angular value cap {value_cap:g}"
     return rows, desc
@@ -455,18 +456,24 @@ def check_gradient(
     *,
     n_samples: int = 1_000,
     seed: int = 0,
-    rel_tol: float = 1e-5,
-    step: float = 1e-5,
+    rel_tol: float = 1e-10,
     barrier_margin: float = 0.01,
     value_cap: float | None = None,
 ) -> CertReport:
-    """Validate analytic partial derivatives against central differences.
+    """Validate analytic partial derivatives against complex-step derivatives.
 
-    Relative error is |analytic - fd| / max(1, |analytic|, |fd|) per
+    The reference partial along coordinate k is Im V(x + i*h*e_k)/h with
+    h = 1e-30, the step of the simulator's Jacobian: no two values are
+    subtracted, so it is exact to rounding however large V is.  Relative
+    error is |analytic - reference| / max(1, |analytic|, |reference|) per
     coordinate; the worst over all samples and coordinates must stay below
     `rel_tol`.  Sampling stays `barrier_margin` away from angular barriers;
     `value_cap`, when set, additionally rejects samples whose angular value
-    exceeds the cap (keeps exponential merges inside accurate float range).
+    exceeds the cap (keeps exp of it finite under exponential merges).
+
+    V must accept complex arrays.  When it raises on them or casts them to
+    real (a custom merge written with math functions, say), the report fails
+    with an infinite margin and details["complex_step_error"] names the error.
     """
     composite = isinstance(fn, CompositeLyapunovFn)
     angular = fn.angular if composite else fn
@@ -475,26 +482,34 @@ def check_gradient(
     if samples is None:
         rows, domain = _sample_states(
             space, n_samples, seed, barrier_offset=barrier_margin, rho_range=(0.01, 10.0),
-            angular=angular, value_cap=value_cap, note=f"; fd step {step:g}",
+            angular=angular, value_cap=value_cap,
         )
         if not composite:
             rows = rows[:, 1:]
     else:
         rows = np.asarray(samples, dtype=float)
-        domain = f"{len(rows)} caller-supplied samples on {space.value}; fd step {step:g}"
+        domain = f"{len(rows)} caller-supplied samples on {space.value}"
 
-    # One column per coordinate; the central-difference stencil is two
-    # array evaluations per coordinate.
+    # One column per coordinate and one complex array evaluation each.
     cols = [rows[:, j] for j in range(rows.shape[1])]
     errs = np.empty(rows.shape)
-    with np.errstate(all="ignore"):
+    details = {"n_samples": int(len(rows)), "coords": 3 if composite else 2}
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        # casting the probe to real would silently drop the derivative
+        warnings.simplefilter("error", ComplexWarning)
         analytic = fn.gradient(*cols) if composite else fn.grad(*cols)
         for j, col in enumerate(cols):
-            hi, lo = list(cols), list(cols)
-            hi[j], lo[j] = col + step, col - step
-            fd = (fn.value(*hi) - fn.value(*lo)) / (2.0 * step)
-            scale = np.maximum(np.maximum(1.0, np.abs(analytic[j])), np.abs(fd))
-            errs[:, j] = np.abs(analytic[j] - fd) / scale
+            probe = list(cols)
+            probe[j] = col + 1e-30j
+            try:
+                reference = fn.value(*probe).imag * 1e30
+            except (TypeError, ValueError, ComplexWarning) as exc:
+                details["complex_step_error"] = (
+                    f"value raised {type(exc).__name__} on complex input: {exc}")
+                errs[:] = math.inf
+                break
+            scale = np.maximum(np.maximum(1.0, np.abs(analytic[j])), np.abs(reference))
+            errs[:, j] = np.abs(analytic[j] - reference) / scale
     worst, i = _worst(errs)
 
     return CertReport(
@@ -506,7 +521,7 @@ def check_gradient(
         tolerance=rel_tol,
         criterion="worst_margin < tolerance",
         seed=seed if samples is None else None,
-        details={"n_samples": int(len(rows)), "coords": 3 if composite else 2},
+        details=details,
     )
 
 
@@ -522,26 +537,9 @@ _SUITE_GAINS = Gains(1.0, 1.0, 1.0, 1.0)
 _MERGE_FACTORIES = (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product)
 _MERGES_PER_KIND = len(_MERGE_FACTORIES) * len(ArgumentOrder)
 
-# Value caps keep finite-difference validation inside the region where the
-# stencil itself is trustworthy in double precision.  A central difference
-# carries a rounding error of about eps*|V|/step, large next to a partial
-# that is small against V (dV/dgamma = 3.98 at V = 3.4e5 for BAGAL); the
-# default step 1e-5 keeps it below the 1e-5 tolerance where 1e-6 did not
-# (over run_suite("gradient") seeds 0-59: 8 failing reports at 1e-6, none
-# at 1e-5, worst error 6.7e-6).  Near a barrier the angular value blows up,
-# and three separate failure modes appear:
-#   - plain angular functions: V and its higher derivatives grow like
-#     powers of tan; cap 1e6 bounds both error terms (worst 2.0e-6);
-#   - additive/log merges: the rho-direction difference cancels against a
-#     huge total value (difference ~ 1e-5 vs value ~ 1e10); cap 1e3 keeps
-#     rounding noise ~1e-8;
-#   - exponential merges: exp of the angular value overflows near ~7e2 and
-#     the stencil needs slope*step << 1; cap 20.
-# Decrease certification only needs every term finite, hence the looser cap.
-_ANGULAR_VALUE_CAP = 1e6
-_COMPOSITE_VALUE_CAP = 1e3
-_EXP_VALUE_CAP = 20.0
-_EXP_CLF_CAP = 600.0
+# Exponential merges take exp of the angular value, so samples keep it at
+# most 600, where (1 + r)*exp(s) stays finite (700 overflows).
+_EXP_VALUE_CAP = 600.0
 
 _KL_START = PolarState(3.0, 2.0, -1.5)
 _KL_CONFIG = SimConfig(capture_radius=2e-4)
@@ -584,12 +582,11 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
     for j, (spec, angular, comp) in enumerate(_battery()):
         kind = spec.kind.value
         label = f"{kind}+{comp.form.value}/{comp.order.value}"
-        exp = comp.form is CompositorForm.EXP_PRODUCT
+        cap = _EXP_VALUE_CAP if comp.form is CompositorForm.EXP_PRODUCT else None
         full = CompositeLyapunovFn(comp, angular)
         first_of_kind = j % _MERGES_PER_KIND == 0  # full is the plain sum
         if "clf" in families:
-            rep = check_clf(full, spec, n_samples=2_000, seed=seed + 101 + j,
-                            value_cap=_EXP_CLF_CAP if exp else None)
+            rep = check_clf(full, spec, n_samples=2_000, seed=seed + 101 + j, value_cap=cap)
             families["clf"].append(replace(rep, check_name=f"clf[{label}]"))
         if "prop1" in families:
             families["prop1"].append(check_proposition1(comp, angular, seed=seed + 201 + j))
@@ -599,10 +596,8 @@ def run_suite(which: str = "all", *, seed: int = 0) -> list[CertReport]:
         if "gradient" in families:
             if first_of_kind:
                 gradient_seed += 1
-                families["gradient"].append(
-                    check_gradient(angular, seed=gradient_seed, value_cap=_ANGULAR_VALUE_CAP))
+                families["gradient"].append(check_gradient(angular, seed=gradient_seed))
             gradient_seed += 1
-            rep = check_gradient(full, seed=gradient_seed,
-                                 value_cap=_EXP_VALUE_CAP if exp else _COMPOSITE_VALUE_CAP)
+            rep = check_gradient(full, seed=gradient_seed, value_cap=cap)
             families["gradient"].append(replace(rep, check_name=f"gradient[{label}]"))
     return [rep for reports in families.values() for rep in reports]

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from polarpark import (
-    ControlInput,
     ControllerKind,
     ControllerSpec,
     DomainError,
     Gains,
-    PolarState,
-    control,
     delta_shaping,
-    forward_velocity,
     omega_tilde,
     psi,
 )
@@ -66,18 +62,6 @@ class TestControllerSpec:
         assert spec_of(ControllerKind.BARFLI).space.value == "S1"
         assert spec_of(ControllerKind.BOLSA).space.value == "S2"
         assert spec_of(ControllerKind.BAGAL).space.value == "S3"
-
-
-class TestForwardVelocity:
-    def test_proportional_to_distance(self):
-        assert forward_velocity(PolarState(2.0, 1.0, 0.0), UNIT) == pytest.approx(2.0)
-
-    def test_reverses_when_target_behind(self):
-        v = forward_velocity(PolarState(1.0, 0.0, 3.0), UNIT)
-        assert v < 0.0
-
-    def test_zero_at_target(self):
-        assert forward_velocity(PolarState(0.0, 1.0, 1.0), Gains(5.0, 1.0, 1.0)) == 0.0
 
 
 class TestDeltaShaping:
@@ -197,19 +181,3 @@ class TestOmegaTilde:
                 minus = omega_tilde(spec, -d, -g)
                 assert plus == pytest.approx(-minus, rel=1e-12, abs=1e-12)
 
-
-class TestControl:
-    def test_turn_rate_split(self):
-        spec = spec_of(ControllerKind.GLOBA)
-        state = PolarState(2.0, 1.0, -0.7)
-        inp = control(spec, state)
-        assert isinstance(inp, ControlInput)
-        feedforward = 0.5 * math.sin(-1.4)
-        assert inp.omega == pytest.approx(feedforward + inp.omega_tilde, rel=1e-15)
-        assert inp.v == pytest.approx(2.0 * math.cos(-0.7), rel=1e-15)
-
-    def test_equilibrium_at_angular_origin(self):
-        for kind in ControllerKind:
-            inp = control(spec_of(kind), PolarState(0.0, 0.0, 0.0))
-            assert inp.v == 0.0
-            assert inp.omega == pytest.approx(0.0, abs=1e-15)

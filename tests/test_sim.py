@@ -27,10 +27,8 @@ from polarpark import (
     SimStatus,
     Trajectory,
     cart_to_polar,
-    control,
     omega_tilde,
     polar_to_cart,
-    rhs_cartesian,
     rhs_polar,
     simulate,
     simulate_unsteered,
@@ -95,7 +93,8 @@ class TestFields:
                 gamma = float(rng.uniform(-g_max, g_max))
                 polar = PolarState(rho, delta, gamma)
                 cart = polar_to_cart(polar)
-                x_rate, y_rate, th_rate = rhs_cartesian(spec, cart)
+                x_rate, y_rate, th_rate = sim._cartesian_field(spec)(
+                    0.0, (cart.x, cart.y, cart.theta))
                 rho_c = (cart.x * x_rate + cart.y * y_rate) / rho
                 delta_c = (cart.x * y_rate - cart.y * x_rate) / (rho * rho)
                 gamma_c = delta_c - th_rate
@@ -399,6 +398,17 @@ class TestRk4StabilityNote:
         assert traj.status is SimStatus.HORIZON_REACHED
         assert traj.note == "rk4 unstable: h*|lambda| ~ 5 > 2.8 at t=0"
 
+    def test_diverged_run_post_processes_without_overflow(self):
+        # the same run over 5 s: gamma reaches 4.5e113, and psi's small-z
+        # series must not square the huge entries the array path discards
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 100.0))
+        cfg = SimConfig(dt=0.05, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, 0.5, 0.5), cfg)
+        assert traj.status is SimStatus.HORIZON_REACHED and len(traj) == 101
+        assert traj.note == "rk4 unstable: h*|lambda| ~ 5 > 2.8 at t=0"
+        assert abs(traj.gamma[-1]) > 1e113
+        assert np.all(np.isfinite(traj.omega_tilde))
+
     def test_no_note_on_stable_run(self):
         spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 100.0))
         cfg = SimConfig(dt=0.02, t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
@@ -507,6 +517,13 @@ class TestLyapunovColumn:
         def close(a, b):
             return abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
+        def inputs(spec, state):
+            # (v, omega, omega_tilde) of the feedback, one float state at a time
+            k1 = spec.gains.k1
+            tilde = omega_tilde(spec, state.delta, state.gamma)
+            return (k1 * state.rho * math.cos(state.gamma),
+                    0.5 * k1 * math.sin(2.0 * state.gamma) + tilde, tilde)
+
         cfg = SimConfig(dt=0.05, t_final=8.0, frame=frame, integrator=integrator)
         for kind, comp in ((ControllerKind.GLOBA, Compositor.sum_form()),
                            (ControllerKind.BARFLI, Compositor.log_sum()),
@@ -521,11 +538,11 @@ class TestLyapunovColumn:
                 else:
                     state = cart_to_polar(CartesianState(
                         float(traj.x[i]), float(traj.y[i]), float(traj.theta[i])))
-                inp = control(spec, state)
+                v, omega, tilde = inputs(spec, state)
                 value = fn.value(float(traj.rho[i]), float(traj.delta[i]), float(traj.gamma[i]))
-                assert close(traj.v[i], inp.v)
-                assert close(traj.omega[i], inp.omega)
-                assert close(traj.omega_tilde[i], inp.omega_tilde)
+                assert close(traj.v[i], v)
+                assert close(traj.omega[i], omega)
+                assert close(traj.omega_tilde[i], tilde)
                 assert close(traj.lyapunov[i], value)
 
     def test_overflowing_value_is_inf(self):
