@@ -54,11 +54,18 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4300 digits
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("top level must be a JSON object")
     return cfg
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float; true/false, strings and ints beyond the float range exit 1."""
+    if type(value) not in (int, float) or type(value) is int and abs(value) > sys.float_info.max:
+        _fail(f"bad {key}: {value!r} is not a JSON number in the float range")
+    return float(value)
 
 
 def _parse_gains(obj) -> Gains:
@@ -74,8 +81,8 @@ def _parse_gains(obj) -> Gains:
     else:
         _fail("gains must be a 4-list or an object with k1..k4")
     try:
-        return Gains(*(float(v) for v in vals))
-    except (TypeError, ValueError) as exc:
+        return Gains(*(_number(v, f"gain {k}") for k, v in zip(_GAIN_KEYS, vals)))
+    except ValueError as exc:
         _fail(f"bad gains: {exc}")
 
 
@@ -109,11 +116,11 @@ def _parse_ic(obj, index: int) -> PolarState | CartesianState:
         _fail(f"initial condition #{index} must be an object")
     keys = set(obj)
     try:
-        if keys == {"rho", "delta", "gamma"}:
-            return PolarState(float(obj["rho"]), float(obj["delta"]), float(obj["gamma"]))
-        if keys == {"x", "y", "theta"}:
-            return CartesianState(float(obj["x"]), float(obj["y"]), float(obj["theta"]))
-    except (TypeError, ValueError) as exc:
+        for state in (PolarState, CartesianState):
+            names = [f.name for f in fields(state)]
+            if keys == set(names):
+                return state(*(_number(obj[k], f"initial condition #{index} {k}") for k in names))
+    except ValueError as exc:
         _fail(f"initial condition #{index}: {exc}")
     _fail(
         f"initial condition #{index} must have keys rho/delta/gamma or x/y/theta, got {sorted(keys)}"
@@ -146,9 +153,10 @@ def _parse_sim(cfg: dict, frame_flag: str | None) -> SimConfig:
     except ValueError:
         _fail(f"unknown integrator '{integ_name}'; choose rk45 or rk4")
     try:
-        numbers = {k: float(v) for k, v in sim.items() if k not in ("frame", "integrator")}
+        numbers = {k: _number(v, f"sim.{k}") for k, v in sim.items()
+                   if k not in ("frame", "integrator")}
         return SimConfig(frame=frame, integrator=integrator, **numbers)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(f"bad sim settings: {exc}")
 
 
@@ -251,10 +259,14 @@ def _exit_code(statuses: list[SimStatus], no_run_message: str) -> int:
     return 0
 
 
-def _v_monotone(traj: Trajectory, tol: float = 1e-8) -> tuple[bool, float]:
+def _v_monotone(traj: Trajectory, lyap: CompositeLyapunovFn,
+                tol: float = 1e-8) -> tuple[bool, float]:
+    """(V never rises by more than tol, its largest rise); on log(1 + V) where V overflowed."""
     vals = traj.lyapunov
     if np.isnan(vals).any() or len(vals) < 2:
         return True, 0.0
+    if np.isinf(vals).any():
+        vals = lyap.log1p_value(traj.rho, traj.delta, traj.gamma)
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, reported as non-finite
         max_rise = float(np.diff(vals).max())
     return max_rise <= tol, max_rise
@@ -280,7 +292,7 @@ def _cmd_simulate(args) -> int:
             continue
         csv_path = out / f"ic_{i:03d}.csv"
         traj.to_csv(csv_path)
-        monotone, max_rise = _v_monotone(traj)
+        monotone, max_rise = _v_monotone(traj, lyap)
         statuses.append(traj.status)
         n_bad = int(np.count_nonzero(~np.isfinite(traj.lyapunov)))
         entries.append(_null_nonfinite(
@@ -375,10 +387,7 @@ def _cmd_compare(args) -> int:
     specs = [_parse_spec(cfg, obj) for obj in kinds_obj]
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
-    try:
-        sim_tol = float(cfg.get("similarity_tol", _SIMILARITY_TOL))
-    except (TypeError, ValueError) as exc:
-        _fail(f"bad similarity_tol: {exc}")
+    sim_tol = _number(cfg.get("similarity_tol", _SIMILARITY_TOL), "similarity_tol")
     if not (math.isfinite(sim_tol) and sim_tol > 0.0):
         _fail(f"similarity_tol must be finite and positive, got {sim_tol}")
     out = _out_dir(args)

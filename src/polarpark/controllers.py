@@ -42,6 +42,7 @@ __all__ = [
     "delta_shaping",
     "psi",
     "omega_tilde",
+    "steering_law",
 ]
 
 
@@ -235,25 +236,29 @@ def _bounded_gamma_factor(xp, gamma):
     return cos_g * (1.0 + cos_g) ** 2 / 4.0
 
 
-def steering_correction(xp, kind: ControllerKind, gains: Gains, delta, gamma):
-    """omega_tilde of `kind` at `gains`, evaluated in the namespace `xp`.
+def steering_law(xp, kind: ControllerKind, gains: Gains):
+    """omega_tilde of `kind` at `gains` as law(delta, gamma), evaluated in the namespace `xp`.
 
-    The shared body of omega_tilde and of the Lyapunov derivatives, which
-    know a kind and gains but no ControllerSpec.
+    The one statement of each steering law, with the gains bound once per law.
     """
-    k1, k2, k3 = gains.k1, gains.k2, gains.k3
+    k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
+    sin = xp.sin
     if kind is _BOLSA:
-        return k2 * xp.sin(gamma) + k3 * _bounded_gamma_factor(xp, gamma) * delta
-    if kind is _BAGAL:
-        _require_delta_inside(xp, delta)
-        half_tan = xp.tan(delta / 2.0)
-        steep_delta = (1.0 + half_tan * half_tan) * half_tan
-        return k2 * xp.sin(gamma) + 2.0 * k3 * _bounded_gamma_factor(xp, gamma) * steep_delta
-    Delta, dDelta, z = backstepping_terms(xp, kind, k2, delta, gamma)
-    gain_sq = 1.0 + 4.0 * k2 * k2 * Delta * Delta
-    return gains.k4 * z + dDelta * (
-        k1 * k2 * xp.sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * _psi(xp, z, k2, Delta) * Delta
-    )
+        def law(delta, gamma):
+            return k2 * sin(gamma) + k3 * _bounded_gamma_factor(xp, gamma) * delta
+    elif kind is _BAGAL:
+        def law(delta, gamma):
+            _require_delta_inside(xp, delta)
+            half_tan = xp.tan(delta / 2.0)
+            steep_delta = (1.0 + half_tan * half_tan) * half_tan
+            return k2 * sin(gamma) + 2.0 * k3 * _bounded_gamma_factor(xp, gamma) * steep_delta
+    else:
+        def law(delta, gamma):
+            Delta, dDelta, z = backstepping_terms(xp, kind, k2, delta, gamma)
+            gain_sq = 1.0 + 4.0 * k2 * k2 * Delta * Delta
+            return k4 * z + dDelta * (
+                k1 * k2 * sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * _psi(xp, z, k2, Delta) * Delta)
+    return law
 
 
 def omega_tilde(spec: ControllerSpec, delta, gamma):
@@ -278,4 +283,4 @@ def omega_tilde(spec: ControllerSpec, delta, gamma):
             the controller's space in a direction the formula cannot be
             extended through.
     """
-    return steering_correction(math_for(delta, gamma), spec.kind, spec.gains, delta, gamma)
+    return steering_law(math_for(delta, gamma), spec.kind, spec.gains)(delta, gamma)

@@ -30,7 +30,7 @@ from .controllers import (
     Gains,
     backstepping_terms,
     math_for,
-    steering_correction,
+    steering_law,
 )
 from .geometry import DomainError, StateSpace
 
@@ -169,7 +169,7 @@ class LyapunovFn:
         if self.kind is _BOLSA or self.kind is _BAGAL:
             d_delta, d_gamma = self.grad(delta, gamma)
             delta_rate = 0.5 * g.k1 * xp.sin(2.0 * gamma)
-            gamma_rate = -steering_correction(xp, self.kind, g, delta, gamma)
+            gamma_rate = -steering_law(xp, self.kind, g)(delta, gamma)
             return d_delta * delta_rate + d_gamma * gamma_rate
         self._require_inside(xp, delta, gamma)
         Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
@@ -340,6 +340,15 @@ class CompositeLyapunovFn:
         if self.compositor.order is ArgumentOrder.RHO_FIRST:
             return self.compositor.value(r, s)
         return self.compositor.value(s, r)
+
+    def log1p_value(self, rho, delta, gamma):
+        """log(1 + V), ordered as V; for exp_product log1p(r) + s, finite where V overflows."""
+        if self.compositor.form is not CompositorForm.EXP_PRODUCT:
+            return math_for(rho, delta).log1p(self.value(rho, delta, gamma))
+        s, r = self.angular.value(delta, gamma), rho * rho
+        if self.compositor.order is ArgumentOrder.VDG_FIRST:
+            r, s = s, r
+        return math_for(r).log1p(r) + s
 
     def gradient(self, rho, delta, gamma):
         """Analytic gradient (dV/drho, dV/ddelta, dV/dgamma)."""

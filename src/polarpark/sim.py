@@ -11,6 +11,9 @@ Trajectories can be integrated in either frame:
 
 Both frames describe the same flow while the trajectory stays inside the
 principal angle range, which is how the frame-equivalence checks are run.
+Each field is autonomous, f(y) on 3-tuples, with the float steering law
+(controllers.steering_law) bound once per run; post-processing evaluates
+omega_tilde once, on the sample arrays.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
 baselines, and an adaptive Dormand-Prince 5(4) pair for accuracy.  Results
@@ -42,14 +45,15 @@ Cartesian frame and simulate_unsteered stay DP5-only.  The fixed-step
 integrator notes `rk4 unstable: ...` on the first step whose estimate
 of h*|lambda| exceeds RK4's stability bound of about 2.8.
 
-The adaptive integrator reports a boundary stop when step control pushes the step size below
-h_min, which happens when the state runs into an excluded set (for
-example a barrier line approached too closely to resolve in double
-precision); the fixed-step one reports it when a stage leaves the
+The adaptive integrator reports a boundary stop when step control pushes
+the step size below h_min, which happens when the state runs into an
+excluded set (for example a barrier line approached too closely to resolve
+in double precision); the fixed-step one reports it when a stage leaves the
 controller's space.  With either integrator, a run whose sampled state
 (unwrapped, in both frames) leaves the space ends before its first sample
-outside, as a boundary stop: the wrapped Cartesian feedback and the
-extended bounded-gamma laws do not notice such a crossing themselves.
+outside, as a boundary stop, and keeps no remark on a step that starts
+after its last sample: the wrapped Cartesian feedback and the extended
+bounded-gamma laws do not notice such a crossing themselves.
 """
 from __future__ import annotations
 
@@ -59,8 +63,10 @@ from enum import Enum
 
 import numpy as np
 
-from .controllers import ControllerSpec, omega_tilde
+from .controllers import ControllerSpec, omega_tilde, steering_law
 from .geometry import (
+    ARRAY_MATH,
+    FLOAT_MATH,
     CartesianState,
     DomainError,
     PolarState,
@@ -197,17 +203,14 @@ class Trajectory:
 
 
 def _polar_field(spec: ControllerSpec):
-    """The closed-loop polar field as f(t, y) on (rho, delta, gamma) tuples."""
-    k1 = spec.gains.k1
+    """The closed-loop polar field as f(y) on (rho, delta, gamma) tuples."""
+    k1, half_k1 = spec.gains.k1, 0.5 * spec.gains.k1
+    law, cos, sin = steering_law(FLOAT_MATH, spec.kind, spec.gains), math.cos, math.sin
 
-    def f(t, y):
+    def f(y):
         rho, delta, gamma = y
-        cos_g = math.cos(gamma)
-        return (
-            -k1 * rho * cos_g * cos_g,
-            0.5 * k1 * math.sin(2.0 * gamma),
-            -omega_tilde(spec, delta, gamma),
-        )
+        cos_g = cos(gamma)
+        return (-k1 * rho * cos_g * cos_g, half_k1 * sin(2.0 * gamma), -law(delta, gamma))
 
     return f
 
@@ -220,13 +223,12 @@ def _polar_jacobian(spec: ControllerSpec):
     Im w(x + i*h*e_k)/h with h = 1e-30, from one array call: free of
     cancellation, so exact to rounding.
     """
-    k1 = spec.gains.k1
+    k1, law = spec.gains.k1, steering_law(ARRAY_MATH, spec.kind, spec.gains)
     probe_delta, probe_gamma = np.array([1e-30j, 0.0]), np.array([0.0, 1e-30j])
 
     def jac(y):
         rho, delta, gamma = y
-        w_delta, w_gamma = (
-            omega_tilde(spec, delta + probe_delta, gamma + probe_gamma).imag * 1e30).tolist()
+        w_delta, w_gamma = (law(delta + probe_delta, gamma + probe_gamma).imag * 1e30).tolist()
         cos_g = math.cos(gamma)
         return (-k1 * cos_g * cos_g, k1 * rho * math.sin(2.0 * gamma),
                 k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma)
@@ -241,27 +243,27 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     (k1/2)*sin(2*gamma), -omega_tilde).  Regular as rho -> 0: the angular
     rates do not involve rho.
     """
-    return _polar_field(spec)(0.0, (state.rho, state.delta, state.gamma))
+    return _polar_field(spec)((state.rho, state.delta, state.gamma))
 
 
 def _cartesian_field(spec: ControllerSpec):
-    """The closed-loop Cartesian field as f(t, y) on (x, y, theta) tuples."""
-    k1 = spec.gains.k1
+    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples."""
+    k1, half_k1 = spec.gains.k1, 0.5 * spec.gains.k1
+    law, cos, sin = steering_law(FLOAT_MATH, spec.kind, spec.gains), math.cos, math.sin
 
-    def f(t, y):
+    def f(y):
         x, y_pos, theta = y
         rho, delta, gamma = polar_image(x, y_pos, theta)
         if rho == 0.0:
             raise DomainError("polar chart undefined at rho=0")
-        omega = 0.5 * k1 * math.sin(2.0 * gamma) + omega_tilde(spec, delta, gamma)
-        v = k1 * rho * math.cos(gamma)
-        return (v * math.cos(theta), v * math.sin(theta), omega)
+        omega = half_k1 * sin(2.0 * gamma) + law(delta, gamma)
+        v = k1 * rho * cos(gamma)
+        return (v * cos(theta), v * sin(theta), omega)
 
     return f
 
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0)
+# Dormand-Prince 5(4) tableau; the fields are autonomous, so the nodes c_i are not needed.
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -313,7 +315,7 @@ def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
 
 
 class _Samples:
-    """The output grid t = i*dt, i = 1..n_samples, fed to record(i, t, y)."""
+    """The output grid t = i*dt, i = 1..n_samples, fed to record(t, y)."""
 
     def __init__(self, cfg: SimConfig, record, n_samples: int) -> None:
         self.dt = cfg.dt
@@ -331,7 +333,7 @@ class _Samples:
         """
         i, t_sample, record = self.i, self.next, self.record
         while t_sample <= t_new:
-            if record(i, t_sample, z if t_sample == t_new else dense((t_sample - t) / h)):
+            if record(t_sample, z if t_sample == t_new else dense((t_sample - t) / h)):
                 return True
             i += 1
             t_sample = i * self.dt
@@ -355,72 +357,75 @@ _STIFF_EVERY = 10
 
 
 def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
-    """Dormand-Prince steps from (t, y), with k1 = f(t, y) and trial step h.
+    """Dormand-Prince steps from (t, y), with k1 = f(y) and trial step h.
 
-    Returns (outcome, t, y, f(t, y), h): outcome "done" or "stopped"
-    (record returned True), or "stiff" with the state after the accepted
-    step on which the stiffness test fired for the 15th time.
+    Returns (outcome, t, y, f(y), h): outcome "done" or "stopped" (record
+    returned True), or "stiff" with the state after the accepted step on
+    which the stiffness test fired for the 15th time.  Stage N is unpacked
+    once into fNa, fNb, fNc, and the error norm is _error_norm written out.
     """
-    rtol, atol = cfg.rtol, cfg.atol
+    rtol, atol, h_min, sqrt = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt
     t_end, dt, record = samples.t_end, samples.dt, samples.record
     i, t_sample = samples.i, samples.next
     n_accepted = n_stiff = n_nonstiff = 0
     while True:
-        if h < cfg.h_min:
+        if h < h_min:
             raise _below_h_min(h, t)
         last = t + h >= t_end
         if last:
             h = t_end - t
         y1, y2, y3 = y
-        f1 = k1
+        f1a, f1b, f1c = k1
         try:
-            f2 = f(t + _C[0] * h, (
-                y1 + h * _A21 * f1[0], y2 + h * _A21 * f1[1], y3 + h * _A21 * f1[2]))
-            f3 = f(t + _C[1] * h, (
-                y1 + h * (_A31 * f1[0] + _A32 * f2[0]),
-                y2 + h * (_A31 * f1[1] + _A32 * f2[1]),
-                y3 + h * (_A31 * f1[2] + _A32 * f2[2])))
-            f4 = f(t + _C[2] * h, (
-                y1 + h * (_A41 * f1[0] + _A42 * f2[0] + _A43 * f3[0]),
-                y2 + h * (_A41 * f1[1] + _A42 * f2[1] + _A43 * f3[1]),
-                y3 + h * (_A41 * f1[2] + _A42 * f2[2] + _A43 * f3[2])))
-            f5 = f(t + _C[3] * h, (
-                y1 + h * (_A51 * f1[0] + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-                y2 + h * (_A51 * f1[1] + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-                y3 + h * (_A51 * f1[2] + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2])))
-            u1 = y1 + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0])
-            u2 = y2 + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1])
-            u3 = y3 + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2])
-            f6 = f(t + h, (u1, u2, u3))
-            z1 = y1 + h * (_B1 * f1[0] + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
-            z2 = y2 + h * (_B1 * f1[1] + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
-            z3 = y3 + h * (_B1 * f1[2] + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
+            f2a, f2b, f2c = f((y1 + h * _A21 * f1a, y2 + h * _A21 * f1b, y3 + h * _A21 * f1c))
+            f3a, f3b, f3c = f((
+                y1 + h * (_A31 * f1a + _A32 * f2a),
+                y2 + h * (_A31 * f1b + _A32 * f2b),
+                y3 + h * (_A31 * f1c + _A32 * f2c)))
+            f4a, f4b, f4c = f((
+                y1 + h * (_A41 * f1a + _A42 * f2a + _A43 * f3a),
+                y2 + h * (_A41 * f1b + _A42 * f2b + _A43 * f3b),
+                y3 + h * (_A41 * f1c + _A42 * f2c + _A43 * f3c)))
+            f5a, f5b, f5c = f((
+                y1 + h * (_A51 * f1a + _A52 * f2a + _A53 * f3a + _A54 * f4a),
+                y2 + h * (_A51 * f1b + _A52 * f2b + _A53 * f3b + _A54 * f4b),
+                y3 + h * (_A51 * f1c + _A52 * f2c + _A53 * f3c + _A54 * f4c)))
+            u1 = y1 + h * (_A61 * f1a + _A62 * f2a + _A63 * f3a + _A64 * f4a + _A65 * f5a)
+            u2 = y2 + h * (_A61 * f1b + _A62 * f2b + _A63 * f3b + _A64 * f4b + _A65 * f5b)
+            u3 = y3 + h * (_A61 * f1c + _A62 * f2c + _A63 * f3c + _A64 * f4c + _A65 * f5c)
+            f6a, f6b, f6c = f((u1, u2, u3))
+            z1 = y1 + h * (_B1 * f1a + _B3 * f3a + _B4 * f4a + _B5 * f5a + _B6 * f6a)
+            z2 = y2 + h * (_B1 * f1b + _B3 * f3b + _B4 * f4b + _B5 * f5b + _B6 * f6b)
+            z3 = y3 + h * (_B1 * f1c + _B3 * f3c + _B4 * f4c + _B5 * f5c + _B6 * f6c)
             z = (z1, z2, z3)
-            f7 = f(t + h, z)
+            f7 = f(z)
         except DomainError:
             # A stage left the domain; retry with a smaller step until
             # h_min decides this is a genuine boundary approach.
             h *= 0.25
             continue
-        err = _error_norm(
-            h * (_E1 * f1[0] + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * f7[0]),
-            h * (_E1 * f1[1] + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * f7[1]),
-            h * (_E1 * f1[2] + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * f7[2]),
-            y, z, rtol, atol)
+        f7a, f7b, f7c = f7
+        e1 = h * (_E1 * f1a + _E3 * f3a + _E4 * f4a + _E5 * f5a + _E6 * f6a + _E7 * f7a)
+        e2 = h * (_E1 * f1b + _E3 * f3b + _E4 * f4b + _E5 * f5b + _E6 * f6b + _E7 * f7b)
+        e3 = h * (_E1 * f1c + _E3 * f3c + _E4 * f4c + _E5 * f5c + _E6 * f6c + _E7 * f7c)
+        e1 /= atol + rtol * max(abs(y1), abs(z1))
+        e2 /= atol + rtol * max(abs(y2), abs(z2))
+        e3 /= atol + rtol * max(abs(y3), abs(z3))
+        err = sqrt((e1**2 + e2**2 + e3**2) / 3.0)
         if not err <= 1.0:  # also rejects a NaN error
             h *= max(0.2, 0.9 * err**-0.2)
             continue
         t_new = t_end if last else t + h
         if t_sample <= t_new:
-            q21 = _D21 * f1[0] + _D23 * f3[0] + _D24 * f4[0] + _D25 * f5[0] + _D26 * f6[0] + _D27 * f7[0]
-            q22 = _D21 * f1[1] + _D23 * f3[1] + _D24 * f4[1] + _D25 * f5[1] + _D26 * f6[1] + _D27 * f7[1]
-            q23 = _D21 * f1[2] + _D23 * f3[2] + _D24 * f4[2] + _D25 * f5[2] + _D26 * f6[2] + _D27 * f7[2]
-            q31 = _D31 * f1[0] + _D33 * f3[0] + _D34 * f4[0] + _D35 * f5[0] + _D36 * f6[0] + _D37 * f7[0]
-            q32 = _D31 * f1[1] + _D33 * f3[1] + _D34 * f4[1] + _D35 * f5[1] + _D36 * f6[1] + _D37 * f7[1]
-            q33 = _D31 * f1[2] + _D33 * f3[2] + _D34 * f4[2] + _D35 * f5[2] + _D36 * f6[2] + _D37 * f7[2]
-            q41 = _D41 * f1[0] + _D43 * f3[0] + _D44 * f4[0] + _D45 * f5[0] + _D46 * f6[0] + _D47 * f7[0]
-            q42 = _D41 * f1[1] + _D43 * f3[1] + _D44 * f4[1] + _D45 * f5[1] + _D46 * f6[1] + _D47 * f7[1]
-            q43 = _D41 * f1[2] + _D43 * f3[2] + _D44 * f4[2] + _D45 * f5[2] + _D46 * f6[2] + _D47 * f7[2]
+            q21 = _D21 * f1a + _D23 * f3a + _D24 * f4a + _D25 * f5a + _D26 * f6a + _D27 * f7a
+            q22 = _D21 * f1b + _D23 * f3b + _D24 * f4b + _D25 * f5b + _D26 * f6b + _D27 * f7b
+            q23 = _D21 * f1c + _D23 * f3c + _D24 * f4c + _D25 * f5c + _D26 * f6c + _D27 * f7c
+            q31 = _D31 * f1a + _D33 * f3a + _D34 * f4a + _D35 * f5a + _D36 * f6a + _D37 * f7a
+            q32 = _D31 * f1b + _D33 * f3b + _D34 * f4b + _D35 * f5b + _D36 * f6b + _D37 * f7b
+            q33 = _D31 * f1c + _D33 * f3c + _D34 * f4c + _D35 * f5c + _D36 * f6c + _D37 * f7c
+            q41 = _D41 * f1a + _D43 * f3a + _D44 * f4a + _D45 * f5a + _D46 * f6a + _D47 * f7a
+            q42 = _D41 * f1b + _D43 * f3b + _D44 * f4b + _D45 * f5b + _D46 * f6b + _D47 * f7b
+            q43 = _D41 * f1c + _D43 * f3c + _D44 * f4c + _D45 * f5c + _D46 * f6c + _D47 * f7c
             # samples.fill written out: a closure call per sample would cost
             # this loop about 5 % of a capture run
             while t_sample <= t_new:
@@ -430,11 +435,11 @@ def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
                     s = (t_sample - t) / h
                     hs = h * s
                     sample = (
-                        y1 + hs * (f1[0] + s * (q21 + s * (q31 + s * q41))),
-                        y2 + hs * (f1[1] + s * (q22 + s * (q32 + s * q42))),
-                        y3 + hs * (f1[2] + s * (q23 + s * (q33 + s * q43))),
+                        y1 + hs * (f1a + s * (q21 + s * (q31 + s * q41))),
+                        y2 + hs * (f1b + s * (q22 + s * (q32 + s * q42))),
+                        y3 + hs * (f1c + s * (q23 + s * (q33 + s * q43))),
                     )
-                if record(i, t_sample, sample):
+                if record(t_sample, sample):
                     return "stopped", t_new, z, f7, h
                 i += 1
                 t_sample = i * dt
@@ -443,7 +448,7 @@ def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
         h_new = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
         n_accepted += 1
         if stiff_test and (n_stiff or n_accepted % _STIFF_EVERY == 0):
-            d1, d2, d3 = f7[0] - f6[0], f7[1] - f6[1], f7[2] - f6[2]
+            d1, d2, d3 = f7a - f6a, f7b - f6b, f7c - f6c
             if h * h * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
                     (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
                 n_stiff += 1
@@ -472,13 +477,13 @@ _NONSTIFF_AFTER = 6
 
 
 def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list):
-    """ode23s steps from (t, y), with fy = f(t, y) and trial step h.
+    """ode23s steps from (t, y), with fy = f(y) and trial step h.
 
     jac(y) gives the Jacobian's nonzero entries (J00, J02, J12, J21, J22),
     the sparsity of the polar field.  W = I - h*d*J is solved in closed
     form: the angular (delta, gamma) block first, then rho.  One Jacobian
     per accepted step; a rejected step keeps it.  Returns (outcome, t, y,
-    f(t, y), h): outcome "done", "stopped", or "nonstiff" when h*rho(J) < 1
+    f(y), h): outcome "done", "stopped", or "nonstiff" when h*rho(J) < 1
     held on the last 6 steps.  Appends a note on the stretch run here.
     In the formulas above, f0 is (f01, f02, f03), k1 is (a1, a2, a3), f1 is
     (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
@@ -514,12 +519,11 @@ def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list)
                 try:
                     inv_det = 1.0 / (a22 - a12 * a21)
                     a1, a2, a3 = solve(f01, f02, f03)
-                    g1, g2, g3 = f(t + 0.5 * h, (y1 + 0.5 * h * a1, y2 + 0.5 * h * a2,
-                                                 y3 + 0.5 * h * a3))
+                    g1, g2, g3 = f((y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3))
                     b1, b2, b3 = solve(g1 - a1, g2 - a2, g3 - a3)
                     b1, b2, b3 = b1 + a1, b2 + a2, b3 + a3
                     z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
-                    f2 = f(t + h, z)
+                    f2 = f(z)
                 except (DomainError, ZeroDivisionError):  # a stage outside, or W singular
                     h *= 0.25
                     continue
@@ -551,13 +555,13 @@ def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list)
             if n_small == _NONSTIFF_AFTER:
                 return "nonstiff", t, y, fy, h
     finally:
-        notes.append(f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], "
-                     f"{n_steps} steps, {n_jac} Jacobians")
+        notes.append((t_start, f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], "
+                               f"{n_steps} steps, {n_jac} Jacobians"))
 
 
 def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: list,
                         jac=None) -> str:
-    """Advance y' = f(t, y) and call record(i, t, y) at t = i*dt.
+    """Advance y' = f(y) and call record(t, y) at t = i*dt.
 
     Error control alone sets the step size; only the last step is cut
     short, to end on t = n_samples*dt.  The samples inside an accepted
@@ -569,7 +573,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: li
     count as failed steps and shrink the step first).
     """
     samples = _Samples(cfg, record, n_samples)
-    t, y, fy, h = 0.0, y0, f(0.0, y0), min(cfg.dt, 1e-3)
+    t, y, fy, h = 0.0, y0, f(y0), min(cfg.dt, 1e-3)
     while True:
         outcome, t, y, fy, h = _dp5(f, t, y, fy, h, cfg, samples, jac is not None)
         if outcome != "stiff":
@@ -584,7 +588,7 @@ _RK4_STABLE = 2.8
 
 
 def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list) -> str:
-    """Classic RK4 with step dt; record(i, t, y) after each step.
+    """Classic RK4 with step dt; record(t, y) after each step.
 
     The right-hand side at each new state is evaluated before the state is
     recorded, so a step that leaves the domain ends the run (_BoundaryHit)
@@ -596,31 +600,31 @@ def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list)
     t = 0.0
     y = y0
     h = cfg.dt
-    f1 = f(t, y)
+    f1 = f(y)
     stable = True
     for i in range(1, n_samples + 1):
         y1, y2, y3 = y
         try:
-            f2 = f(t + h / 2, (y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
-            f3 = f(t + h / 2, (y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
+            f2 = f((y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
+            f3 = f((y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
             if stable:
                 num = (f3[0] - f2[0]) ** 2 + (f3[1] - f2[1]) ** 2 + (f3[2] - f2[2]) ** 2
                 den = (f2[0] - f1[0]) ** 2 + (f2[1] - f1[1]) ** 2 + (f2[2] - f1[2]) ** 2
                 if 4.0 * num > _RK4_STABLE**2 * den:  # den > 0: f2 == f1 gives f3 == f2
                     stable = False
-                    notes.append(f"rk4 unstable: h*|lambda| ~ {2.0 * math.sqrt(num / den):.3g} "
-                                 f"> {_RK4_STABLE} at t={t:.6g}")
-            f4 = f(t + h, (y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
+                    notes.append((t, "rk4 unstable: h*|lambda| ~ "
+                                  f"{2.0 * math.sqrt(num / den):.3g} > {_RK4_STABLE} at t={t:.6g}"))
+            f4 = f((y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
             y = (
                 y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
                 y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
                 y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
             )
-            f1 = f(i * h, y)
+            f1 = f(y)
         except DomainError as exc:
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
-        if record(i, t, y):
+        if record(t, y):
             return "stopped"
     return "done"
 
@@ -629,26 +633,22 @@ def _run(f, y0, cfg: SimConfig, captured, jac=None):
     """Integrate and sample; returns (times, ys, status, capture_time, notes, stop).
 
     notes are the integrator's remarks on the run (stiff stretches, rk4
-    instability); stop is the reason for a boundary stop, else "".
+    instability), each as (start of the step it names, text); stop is the
+    reason for a boundary stop, else "".
     """
     n_samples = int(round(cfg.t_final / cfg.dt))
-    times = np.empty(n_samples + 1)
-    ys = np.empty((n_samples + 1, 3))
-    times[0] = 0.0
-    ys[0] = y0
-    count = [1]
+    times, ys = [0.0], [y0]
     capture_time = [None]
 
-    def record(i, t, y):
-        times[i] = t
-        ys[i] = y
-        count[0] = i + 1
+    def record(t, y):
+        times.append(t)
+        ys.append(y)
         if captured is not None and captured(y):
             capture_time[0] = t
             return True
         return False
 
-    notes: list[str] = []
+    notes: list[tuple[float, str]] = []
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
@@ -658,18 +658,17 @@ def _run(f, y0, cfg: SimConfig, captured, jac=None):
     except _BoundaryHit as hit:
         outcome = "boundary"
         stop = str(hit)
-    n = count[0]
     if outcome == "boundary":
         status = SimStatus.BOUNDARY_STOP
     elif capture_time[0] is not None:
         status = SimStatus.CAPTURED
     else:
         status = SimStatus.HORIZON_REACHED
-    return times[:n], ys[:n], status, capture_time[0], notes, stop
+    return np.array(times), np.array(ys, dtype=float), status, capture_time[0], notes, stop
 
 
 def _join_note(notes: list, stop: str) -> str:
-    return "; ".join(notes + [stop] if stop else notes)
+    return "; ".join([text for _, text in notes] + ([stop] if stop else []))
 
 
 def _capture_test(cfg: SimConfig, to_polar):
@@ -742,6 +741,8 @@ def simulate(
     if not np.all(inside):
         n = int(np.argmin(inside))
         stop = f"state left the domain {spec.space.value} at t={times[n]:.6g}"
+        # a remark on a step after the last kept sample names a cut-off part of the run
+        notes = [note for note in notes if note[0] <= times[n - 1]]
         status, capture_time = SimStatus.BOUNDARY_STOP, None
         times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
 
@@ -785,7 +786,7 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
     if k1 <= 0.0:
         raise ValueError("k1 must be positive")
 
-    def f(t, y):
+    def f(y):
         rho, delta, gamma = y
         cos_g = math.cos(gamma)
         rate = 0.5 * k1 * math.sin(2.0 * gamma)

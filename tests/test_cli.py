@@ -96,9 +96,11 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "stopped on a barrier" in capsys.readouterr().err
 
-    def test_overflowing_V_is_written_as_null_with_a_reason(self, tmp_path):
+    def test_overflowing_V_is_judged_on_log1p(self, tmp_path):
         # the exponential merge overflows from delta0 = 3.0, so V is inf on
-        # every row and its largest increase is inf - inf
+        # every row; its monotonicity is judged on log(1 + V) = log1p(rho^2)
+        # + V_dg, which falls by 7.8e3 per row at least (inf - inf was NaN,
+        # reported as V_monotone false)
         payload = {**BASE_SIM, "controller": "bagal", "compositor": "exp_product",
                    "initial_conditions": [{"rho": 1.0, "delta": 3.0, "gamma": 0.0}],
                    "sim": {"t_final": 1.0}}
@@ -107,11 +109,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         text = (out / "summary.json").read_text()
         entry = json.loads(text, parse_constant=_reject_constant)["results"][0]
-        assert entry["V_monotone"] is False
-        assert entry["max_V_increase"] is None
-        nonfinite = entry["nonfinite"]["max_V_increase"]
-        assert nonfinite["value"] == "nan"
-        assert nonfinite["reason"] == "V is not finite on 21 of 21 rows"
+        assert entry["V_monotone"] is True
+        assert entry["max_V_increase"] == pytest.approx(-7.822e3, rel=1e-3)
+        assert "nonfinite" not in entry
+        rows = (out / "ic_000.csv").read_text().splitlines()[1:]
+        assert len(rows) == 21 and all(row.endswith(",inf") for row in rows)
+
+    def test_non_finite_summary_values_are_null_with_a_reason(self):
+        entry = cli._null_nonfinite({"a": math.inf, "b": 1.0, "c": math.nan}, {"a": "overflow"})
+        assert entry["a"] is None and entry["b"] == 1.0 and entry["c"] is None
+        assert entry["nonfinite"] == {
+            "a": {"value": "inf", "reason": "overflow"},
+            "c": {"value": "nan", "reason": "overflow or NaN in the run"}}
 
 
 def _reject_constant(name):
@@ -142,6 +151,13 @@ class TestConfigValidation:
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_integer_past_the_conversion_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError here, which escaped as a traceback
+        path = tmp_path / "big.json"
+        path.write_text('{"gains": [' + "1" * 5000 + ", 1, 1, 1]}")
         assert main(["simulate", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -200,6 +216,32 @@ class TestConfigValidation:
         code, err = self.exit_code(tmp_path, payload, capsys)
         assert code == 1 and "allow_unproven_gains must be true or false" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"gains": [True, 1.0, 1.0, 1.0]}, "gain k1"),
+        ({"gains": {"k3": "1"}}, "gain k3"),
+        ({"gains": [1.0, 1.0, 1.0, 10**400]}, "gain k4"),  # float() raised OverflowError
+    ])
+    def test_gains_must_be_json_numbers(self, tmp_path, capsys, payload, key):
+        # float() took true as 1.0 and "1" as 1.0
+        code, err = self.exit_code(tmp_path, {**BASE_SIM, **payload}, capsys)
+        assert code == 1 and f"bad {key}: " in err and "is not a JSON number" in err
+
+    @pytest.mark.parametrize("start, key", [
+        ({"rho": "2", "delta": 0.5, "gamma": 0.5}, "initial condition #0 rho"),
+        ({"x": 1.0, "y": False, "theta": 0.0}, "initial condition #0 y"),
+    ])
+    def test_starts_must_be_json_numbers(self, tmp_path, capsys, start, key):
+        code, err = self.exit_code(tmp_path, {**BASE_SIM, "initial_conditions": [start]}, capsys)
+        assert code == 1 and f"bad {key}: " in err and "is not a JSON number" in err
+
+    @pytest.mark.parametrize("sim, key", [
+        ({"capture_radius": False}, "sim.capture_radius"),  # false turned capture off
+        ({"dt": "0.05"}, "sim.dt"),
+    ])
+    def test_sim_settings_must_be_json_numbers(self, tmp_path, capsys, sim, key):
+        code, err = self.exit_code(tmp_path, {**BASE_SIM, "sim": sim}, capsys)
+        assert code == 1 and f"bad {key}: " in err and "is not a JSON number" in err
 
     def test_unknown_compositor(self, tmp_path, capsys):
         code, err = self.exit_code(
@@ -277,6 +319,13 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_similarity_tol_must_be_a_json_number(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**self.PAYLOAD, "similarity_tol": value})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "bad similarity_tol: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_outside_space_row_is_flagged_not_fatal(self, tmp_path):
         payload = {

@@ -242,6 +242,22 @@ class TestCompositeFunction:
         assert rho_first.value(2.0, 1.5, -0.5) == pytest.approx(math.log(5.0) + v, rel=1e-14)
         assert vdg_first.value(2.0, 1.5, -0.5) == pytest.approx(math.log1p(v) + 4.0, rel=1e-14)
 
+    def test_log1p_value_is_finite_where_exp_product_overflows(self):
+        fn = LyapunovFn(ControllerKind.BAGAL, UNIT)
+        for order in ArgumentOrder:
+            for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
+                full = CompositeLyapunovFn(factory(order), fn)
+                assert full.log1p_value(2.0, 1.5, -0.5) == pytest.approx(
+                    math.log1p(full.value(2.0, 1.5, -0.5)), rel=1e-14)
+        # exp(5.2e6) overflows from delta = 3.0, and so does exp(900) at rho = 30
+        s = fn.value(3.0, 0.0)
+        rho_first = CompositeLyapunovFn(Compositor.exp_product(ArgumentOrder.RHO_FIRST), fn)
+        vdg_first = CompositeLyapunovFn(Compositor.exp_product(ArgumentOrder.VDG_FIRST), fn)
+        assert rho_first.value(1.0, 3.0, 0.0) == math.inf
+        assert rho_first.log1p_value(1.0, 3.0, 0.0) == math.log1p(1.0) + s
+        assert vdg_first.value(30.0, 3.0, 0.0) == math.inf
+        assert vdg_first.log1p_value(30.0, 3.0, 0.0) == math.log1p(s) + 900.0
+
     def test_order_irrelevant_for_sum(self):
         fn = LyapunovFn(ControllerKind.BOLSA, UNIT)
         a = CompositeLyapunovFn(Compositor.sum_form(ArgumentOrder.RHO_FIRST), fn)

@@ -255,6 +255,20 @@ class TestKlDecayCheck:
         assert rep.details["max_value_increase"] == 1.0
 
 
+    def test_overflowing_values_are_judged_on_log1p(self):
+        # BAGAL from delta = 3.0 with the exponential merge: V is inf on all
+        # 21 rows, and log(1 + V) falls by 7.8e3 per row at least
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        fn = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+        traj = simulate(spec, PolarState(1.0, 3.0, 0.0), SimConfig(t_final=1.0), lyapunov=fn)
+        assert np.all(np.isinf(traj.lyapunov))
+        rep = check_kl_decay(traj, spec.space, lyapunov=fn)
+        assert rep.details["max_value_increase"] == pytest.approx(-7.822e3, rel=1e-3)
+        assert rep.worst_margin == rep.details["final_metric"] - 1e-3
+        without = check_kl_decay(traj, spec.space)
+        assert math.isnan(without.details["max_value_increase"])
+
+
 class TestGradientCheck:
     def test_plain_and_composite_certify(self):
         fn = LyapunovFn(ControllerKind.GLOBA, UNIT)
