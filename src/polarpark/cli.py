@@ -305,6 +305,7 @@ def _cmd_simulate(args) -> int:
                 "final_state": _final_state(traj),
                 "V_monotone": monotone,
                 "max_V_increase": max_rise,
+                "min_barrier_distance": _barrier_distance(spec.space, traj),
                 "note": traj.note,
             },
             {"max_V_increase": f"V is not finite on {n_bad} of {len(traj)} rows"},

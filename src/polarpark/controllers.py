@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ARRAY_MATH, FLOAT_MATH, DomainError, StateSpace, math_for
+from .geometry import ARRAY_MATH, DomainError, StateSpace, math_for
 
 __all__ = [
     "ControllerKind",
@@ -179,13 +179,15 @@ def _psi_series(z):
 
 def _psi(xp, z, k2, Delta):
     small = abs(z) < 1e-8
-    if xp is FLOAT_MATH and small:
+    # A scalar z, float or complex (the complex-step Jacobian), takes the
+    # series or the direct form whole; the direct form divides by zero at 0.
+    if xp is not ARRAY_MATH and small:
         sin_ratio, versine_ratio = _psi_series(z)
     else:
         # Arrays take the series element-wise, each form evaluated at a
         # harmless stand-in where the other applies (a huge z would
         # overflow z*z in the series).
-        z_direct = z if xp is FLOAT_MATH else np.where(small, 1.0, z)
+        z_direct = np.where(small, 1.0, z) if xp is ARRAY_MATH else z
         sin_z = xp.sin(z_direct)
         sin_ratio = xp.sin(2.0 * z_direct) / (2.0 * z_direct)
         versine_ratio = sin_z * sin_z / z_direct

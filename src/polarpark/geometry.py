@@ -18,6 +18,7 @@ inside their space.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,8 +65,12 @@ def _namespace(name: str, **functions) -> ModuleType:
 # The angle wrap here, the steering laws in controllers.py and the
 # certificates in lyapunov.py are written once, against a numeric namespace
 # `xp` holding the math-module names they use: FLOAT_MATH evaluates them on
-# floats with the math module, ARRAY_MATH on numpy arrays, element-wise.
-# `any`/`all` reduce a domain test to one answer.
+# floats with the math module, ARRAY_MATH on numpy arrays, element-wise, and
+# COMPLEX_MATH the steering laws on Python complex scalars with cmath.  The
+# complex-step Jacobian of sim.py uses COMPLEX_MATH: its two partials as two
+# scalar calls cost a third to a ninth of one numpy call on two-element
+# arrays, whose per-call overhead dwarfs the arithmetic.  `any`/`all` reduce
+# a domain test to one answer.
 FLOAT_MATH = _namespace(
     "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
     log1p=math.log1p, exp=_exp_or_inf, atan2=math.atan2, hypot=math.hypot, round=round,
@@ -75,6 +80,10 @@ ARRAY_MATH = _namespace(
     "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
     log1p=np.log1p, exp=_exp_saturating, atan2=np.arctan2, hypot=np.hypot, round=_round_half_even,
     any=np.any, all=np.all,
+)
+COMPLEX_MATH = _namespace(
+    "complex_math", sin=cmath.sin, cos=cmath.cos, tan=cmath.tan, atan=cmath.atan, sqrt=cmath.sqrt,
+    any=bool,
 )
 
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from .controllers import ControllerSpec, omega_tilde, steering_law
 from .geometry import (
-    ARRAY_MATH,
+    COMPLEX_MATH,
     FLOAT_MATH,
     CartesianState,
     DomainError,
@@ -220,15 +220,16 @@ def _polar_jacobian(spec: ControllerSpec):
 
     rho' depends on rho and gamma, delta' on gamma alone and gamma' on the
     two angles.  The partials of omega_tilde are complex-step derivatives,
-    Im w(x + i*h*e_k)/h with h = 1e-30, from one array call: free of
-    cancellation, so exact to rounding.
+    Im w(x + i*h*e_k)/h with h = 1e-30, from two calls of the steering law
+    on Python complex scalars (cmath): free of cancellation, so exact to
+    rounding.
     """
-    k1, law = spec.gains.k1, steering_law(ARRAY_MATH, spec.kind, spec.gains)
-    probe_delta, probe_gamma = np.array([1e-30j, 0.0]), np.array([0.0, 1e-30j])
+    k1, law = spec.gains.k1, steering_law(COMPLEX_MATH, spec.kind, spec.gains)
 
     def jac(y):
         rho, delta, gamma = y
-        w_delta, w_gamma = (law(delta + probe_delta, gamma + probe_gamma).imag * 1e30).tolist()
+        w_delta = law(delta + 1e-30j, gamma).imag * 1e30
+        w_gamma = law(delta, gamma + 1e-30j).imag * 1e30
         cos_g = math.cos(gamma)
         return (-k1 * cos_g * cos_g, k1 * rho * math.sin(2.0 * gamma),
                 k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma)

@@ -115,6 +115,22 @@ class TestSimulate:
         rows = (out / "ic_000.csv").read_text().splitlines()[1:]
         assert len(rows) == 21 and all(row.endswith(",inf") for row in rows)
 
+    def test_summary_records_the_smallest_barrier_distance(self, tmp_path):
+        # BAGAL started 0.05 from its delta barrier turns away from it;
+        # GLOBA's space S has no barrier
+        start = {"rho": 1.0, "delta": math.pi - 0.05, "gamma": 0.0}
+        distances = []
+        for controller in ("bagal", "globa"):
+            payload = {**BASE_SIM, "controller": controller, "initial_conditions": [start],
+                       "sim": {"dt": 0.05, "t_final": 5.0}}
+            out = tmp_path / controller
+            assert main(["simulate", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+            entry = json.loads((out / "summary.json").read_text())["results"][0]
+            distances.append(entry["min_barrier_distance"])
+        assert distances[0] == pytest.approx(0.05, abs=1e-12)
+        assert distances[1] is None
+
     def test_non_finite_summary_values_are_null_with_a_reason(self):
         entry = cli._null_nonfinite({"a": math.inf, "b": 1.0, "c": math.nan}, {"a": "overflow"})
         assert entry["a"] is None and entry["b"] == 1.0 and entry["c"] is None

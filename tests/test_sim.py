@@ -330,6 +330,30 @@ class TestStiffFallback:
         assert re.fullmatch(r"stiff: ode23s on t in \[[0-9.e-]+, 60\], \d+ steps, \d+ Jacobians",
                             traj.note)
 
+    # Float RHS evaluations per run and the note of criterion 06's starts
+    # over 5 s, as the fallback with the numpy-array Jacobian produced them.
+    # Any change to the steps DP5 or ode23s takes moves these; a faster
+    # Jacobian must leave them exact.
+    STIFF_RUNS = {
+        (ControllerKind.BARFLI, "delta"): (
+            3_515, "stiff: ode23s on t in [0.0012406, 0.441963], 296 steps, 296 Jacobians"),
+        (ControllerKind.BAGAL, "delta"): (
+            1_107, "stiff: ode23s on t in [0.00350453, 5], 10 steps, 10 Jacobians"),
+        (ControllerKind.BOLSA, "gamma"): (709, ""),
+        (ControllerKind.BAGAL, "gamma"): (721, ""),
+    }
+
+    @pytest.mark.parametrize("kind, which", list(STIFF_RUNS))
+    def test_stiff_step_selection_is_pinned(self, kind, which, rhs_calls):
+        spec = ControllerSpec(kind, UNIT)
+        cfg = SimConfig(dt=0.05, t_final=5.0)
+        for sign in (1.0, -1.0):
+            angle = sign * (math.pi - 0.05)
+            start = PolarState(1.0, angle, 0.0) if which == "delta" else PolarState(1.0, 0.0, angle)
+            rhs_calls.clear()
+            note = simulate(spec, start, cfg).note
+            assert (len(rhs_calls), note) == self.STIFF_RUNS[kind, which]
+
     @pytest.mark.parametrize("kind", [ControllerKind.BAGAL, ControllerKind.BARFLI])
     def test_barrier_runs_match_radau(self, kind):
         spec = ControllerSpec(kind, UNIT)
@@ -397,6 +421,36 @@ class TestStiffFallback:
             j00, j02, j12, j21, j22 = jac(y)
             expected = np.array([[j00, 0.0, j02], [0.0, 0.0, j12], [0.0, j21, j22]])
             assert np.all(np.abs(full - expected) <= 1e-6 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_jacobian_matches_the_array_complex_step(self, kind):
+        # The scalar cmath partials against the same complex step on numpy
+        # arrays: random points, points with |z| < 1e-8 (z = 0 exactly at
+        # delta = gamma = 0) and points 1e-6 from each barrier of the kind
+        gains = Gains(1.3, 0.7, 1.1, 0.9)
+        spec = ControllerSpec(kind, gains, allow_unproven_gains=True)
+        jac = sim._polar_jacobian(spec)
+        rng = np.random.default_rng(11)
+        points = [(float(rng.uniform(0.1, 5.0)), float(rng.uniform(-3.0, 3.0)),
+                   float(rng.uniform(-3.0, 3.0))) for _ in range(500)]
+        shaped = kind in (ControllerKind.BARFLI, ControllerKind.BAGAL)
+        for delta, offset in itertools.product((0.0, 0.4, -1.2, 2.9), (0.0, 1e-9, -5e-9, 1e-12)):
+            Delta = 2.0 * math.tan(delta / 2.0) if shaped else delta
+            points.append((1.0, delta, offset - 0.5 * math.atan(2.0 * gains.k2 * Delta)))
+        near = math.pi - 1e-6
+        for edge, other in itertools.product((near, -near), (0.0, 0.7, -2.0)):
+            if shaped:
+                points.append((1.0, edge, other))
+            if kind in (ControllerKind.BOLSA, ControllerKind.BAGAL):
+                points.append((1.0, other, edge))
+        for y in points:
+            _, delta, gamma = y
+            entries = jac(y)
+            assert all(type(v) is float and math.isfinite(v) for v in entries)
+            ref = omega_tilde(spec, delta + np.array([1e-30j, 0.0]),
+                              gamma + np.array([0.0, 1e-30j])).imag * 1e30
+            got = -np.array(entries[3:])
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), y
 
     def test_stiff_stretch_keeps_retries_and_h_min(self):
         # gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a
