@@ -486,16 +486,15 @@ def _cmd_sweep(args) -> int:
         for i, ic in enumerate(ics):
             traj, err = _run_one(spec, ic, sim_cfg)
             if err is not None:
-                rows.append((j, i, g.k1, g.k2, g.k3, g.k4, None, None, None, None, err))
+                rows.append((j, i, g.k1, g.k2, g.k3, g.k4, None, None, None, None, None, err))
                 continue
             statuses.append(traj.status)
-            final = traj.final_state()
-            fm = metric(spec.space, PolarState(max(final.rho, 0.0), final.delta, final.gamma))
             rows.append((j, i, g.k1, g.k2, g.k3, g.k4, traj.status.value, traj.capture_time,
-                         _path_length(traj), fm, None))
+                         _path_length(traj), metric(spec.space, traj.final_state()),
+                         _barrier_distance(spec.space, traj), None))
     write_csv(out / "sweep.csv", (
         "gain_set", "ic_index", "k1", "k2", "k3", "k4", "status", "capture_time", "path_length",
-        "final_metric", "error"), rows)
+        "final_metric", "min_barrier_distance", "error"), rows)
     _write_json(
         out / "sweep_summary.json",
         {

@@ -16,34 +16,35 @@ Each field is autonomous, f(y) on 3-tuples, with the float steering law
 omega_tilde once, on the sample arrays.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
-baselines, and an adaptive Dormand-Prince 5(4) pair for accuracy.  Results
-are sampled on the uniform grid k*dt in both cases.  The adaptive
-integrator lets error control alone choose its steps (a step is cut short
-only at the end of the horizon) and fills the grid points inside each
-accepted step from the pair's quartic dense output (Shampine's
-interpolant, the one scipy's RK45 uses; Hairer, Norsett & Wanner, Solving
-ODEs I, section II.6), so the sampling interval does not bound the step
+baselines, and for accuracy the adaptive Dormand-Prince 8(5,3) method
+DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10), whose
+order 8 suits the default rtol of 1e-10.  Results are sampled on the
+uniform grid k*dt in both cases.  The adaptive integrator lets error
+control alone choose its steps (a step is cut short only at the end of the
+horizon) and fills the grid points inside each accepted step from DOP853's
+dense output of degree 7, so the sampling interval does not bound the step
 size.  Capture is tested on the grid samples.
 
 In the polar frame the adaptive integrator also watches for stiffness.
 Near the barrier lines the steering grows without bound, and the gamma
 mode can decay 1e4 times faster than the state moves, which holds an
-explicit method to steps at its stability limit.  DP5 runs the stiffness
-test of Hairer & Wanner's DOPRI5 (Solving ODEs II, section IV.2) on every
-10th accepted step, and on every step once an estimate was positive:
-after 15 estimates of h*|lambda| above 3.25, unless 6 in a row below it
-reset the count, the run continues with ode23s, the
+explicit method to steps at its stability limit.  DOP853 runs the
+stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section IV.2)
+on every 10th accepted step, and on every step once an estimate was
+positive: after 15 estimates of h*|lambda| above 6.1, unless 6 in a row
+below it reset the count, the run continues with ode23s, the
 linearly implicit Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
 Comput. 18, 1997), in the manner of LSODA.  ode23s uses the field's
 Jacobian, with the partials of omega_tilde taken by complex step, and
-hands back to DP5 once h times the Jacobian's spectral radius stays
-below 1 for 6 steps.  It keeps DP5's error norm, output grid (from its own
-continuous extension), capture test, h_min and domain retries.  Each
-stiff stretch adds `stiff: ode23s on t in [a, b], N steps, M Jacobians`
-to the trajectory's note; a run that never switches is DP5's alone.  The
-Cartesian frame and simulate_unsteered stay DP5-only.  The fixed-step
-integrator notes `rk4 unstable: ...` on the first step whose estimate
-of h*|lambda| exceeds RK4's stability bound of about 2.8.
+hands back to DOP853 once h times the Jacobian's spectral radius stays
+below 1 for 6 steps.  It keeps the scaled RMS error norm, the output grid
+(from its own continuous extension), the capture test, h_min and the
+domain retries.  Each stiff stretch adds `stiff: ode23s on t in [a, b],
+N steps, M Jacobians` to the trajectory's note; a run that never switches
+is DOP853's alone.  The Cartesian frame and simulate_unsteered stay
+DOP853-only.  The fixed-step integrator notes `rk4 unstable: ...` on the
+first step whose estimate of h*|lambda| exceeds RK4's stability bound of
+about 2.8.
 
 The adaptive integrator reports a boundary stop when step control pushes
 the step size below h_min, which happens when the state runs into an
@@ -189,7 +190,11 @@ class Trajectory:
         return len(self.t)
 
     def state(self, i: int) -> PolarState:
-        return PolarState(float(self.rho[i]), float(self.delta[i]), float(self.gamma[i]))
+        """Sample i as a PolarState; a rho in [-1e-9, 0) (rounding as a run decays
+        onto the target, the slack check_kl_decay allows) reads 0, a lower one raises."""
+        rho = float(self.rho[i])
+        return PolarState(0.0 if -1e-9 <= rho < 0.0 else rho, float(self.delta[i]),
+                          float(self.gamma[i]))
 
     def final_state(self) -> PolarState:
         return self.state(len(self.t) - 1)
@@ -264,39 +269,74 @@ def _cartesian_field(spec: ControllerSpec):
     return f
 
 
-# Dormand-Prince 5(4) tableau; the fields are autonomous, so the nodes c_i are not needed.
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
-)
-
-
-# Dense output of the pair: the quartic interpolant of Shampine (1986), as
-# in scipy's RK45.  Over an accepted step from (t, y) with stages f1..f7,
-#     y(t + s*h) = y + h*s*(f1 + s*(q2 + s*(q3 + s*q4))),
-# where q_p = sum_j _Dpj * fj over the stages j = 1, 3, 4, 5, 6, 7.
-_D21, _D23, _D24, _D25, _D26, _D27 = (
-    -8048581381.0 / 2820520608.0, 131558114200.0 / 32700410799.0,
-    -1754552775.0 / 470086768.0, 127303824393.0 / 49829197408.0,
-    -282668133.0 / 205662961.0, 40617522.0 / 29380423.0,
-)
-_D31, _D33, _D34, _D35, _D36, _D37 = (
-    8663915743.0 / 2820520608.0, -68118460800.0 / 10900136933.0,
-    14199869525.0 / 1410260304.0, -318862633887.0 / 49829197408.0,
-    2019193451.0 / 616988883.0, -110615467.0 / 29380423.0,
-)
-_D41, _D43, _D44, _D45, _D46, _D47 = (
-    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
-)
+# DOP853, Dormand-Prince 8(5,3), with the coefficients of scipy's
+# integrate/_ivp/dop853_coefficients.py.  Stages are numbered 1..16 as in
+# dop853.f: _Ai_j weighs stage j in the state of stage i, and stage 13 is f
+# at the solution z = y + h*sum_j _Bj*fj.  The fields are autonomous, so
+# the nodes c_i are not needed.
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+# The error estimate of dop853.f: err5 = sum_j _Ej*fj is the 5th-order
+# error, err3 = sum_j _Bj*fj - _BHH1*f1 - _BHH2*f9 - _BHH3*f12 the 3rd-order
+# one, and h*|err5|^2 / sqrt(|err5|^2 + 0.01*|err3|^2) is the error norm
+# of the 8th-order solution.
+_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_BHH1, _BHH2, _BHH3 = 0.2440944881889764, 0.7338466882816118, 0.022058823529411766
+# Dense output: over an accepted step from (t, y) to (t + h, z), with
+# r = 1 - s and q0 = z - y, q1 = h*f1 - q0, q2 = q0 - h*f13 - q1,
+#     y(t + s*h) = y + s*(q0 + r*(q1 + s*(q2 + r*(q3 + s*(q4 + r*(q5 + s*q6)))))),
+# a polynomial of degree 7 whose q3..q6 = h*sum_j _Dk_j*fj (k = 4..7, the
+# rows of dop853.f) also use three extra stages, 14..16.
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)
+_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894)
+_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408)
+_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279)
+_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14, _D7_15, _D7_16 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564)
 
 
 class _BoundaryHit(Exception):
@@ -330,7 +370,7 @@ class _Samples:
 
         The sample at t_new is the step's solution z; the others are
         dense(s), the state at t + s*h.  True when record stops the run.
-        _dp5 has this loop written out.
+        _dop853 has this loop written out.
         """
         i, t_sample, record = self.i, self.next, self.record
         while t_sample <= t_new:
@@ -342,28 +382,28 @@ class _Samples:
         return False
 
 
-# DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, section IV.2,
-# and their dopri5.f): on an accepted step, h*|lambda| is estimated as
-# h*|f7 - f6| / |z - u6|, where u6 is the state of stage 6; both stages sit
-# at t + h, so the ratio measures the dominant eigenvalue along the step.
-# The problem counts as stiff after 15 estimates above 3.25 (the edge of the
-# pair's stability region on the negative real axis), reset by 6 in a row
-# below it.  As in dopri5.f, the test runs on every 10th accepted step and,
-# once an estimate was above 3.25, on every step until the count resets:
-# on every step it would cost a capture run about 3 %.
-_STIFF_RATIO_SQ = 3.25**2
+# The stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section
+# IV.2): h*|lambda| ~ h*|f13 - f12| / |z - u12| on an accepted step, where
+# u12 is the state of stage 12 and both stages sit at t + h.  The problem is
+# stiff after 15 estimates above 6.1 (near the edge of the method's
+# stability region on the negative real axis), unless 6 in a row below it
+# reset the count.  The test runs on every 10th accepted step and, once an
+# estimate was above 6.1, on every step until the count resets.
+_STIFF_RATIO_SQ = 6.1**2
 _STIFF_AFTER = 15
 _STIFF_RESET = 6
 _STIFF_EVERY = 10
 
 
-def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
-    """Dormand-Prince steps from (t, y), with k1 = f(y) and trial step h.
+def _dop853(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
+    """Dormand-Prince 8(5,3) steps from (t, y), with k1 = f(y) and trial step h.
 
     Returns (outcome, t, y, f(y), h): outcome "done" or "stopped" (record
     returned True), or "stiff" with the state after the accepted step on
     which the stiffness test fired for the 15th time.  Stage N is unpacked
-    once into fNa, fNb, fNc, and the error norm is _error_norm written out.
+    once into fNa, fNb, fNc.  Stage 13, f(z), is evaluated once the step
+    is accepted, and the extra stages 14..16 only when the step holds a
+    grid time; a DomainError in any stage retries the step at h/4.
     """
     rtol, atol, h_min, sqrt = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt
     t_end, dt, record = samples.t_end, samples.dt, samples.record
@@ -375,58 +415,162 @@ def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
         last = t + h >= t_end
         if last:
             h = t_end - t
+        t_new = t_end if last else t + h
         y1, y2, y3 = y
         f1a, f1b, f1c = k1
         try:
-            f2a, f2b, f2c = f((y1 + h * _A21 * f1a, y2 + h * _A21 * f1b, y3 + h * _A21 * f1c))
+            f2a, f2b, f2c = f((y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b, y3 + h * _A2_1 * f1c))
             f3a, f3b, f3c = f((
-                y1 + h * (_A31 * f1a + _A32 * f2a),
-                y2 + h * (_A31 * f1b + _A32 * f2b),
-                y3 + h * (_A31 * f1c + _A32 * f2c)))
+                y1 + h * (_A3_1 * f1a + _A3_2 * f2a),
+                y2 + h * (_A3_1 * f1b + _A3_2 * f2b),
+                y3 + h * (_A3_1 * f1c + _A3_2 * f2c)))
             f4a, f4b, f4c = f((
-                y1 + h * (_A41 * f1a + _A42 * f2a + _A43 * f3a),
-                y2 + h * (_A41 * f1b + _A42 * f2b + _A43 * f3b),
-                y3 + h * (_A41 * f1c + _A42 * f2c + _A43 * f3c)))
+                y1 + h * (_A4_1 * f1a + _A4_3 * f3a),
+                y2 + h * (_A4_1 * f1b + _A4_3 * f3b),
+                y3 + h * (_A4_1 * f1c + _A4_3 * f3c)))
             f5a, f5b, f5c = f((
-                y1 + h * (_A51 * f1a + _A52 * f2a + _A53 * f3a + _A54 * f4a),
-                y2 + h * (_A51 * f1b + _A52 * f2b + _A53 * f3b + _A54 * f4b),
-                y3 + h * (_A51 * f1c + _A52 * f2c + _A53 * f3c + _A54 * f4c)))
-            u1 = y1 + h * (_A61 * f1a + _A62 * f2a + _A63 * f3a + _A64 * f4a + _A65 * f5a)
-            u2 = y2 + h * (_A61 * f1b + _A62 * f2b + _A63 * f3b + _A64 * f4b + _A65 * f5b)
-            u3 = y3 + h * (_A61 * f1c + _A62 * f2c + _A63 * f3c + _A64 * f4c + _A65 * f5c)
-            f6a, f6b, f6c = f((u1, u2, u3))
-            z1 = y1 + h * (_B1 * f1a + _B3 * f3a + _B4 * f4a + _B5 * f5a + _B6 * f6a)
-            z2 = y2 + h * (_B1 * f1b + _B3 * f3b + _B4 * f4b + _B5 * f5b + _B6 * f6b)
-            z3 = y3 + h * (_B1 * f1c + _B3 * f3c + _B4 * f4c + _B5 * f5c + _B6 * f6c)
+                y1 + h * (_A5_1 * f1a + _A5_3 * f3a + _A5_4 * f4a),
+                y2 + h * (_A5_1 * f1b + _A5_3 * f3b + _A5_4 * f4b),
+                y3 + h * (_A5_1 * f1c + _A5_3 * f3c + _A5_4 * f4c)))
+            f6a, f6b, f6c = f((
+                y1 + h * (_A6_1 * f1a + _A6_4 * f4a + _A6_5 * f5a),
+                y2 + h * (_A6_1 * f1b + _A6_4 * f4b + _A6_5 * f5b),
+                y3 + h * (_A6_1 * f1c + _A6_4 * f4c + _A6_5 * f5c)))
+            f7a, f7b, f7c = f((
+                y1 + h * (_A7_1 * f1a + _A7_4 * f4a + _A7_5 * f5a + _A7_6 * f6a),
+                y2 + h * (_A7_1 * f1b + _A7_4 * f4b + _A7_5 * f5b + _A7_6 * f6b),
+                y3 + h * (_A7_1 * f1c + _A7_4 * f4c + _A7_5 * f5c + _A7_6 * f6c)))
+            f8a, f8b, f8c = f((
+                y1 + h * (_A8_1 * f1a + _A8_4 * f4a + _A8_5 * f5a + _A8_6 * f6a + _A8_7 * f7a),
+                y2 + h * (_A8_1 * f1b + _A8_4 * f4b + _A8_5 * f5b + _A8_6 * f6b + _A8_7 * f7b),
+                y3 + h * (_A8_1 * f1c + _A8_4 * f4c + _A8_5 * f5c + _A8_6 * f6c + _A8_7 * f7c)))
+            u1 = y1 + h * (_A9_1 * f1a + _A9_4 * f4a + _A9_5 * f5a + _A9_6 * f6a + _A9_7 * f7a +
+                           _A9_8 * f8a)
+            u2 = y2 + h * (_A9_1 * f1b + _A9_4 * f4b + _A9_5 * f5b + _A9_6 * f6b + _A9_7 * f7b +
+                           _A9_8 * f8b)
+            u3 = y3 + h * (_A9_1 * f1c + _A9_4 * f4c + _A9_5 * f5c + _A9_6 * f6c + _A9_7 * f7c +
+                           _A9_8 * f8c)
+            f9a, f9b, f9c = f((u1, u2, u3))
+            u1 = y1 + h * (_A10_1 * f1a + _A10_4 * f4a + _A10_5 * f5a + _A10_6 * f6a +
+                           _A10_7 * f7a + _A10_8 * f8a + _A10_9 * f9a)
+            u2 = y2 + h * (_A10_1 * f1b + _A10_4 * f4b + _A10_5 * f5b + _A10_6 * f6b +
+                           _A10_7 * f7b + _A10_8 * f8b + _A10_9 * f9b)
+            u3 = y3 + h * (_A10_1 * f1c + _A10_4 * f4c + _A10_5 * f5c + _A10_6 * f6c +
+                           _A10_7 * f7c + _A10_8 * f8c + _A10_9 * f9c)
+            f10a, f10b, f10c = f((u1, u2, u3))
+            u1 = y1 + h * (_A11_1 * f1a + _A11_4 * f4a + _A11_5 * f5a + _A11_6 * f6a +
+                           _A11_7 * f7a + _A11_8 * f8a + _A11_9 * f9a + _A11_10 * f10a)
+            u2 = y2 + h * (_A11_1 * f1b + _A11_4 * f4b + _A11_5 * f5b + _A11_6 * f6b +
+                           _A11_7 * f7b + _A11_8 * f8b + _A11_9 * f9b + _A11_10 * f10b)
+            u3 = y3 + h * (_A11_1 * f1c + _A11_4 * f4c + _A11_5 * f5c + _A11_6 * f6c +
+                           _A11_7 * f7c + _A11_8 * f8c + _A11_9 * f9c + _A11_10 * f10c)
+            f11a, f11b, f11c = f((u1, u2, u3))
+            u1 = y1 + h * (_A12_1 * f1a + _A12_4 * f4a + _A12_5 * f5a + _A12_6 * f6a +
+                           _A12_7 * f7a + _A12_8 * f8a + _A12_9 * f9a + _A12_10 * f10a +
+                           _A12_11 * f11a)
+            u2 = y2 + h * (_A12_1 * f1b + _A12_4 * f4b + _A12_5 * f5b + _A12_6 * f6b +
+                           _A12_7 * f7b + _A12_8 * f8b + _A12_9 * f9b + _A12_10 * f10b +
+                           _A12_11 * f11b)
+            u3 = y3 + h * (_A12_1 * f1c + _A12_4 * f4c + _A12_5 * f5c + _A12_6 * f6c +
+                           _A12_7 * f7c + _A12_8 * f8c + _A12_9 * f9c + _A12_10 * f10c +
+                           _A12_11 * f11c)
+            f12a, f12b, f12c = f((u1, u2, u3))
+            g1 = (_B1 * f1a + _B6 * f6a + _B7 * f7a + _B8 * f8a + _B9 * f9a + _B10 * f10a +
+                  _B11 * f11a + _B12 * f12a)
+            g2 = (_B1 * f1b + _B6 * f6b + _B7 * f7b + _B8 * f8b + _B9 * f9b + _B10 * f10b +
+                  _B11 * f11b + _B12 * f12b)
+            g3 = (_B1 * f1c + _B6 * f6c + _B7 * f7c + _B8 * f8c + _B9 * f9c + _B10 * f10c +
+                  _B11 * f11c + _B12 * f12c)
+            z1, z2, z3 = y1 + h * g1, y2 + h * g2, y3 + h * g3
+            s1 = atol + rtol * max(abs(y1), abs(z1))
+            s2 = atol + rtol * max(abs(y2), abs(z2))
+            s3 = atol + rtol * max(abs(y3), abs(z3))
+            e51 = (_E1 * f1a + _E6 * f6a + _E7 * f7a + _E8 * f8a + _E9 * f9a + _E10 * f10a +
+                   _E11 * f11a + _E12 * f12a) / s1
+            e52 = (_E1 * f1b + _E6 * f6b + _E7 * f7b + _E8 * f8b + _E9 * f9b + _E10 * f10b +
+                   _E11 * f11b + _E12 * f12b) / s2
+            e53 = (_E1 * f1c + _E6 * f6c + _E7 * f7c + _E8 * f8c + _E9 * f9c + _E10 * f10c +
+                   _E11 * f11c + _E12 * f12c) / s3
+            e31 = (g1 - _BHH1 * f1a - _BHH2 * f9a - _BHH3 * f12a) / s1
+            e32 = (g2 - _BHH1 * f1b - _BHH2 * f9b - _BHH3 * f12b) / s2
+            e33 = (g3 - _BHH1 * f1c - _BHH2 * f9c - _BHH3 * f12c) / s3
+            err5 = e51 * e51 + e52 * e52 + e53 * e53
+            err3 = e31 * e31 + e32 * e32 + e33 * e33
+            den = err5 + 0.01 * err3
+            err = h * err5 / sqrt(3.0 * den) if den else 0.0
+            if not err <= 1.0:  # also rejects a NaN error
+                h *= max(0.2, 0.9 * err**-0.125)
+                continue
             z = (z1, z2, z3)
-            f7 = f(z)
+            f13a, f13b, f13c = f13 = f(z)
+            if t_sample <= t_new:
+                v1 = y1 + h * (_A14_1 * f1a + _A14_7 * f7a + _A14_8 * f8a + _A14_9 * f9a +
+                               _A14_10 * f10a + _A14_11 * f11a + _A14_12 * f12a + _A14_13 * f13a)
+                v2 = y2 + h * (_A14_1 * f1b + _A14_7 * f7b + _A14_8 * f8b + _A14_9 * f9b +
+                               _A14_10 * f10b + _A14_11 * f11b + _A14_12 * f12b + _A14_13 * f13b)
+                v3 = y3 + h * (_A14_1 * f1c + _A14_7 * f7c + _A14_8 * f8c + _A14_9 * f9c +
+                               _A14_10 * f10c + _A14_11 * f11c + _A14_12 * f12c + _A14_13 * f13c)
+                f14a, f14b, f14c = f((v1, v2, v3))
+                v1 = y1 + h * (_A15_1 * f1a + _A15_6 * f6a + _A15_7 * f7a + _A15_8 * f8a +
+                               _A15_11 * f11a + _A15_12 * f12a + _A15_13 * f13a + _A15_14 * f14a)
+                v2 = y2 + h * (_A15_1 * f1b + _A15_6 * f6b + _A15_7 * f7b + _A15_8 * f8b +
+                               _A15_11 * f11b + _A15_12 * f12b + _A15_13 * f13b + _A15_14 * f14b)
+                v3 = y3 + h * (_A15_1 * f1c + _A15_6 * f6c + _A15_7 * f7c + _A15_8 * f8c +
+                               _A15_11 * f11c + _A15_12 * f12c + _A15_13 * f13c + _A15_14 * f14c)
+                f15a, f15b, f15c = f((v1, v2, v3))
+                v1 = y1 + h * (_A16_1 * f1a + _A16_6 * f6a + _A16_7 * f7a + _A16_8 * f8a +
+                               _A16_9 * f9a + _A16_13 * f13a + _A16_14 * f14a + _A16_15 * f15a)
+                v2 = y2 + h * (_A16_1 * f1b + _A16_6 * f6b + _A16_7 * f7b + _A16_8 * f8b +
+                               _A16_9 * f9b + _A16_13 * f13b + _A16_14 * f14b + _A16_15 * f15b)
+                v3 = y3 + h * (_A16_1 * f1c + _A16_6 * f6c + _A16_7 * f7c + _A16_8 * f8c +
+                               _A16_9 * f9c + _A16_13 * f13c + _A16_14 * f14c + _A16_15 * f15c)
+                f16a, f16b, f16c = f((v1, v2, v3))
         except DomainError:
             # A stage left the domain; retry with a smaller step until
             # h_min decides this is a genuine boundary approach.
             h *= 0.25
             continue
-        f7a, f7b, f7c = f7
-        e1 = h * (_E1 * f1a + _E3 * f3a + _E4 * f4a + _E5 * f5a + _E6 * f6a + _E7 * f7a)
-        e2 = h * (_E1 * f1b + _E3 * f3b + _E4 * f4b + _E5 * f5b + _E6 * f6b + _E7 * f7b)
-        e3 = h * (_E1 * f1c + _E3 * f3c + _E4 * f4c + _E5 * f5c + _E6 * f6c + _E7 * f7c)
-        e1 /= atol + rtol * max(abs(y1), abs(z1))
-        e2 /= atol + rtol * max(abs(y2), abs(z2))
-        e3 /= atol + rtol * max(abs(y3), abs(z3))
-        err = sqrt((e1**2 + e2**2 + e3**2) / 3.0)
-        if not err <= 1.0:  # also rejects a NaN error
-            h *= max(0.2, 0.9 * err**-0.2)
-            continue
-        t_new = t_end if last else t + h
         if t_sample <= t_new:
-            q21 = _D21 * f1a + _D23 * f3a + _D24 * f4a + _D25 * f5a + _D26 * f6a + _D27 * f7a
-            q22 = _D21 * f1b + _D23 * f3b + _D24 * f4b + _D25 * f5b + _D26 * f6b + _D27 * f7b
-            q23 = _D21 * f1c + _D23 * f3c + _D24 * f4c + _D25 * f5c + _D26 * f6c + _D27 * f7c
-            q31 = _D31 * f1a + _D33 * f3a + _D34 * f4a + _D35 * f5a + _D36 * f6a + _D37 * f7a
-            q32 = _D31 * f1b + _D33 * f3b + _D34 * f4b + _D35 * f5b + _D36 * f6b + _D37 * f7b
-            q33 = _D31 * f1c + _D33 * f3c + _D34 * f4c + _D35 * f5c + _D36 * f6c + _D37 * f7c
-            q41 = _D41 * f1a + _D43 * f3a + _D44 * f4a + _D45 * f5a + _D46 * f6a + _D47 * f7a
-            q42 = _D41 * f1b + _D43 * f3b + _D44 * f4b + _D45 * f5b + _D46 * f6b + _D47 * f7b
-            q43 = _D41 * f1c + _D43 * f3c + _D44 * f4c + _D45 * f5c + _D46 * f6c + _D47 * f7c
+            # the dense output's q0..q6, as in the comment on the _Dk_j
+            q01, q02, q03 = z1 - y1, z2 - y2, z3 - y3
+            q11, q12, q13 = h * f1a - q01, h * f1b - q02, h * f1c - q03
+            q21, q22, q23 = q01 - h * f13a - q11, q02 - h * f13b - q12, q03 - h * f13c - q13
+            q31 = h * (_D4_1 * f1a + _D4_6 * f6a + _D4_7 * f7a + _D4_8 * f8a + _D4_9 * f9a +
+                       _D4_10 * f10a + _D4_11 * f11a + _D4_12 * f12a + _D4_13 * f13a +
+                       _D4_14 * f14a + _D4_15 * f15a + _D4_16 * f16a)
+            q32 = h * (_D4_1 * f1b + _D4_6 * f6b + _D4_7 * f7b + _D4_8 * f8b + _D4_9 * f9b +
+                       _D4_10 * f10b + _D4_11 * f11b + _D4_12 * f12b + _D4_13 * f13b +
+                       _D4_14 * f14b + _D4_15 * f15b + _D4_16 * f16b)
+            q33 = h * (_D4_1 * f1c + _D4_6 * f6c + _D4_7 * f7c + _D4_8 * f8c + _D4_9 * f9c +
+                       _D4_10 * f10c + _D4_11 * f11c + _D4_12 * f12c + _D4_13 * f13c +
+                       _D4_14 * f14c + _D4_15 * f15c + _D4_16 * f16c)
+            q41 = h * (_D5_1 * f1a + _D5_6 * f6a + _D5_7 * f7a + _D5_8 * f8a + _D5_9 * f9a +
+                       _D5_10 * f10a + _D5_11 * f11a + _D5_12 * f12a + _D5_13 * f13a +
+                       _D5_14 * f14a + _D5_15 * f15a + _D5_16 * f16a)
+            q42 = h * (_D5_1 * f1b + _D5_6 * f6b + _D5_7 * f7b + _D5_8 * f8b + _D5_9 * f9b +
+                       _D5_10 * f10b + _D5_11 * f11b + _D5_12 * f12b + _D5_13 * f13b +
+                       _D5_14 * f14b + _D5_15 * f15b + _D5_16 * f16b)
+            q43 = h * (_D5_1 * f1c + _D5_6 * f6c + _D5_7 * f7c + _D5_8 * f8c + _D5_9 * f9c +
+                       _D5_10 * f10c + _D5_11 * f11c + _D5_12 * f12c + _D5_13 * f13c +
+                       _D5_14 * f14c + _D5_15 * f15c + _D5_16 * f16c)
+            q51 = h * (_D6_1 * f1a + _D6_6 * f6a + _D6_7 * f7a + _D6_8 * f8a + _D6_9 * f9a +
+                       _D6_10 * f10a + _D6_11 * f11a + _D6_12 * f12a + _D6_13 * f13a +
+                       _D6_14 * f14a + _D6_15 * f15a + _D6_16 * f16a)
+            q52 = h * (_D6_1 * f1b + _D6_6 * f6b + _D6_7 * f7b + _D6_8 * f8b + _D6_9 * f9b +
+                       _D6_10 * f10b + _D6_11 * f11b + _D6_12 * f12b + _D6_13 * f13b +
+                       _D6_14 * f14b + _D6_15 * f15b + _D6_16 * f16b)
+            q53 = h * (_D6_1 * f1c + _D6_6 * f6c + _D6_7 * f7c + _D6_8 * f8c + _D6_9 * f9c +
+                       _D6_10 * f10c + _D6_11 * f11c + _D6_12 * f12c + _D6_13 * f13c +
+                       _D6_14 * f14c + _D6_15 * f15c + _D6_16 * f16c)
+            q61 = h * (_D7_1 * f1a + _D7_6 * f6a + _D7_7 * f7a + _D7_8 * f8a + _D7_9 * f9a +
+                       _D7_10 * f10a + _D7_11 * f11a + _D7_12 * f12a + _D7_13 * f13a +
+                       _D7_14 * f14a + _D7_15 * f15a + _D7_16 * f16a)
+            q62 = h * (_D7_1 * f1b + _D7_6 * f6b + _D7_7 * f7b + _D7_8 * f8b + _D7_9 * f9b +
+                       _D7_10 * f10b + _D7_11 * f11b + _D7_12 * f12b + _D7_13 * f13b +
+                       _D7_14 * f14b + _D7_15 * f15b + _D7_16 * f16b)
+            q63 = h * (_D7_1 * f1c + _D7_6 * f6c + _D7_7 * f7c + _D7_8 * f8c + _D7_9 * f9c +
+                       _D7_10 * f10c + _D7_11 * f11c + _D7_12 * f12c + _D7_13 * f13c +
+                       _D7_14 * f14c + _D7_15 * f15c + _D7_16 * f16c)
             # samples.fill written out: a closure call per sample would cost
             # this loop about 5 % of a capture run
             while t_sample <= t_new:
@@ -434,34 +578,35 @@ def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
                     sample = z
                 else:
                     s = (t_sample - t) / h
-                    hs = h * s
-                    sample = (
-                        y1 + hs * (f1a + s * (q21 + s * (q31 + s * q41))),
-                        y2 + hs * (f1b + s * (q22 + s * (q32 + s * q42))),
-                        y3 + hs * (f1c + s * (q23 + s * (q33 + s * q43))),
-                    )
+                    r = 1.0 - s
+                    c1 = q31 + s * (q41 + r * (q51 + s * q61))
+                    c2 = q32 + s * (q42 + r * (q52 + s * q62))
+                    c3 = q33 + s * (q43 + r * (q53 + s * q63))
+                    sample = (y1 + s * (q01 + r * (q11 + s * (q21 + r * c1))),
+                              y2 + s * (q02 + r * (q12 + s * (q22 + r * c2))),
+                              y3 + s * (q03 + r * (q13 + s * (q23 + r * c3))))
                 if record(t_sample, sample):
-                    return "stopped", t_new, z, f7, h
+                    return "stopped", t_new, z, f13, h
                 i += 1
                 t_sample = i * dt
         if last:
-            return "done", t_new, z, f7, h
-        h_new = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
+            return "done", t_new, z, f13, h
+        h_new = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.125)))
         n_accepted += 1
         if stiff_test and (n_stiff or n_accepted % _STIFF_EVERY == 0):
-            d1, d2, d3 = f7a - f6a, f7b - f6b, f7c - f6c
+            d1, d2, d3 = f13a - f12a, f13b - f12b, f13c - f12c
             if h * h * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
                     (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_AFTER:
                     samples.i, samples.next = i, t_sample
-                    return "stiff", t_new, z, f7, h_new
+                    return "stiff", t_new, z, f13, h_new
             else:
                 n_nonstiff += 1
                 if n_nonstiff == _STIFF_RESET:
                     n_stiff = 0
-        t, y, k1, h = t_new, z, f7, h_new
+        t, y, k1, h = t_new, z, f13, h_new
 
 
 # ode23s, the Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
@@ -472,7 +617,7 @@ def _dp5(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
 # The continuous extension is y + h*(s*(1 - s)*k1 + s*(s - 2d)*k2)/(1 - 2d).
 _ROS_D = 1.0 / (2.0 + math.sqrt(2.0))
 _ROS_E32 = 6.0 + math.sqrt(2.0)
-# Back to DP5 once h*rho(J) < 1, inside its stability region with room to
+# Back to DOP853 once h*rho(J) < 1, inside its stability region with room to
 # spare, on this many accepted steps in a row.
 _NONSTIFF_AFTER = 6
 
@@ -566,8 +711,8 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: li
 
     Error control alone sets the step size; only the last step is cut
     short, to end on t = n_samples*dt.  The samples inside an accepted
-    step come from the dense output.  Runs DP5 and, when a Jacobian is
-    given and DP5's stiffness test fires, ode23s until the problem is no
+    step come from the dense output.  Runs DOP853 and, when a Jacobian is
+    given and its stiffness test fires, ode23s until the problem is no
     longer stiff (each stretch adds a note).  Returns "done" or "stopped"
     (record returned True), or raises _BoundaryHit when the step size
     collapses below cfg.h_min (stage evaluations that leave the domain
@@ -576,7 +721,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: li
     samples = _Samples(cfg, record, n_samples)
     t, y, fy, h = 0.0, y0, f(y0), min(cfg.dt, 1e-3)
     while True:
-        outcome, t, y, fy, h = _dp5(f, t, y, fy, h, cfg, samples, jac is not None)
+        outcome, t, y, fy, h = _dop853(f, t, y, fy, h, cfg, samples, jac is not None)
         if outcome != "stiff":
             return outcome
         outcome, t, y, fy, h = _ode23s(f, jac, t, y, fy, h, cfg, samples, notes)

@@ -416,8 +416,7 @@ def check_kl_decay(
             f"trajectory left the open space {space.value} at t={float(traj.t[i]):.6g}"
         )
 
-    final = PolarState(max(float(traj.rho[-1]), 0.0), float(traj.delta[-1]), float(traj.gamma[-1]))
-    final_metric = metric(space, final)
+    final_metric = metric(space, traj.final_state())
     if lyapunov is not None and np.isinf(values).any():
         values = lyapunov.log1p_value(rho, traj.delta, traj.gamma)
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails the check

@@ -373,14 +373,26 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == ("gain_set,ic_index,k1,k2,k3,k4,status,"
-                            "capture_time,path_length,final_metric,error")
+        assert lines[0] == ("gain_set,ic_index,k1,k2,k3,k4,status,capture_time,"
+                            "path_length,final_metric,min_barrier_distance,error")
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[2] == "1.0"
+        assert first[10] == ""  # GLOBA's space S has no barrier
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["n_runs"] == 4 and summary["n_completed"] == 4
+
+    def test_min_barrier_distance_of_a_bounded_kind(self, tmp_path):
+        # BAGAL from delta = pi - 0.05 never gets closer to its delta barrier
+        payload = {**self.PAYLOAD, "controller": "bagal", "gain_sets": [[1.0, 1.0, 1.0, 1.0]],
+                   "initial_conditions": [{"rho": 1.0, "delta": math.pi - 0.05, "gamma": 0.0}]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
+        distance = float(row[header.index("min_barrier_distance")])
+        assert distance == pytest.approx(0.05, abs=1e-6) and distance <= 0.05
 
     def test_bad_gain_set_rejected(self, tmp_path, capsys):
         payload = {**self.PAYLOAD, "controller": "bagal",

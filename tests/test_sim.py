@@ -186,19 +186,20 @@ class TestIntegrators:
 
     # Float RHS evaluations on criterion 05's 64 starts and the final sample
     # (t, rho, delta, gamma) of each kind's first start at rho0 = 1, as the
-    # DP5 loop with the per-call omega_tilde produced them.  Any change to
-    # the steps DP5 takes moves these; a faster loop must leave them exact.
-    STEP_COUNTS = {ControllerKind.GLOBA: 20_248, ControllerKind.BARFLI: 21_940,
-                   ControllerKind.BOLSA: 24_208, ControllerKind.BAGAL: 23_164}
+    # DOP853 loop produced them.  Any change to the steps DOP853 takes moves
+    # these; a faster loop must leave them exact.  The final rho of the
+    # BOLSA and BAGAL runs is rounding below 0 (Trajectory.state reads 0).
+    STEP_COUNTS = {ControllerKind.GLOBA: 10_400, ControllerKind.BARFLI: 12_554,
+                   ControllerKind.BOLSA: 11_820, ControllerKind.BAGAL: 11_242}
     FINAL_SAMPLES = {
-        ControllerKind.GLOBA: (10.65, 0.0001407355883750381, 0.0003859652483243301,
-                               0.0008880169869524229),
-        ControllerKind.BARFLI: (9.600000000000001, 0.000574406073536207, 0.0006147144007851165,
-                                0.0009330945863134462),
-        ControllerKind.BOLSA: (55.5, 1.2658769712417032e-24, 0.000997543491232285,
-                               -0.00011242481069110548),
-        ControllerKind.BAGAL: (55.300000000000004, 1.5465212589392102e-24, 0.0009967148525050445,
-                               -0.00011233148183222584),
+        ControllerKind.GLOBA: (10.65, 0.00014073558841878488, 0.0003859652481031811,
+                               0.0008880169861184637),
+        ControllerKind.BARFLI: (9.600000000000001, 0.0005744060736492068, 0.0006147144013922972,
+                                0.0009330945845957649),
+        ControllerKind.BOLSA: (55.5, -8.997126885831373e-26, 0.000997543488336564,
+                               -0.00011242481036281214),
+        ControllerKind.BAGAL: (55.300000000000004, -1.5130459947000028e-25, 0.000996714851717439,
+                               -0.00011233148196705205),
     }
 
     @pytest.mark.parametrize("kind", list(ControllerKind))
@@ -213,6 +214,51 @@ class TestIntegrators:
         final = finals[0]
         assert (final.t[-1], final.rho[-1], final.delta[-1], final.gamma[-1]) == (
             self.FINAL_SAMPLES[kind])
+
+    def test_tableau_is_scipys(self):
+        # every nonzero coefficient of scipy's DOP853 tableau, exactly, and
+        # no other: _Ai_j, _Bj (row 13 of A), _Ej (E5) and _Dk_j (D row k - 4)
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        expected = {}
+        for i, j in zip(*np.nonzero(ref.A)):
+            expected[f"_B{j + 1}" if i == 12 else f"_A{i + 1}_{j + 1}"] = ref.A[i, j]
+        expected.update((f"_E{j + 1}", ref.E5[j]) for j in np.flatnonzero(ref.E5))
+        expected.update((f"_D{r + 4}_{j + 1}", ref.D[r, j]) for r, j in zip(*np.nonzero(ref.D)))
+        names = {name for name in vars(sim) if re.fullmatch(r"_(A\d+_\d+|B\d+|E\d+|D\d_\d+)", name)}
+        assert names == set(expected)
+        assert all(getattr(sim, name) == value for name, value in expected.items())
+        # scipy's 3rd-order error weights are B minus dop853.f's bhh
+        assert (ref.E3[0], ref.E3[8], ref.E3[11]) == (
+            sim._B1 - sim._BHH1, sim._B9 - sim._BHH2, sim._B12 - sim._BHH3)
+
+    def test_global_error_against_a_tight_reference(self):
+        # criterion 05's starts at rho0 in {1, 3} with each kind's first 4
+        # angle pairs, 20 s with capture off, against scipy's DOP853 at
+        # rtol 1e-13: the worst state error is 1.2e-9 (the Dormand-Prince
+        # 5(4) pair used before reached 2.52e-9 at the same tolerances)
+        from test_acceptance import CONVERGENCE_GRIDS, REFERENCE_GAINS
+
+        cfg = SimConfig(dt=0.05, t_final=20.0, capture_radius=0.0)
+        k1 = REFERENCE_GAINS.k1
+        worst = 0.0
+        for kind, pairs in CONVERGENCE_GRIDS.items():
+            spec = ControllerSpec(kind, REFERENCE_GAINS, allow_unproven_gains=True)
+
+            def f(t, y):
+                rho, delta, gamma = y
+                return (-k1 * rho * math.cos(gamma) ** 2, 0.5 * k1 * math.sin(2.0 * gamma),
+                        -omega_tilde(spec, delta, gamma))
+
+            for rho0, (d0, g0) in itertools.product((1.0, 3.0), pairs[:4]):
+                traj = simulate(spec, PolarState(rho0, d0, g0), cfg)
+                assert traj.status is SimStatus.HORIZON_REACHED and traj.note == ""
+                ref = solve_ivp(f, (0.0, 20.0), [rho0, d0, g0], method="DOP853",
+                                rtol=1e-13, atol=1e-15, t_eval=traj.t)
+                assert ref.success
+                err = np.max(np.abs(np.stack([traj.rho, traj.delta, traj.gamma]) - ref.y))
+                worst = max(worst, float(err))
+        assert worst < 2.5e-9
 
     def test_runs_are_deterministic(self):
         spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
@@ -316,6 +362,31 @@ class TestTermination:
             simulate(spec, PolarState(1.0, 0.0, -math.pi))
 
 
+class TestStateAccessor:
+    def test_rounding_below_zero_reads_zero(self):
+        # GLOBA from (1, 0.5, -0.5) with capture off decays onto the target,
+        # and rounding takes rho a few 1e-13 below 0 on many samples
+        # (down to -2.27e-13 at t = 29.2 with the 5(4) pair used before);
+        # each of them used to raise ValueError in state()
+        spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
+        traj = simulate(spec, PolarState(1.0, 0.5, -0.5), SimConfig(capture_radius=0.0))
+        negative = np.flatnonzero(traj.rho < 0.0)
+        assert negative.size and traj.rho.min() >= -1e-9
+        for i in negative.tolist():
+            assert traj.state(i) == PolarState(0.0, float(traj.delta[i]), float(traj.gamma[i]))
+        assert traj.final_state().rho >= 0.0
+
+    def test_rho_below_the_rounding_bound_raises(self):
+        col = np.zeros(3)
+        traj = Trajectory(t=np.array([0.0, 0.1, 0.2]), rho=np.array([1.0, -1e-9, -1.1e-9]),
+                          delta=col, gamma=col, x=col, y=col, theta=col, v=col, omega=col,
+                          omega_tilde=col, lyapunov=col, status=SimStatus.HORIZON_REACHED,
+                          frame=Frame.POLAR)
+        assert traj.state(0).rho == 1.0 and traj.state(1).rho == 0.0
+        with pytest.raises(ValueError, match="negative rho"):
+            traj.state(2)
+
+
 class TestStiffFallback:
     # From delta = pi - 0.05 the gamma mode of the delta-barrier laws has
     # d(gamma')/d(gamma) ~ -3.2e4 while delta barely moves: DP5 alone spent
@@ -331,16 +402,16 @@ class TestStiffFallback:
                             traj.note)
 
     # Float RHS evaluations per run and the note of criterion 06's starts
-    # over 5 s, as the fallback with the numpy-array Jacobian produced them.
-    # Any change to the steps DP5 or ode23s takes moves these; a faster
+    # over 5 s, as DOP853 with the ode23s fallback produced them.  Any
+    # change to the steps DOP853 or ode23s takes moves these; a faster
     # Jacobian must leave them exact.
     STIFF_RUNS = {
         (ControllerKind.BARFLI, "delta"): (
-            3_515, "stiff: ode23s on t in [0.0012406, 0.441963], 296 steps, 296 Jacobians"),
+            2_980, "stiff: ode23s on t in [0.00151665, 0.440916], 295 steps, 295 Jacobians"),
         (ControllerKind.BAGAL, "delta"): (
-            1_107, "stiff: ode23s on t in [0.00350453, 5], 10 steps, 10 Jacobians"),
-        (ControllerKind.BOLSA, "gamma"): (709, ""),
-        (ControllerKind.BAGAL, "gamma"): (721, ""),
+            932, "stiff: ode23s on t in [0.00575514, 5], 10 steps, 10 Jacobians"),
+        (ControllerKind.BOLSA, "gamma"): (411, ""),
+        (ControllerKind.BAGAL, "gamma"): (400, ""),
     }
 
     @pytest.mark.parametrize("kind, which", list(STIFF_RUNS))
@@ -371,7 +442,7 @@ class TestStiffFallback:
         assert ref.success
         assert np.max(np.abs(np.stack([traj.rho, traj.delta, traj.gamma]) - ref.y)) < 1e-8
 
-    def test_fallback_hands_back_to_dp5(self):
+    def test_fallback_hands_back_to_dop853(self):
         # BARFLI leaves the stiff region within half a second and captures
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
         traj = simulate(spec, self.BARRIER_START, SimConfig(dt=0.05, t_final=60.0))
@@ -382,7 +453,7 @@ class TestStiffFallback:
 
     def test_reference_runs_never_switch(self):
         # criterion 05's 64 capture runs and criterion 07's polar runs are
-        # not stiff: their trajectories must stay DP5's
+        # not stiff: their trajectories must stay DOP853's
         from test_acceptance import CONVERGENCE_GRIDS, REFERENCE_GAINS
 
         cfg = SimConfig(dt=0.05, t_final=60.0, capture_radius=1e-3)
@@ -454,7 +525,7 @@ class TestStiffFallback:
 
     def test_stiff_stretch_keeps_retries_and_h_min(self):
         # gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a
-        # wall at delta = 0.5: DP5 goes stiff, ode23s follows the slow
+        # wall at delta = 0.5: DOP853 goes stiff, ode23s follows the slow
         # manifold exactly (the problem is linear), and its stages at the
         # wall shrink the step below h_min
         def f(y):
