@@ -94,6 +94,17 @@ def math_for(a, b=None):
     return FLOAT_MATH
 
 
+def wrap_float(angle: float) -> float:
+    """wrap_angle for one float, with no type test: the Cartesian field of
+    sim.py calls it twice per right-hand side."""
+    wrapped = angle - TWO_PI * round(angle / TWO_PI)
+    if wrapped <= -math.pi:
+        return wrapped + TWO_PI
+    if wrapped > math.pi:
+        return wrapped - TWO_PI
+    return wrapped
+
+
 def wrap_angle(angle):
     """Wrap an angle into the interval (-pi, pi].
 
@@ -103,19 +114,14 @@ def wrap_angle(angle):
     Returns:
         The equivalent angle in (-pi, pi], element-wise for arrays.
     """
-    # Both namespaces round half to even, so both paths agree bit for bit.
-    # Here and in polar_image one type test replaces math_for: they run on
-    # every Cartesian right-hand side.
-    array = isinstance(angle, np.ndarray)
-    wrapped = angle - TWO_PI * (ARRAY_MATH if array else FLOAT_MATH).round(angle / TWO_PI)
-    if array:
-        low, high = wrapped <= -math.pi, wrapped > math.pi
-        wrapped[low] += TWO_PI
-        wrapped[high] -= TWO_PI
-    elif wrapped <= -math.pi:
-        wrapped += TWO_PI
-    elif wrapped > math.pi:
-        wrapped -= TWO_PI
+    if not isinstance(angle, np.ndarray):
+        return wrap_float(angle)
+    # np.rint rounds half to even, as round() does in wrap_float, so both
+    # paths agree bit for bit.
+    wrapped = angle - TWO_PI * ARRAY_MATH.round(angle / TWO_PI)
+    low, high = wrapped <= -math.pi, wrapped > math.pi
+    wrapped[low] += TWO_PI
+    wrapped[high] -= TWO_PI
     return wrapped
 
 
@@ -218,9 +224,9 @@ def polar_image(x, y, theta):
     Takes floats or equal-shape arrays.  No check at rho = 0, where the
     angles are meaningless; cart_to_polar adds it.
     """
-    xp = ARRAY_MATH if isinstance(x, np.ndarray) else FLOAT_MATH
-    delta = wrap_angle(xp.atan2(y, x) + math.pi)
-    return xp.hypot(x, y), delta, wrap_angle(delta - theta)
+    xp, wrap = (ARRAY_MATH, wrap_angle) if isinstance(x, np.ndarray) else (FLOAT_MATH, wrap_float)
+    delta = wrap(xp.atan2(y, x) + math.pi)
+    return xp.hypot(x, y), delta, wrap(delta - theta)
 
 
 def cart_to_polar(state: CartesianState) -> PolarState:

@@ -18,12 +18,14 @@ omega_tilde once, on the sample arrays.
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
 baselines, and for accuracy the adaptive Dormand-Prince 8(5,3) method
 DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10), whose
-order 8 suits the default rtol of 1e-10.  Results are sampled on the
-uniform grid k*dt in both cases.  The adaptive integrator lets error
-control alone choose its steps (a step is cut short only at the end of the
-horizon) and fills the grid points inside each accepted step from DOP853's
-dense output of degree 7, so the sampling interval does not bound the step
-size.  Capture is tested on the grid samples.
+order 8 suits the default rtol of 1e-10.  Both integrators append each
+sample on the uniform grid k*dt to one flat buffer of floats and test it
+for capture in place; its time is k*dt, rebuilt from the index k.  The
+adaptive integrator starts from dop853.f's HINIT estimate of the first
+step, lets error control alone choose its steps (a step is cut short only
+at the end of the horizon) and fills the grid points inside each accepted
+step from DOP853's dense output of degree 7, so the sampling interval does
+not bound the step size.
 
 In the polar frame the adaptive integrator also watches for stiffness.
 Near the barrier lines the steering grows without bound, and the gamma
@@ -74,6 +76,7 @@ from .geometry import (
     cart_to_polar,
     polar_image,
     polar_to_cart,
+    wrap_float,
 )
 from .lyapunov import CompositeLyapunovFn
 
@@ -149,6 +152,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+_RHO_ROUNDING = 1e-9  # how far rounding takes rho below 0 as a run decays onto the target
+
+
 @dataclass
 class Trajectory:
     """Sampled closed-loop trajectory, stored column-wise.
@@ -193,7 +199,7 @@ class Trajectory:
         """Sample i as a PolarState; a rho in [-1e-9, 0) (rounding as a run decays
         onto the target, the slack check_kl_decay allows) reads 0, a lower one raises."""
         rho = float(self.rho[i])
-        return PolarState(0.0 if -1e-9 <= rho < 0.0 else rho, float(self.delta[i]),
+        return PolarState(0.0 if -_RHO_ROUNDING <= rho < 0.0 else rho, float(self.delta[i]),
                           float(self.gamma[i]))
 
     def final_state(self) -> PolarState:
@@ -253,13 +259,16 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
 
 
 def _cartesian_field(spec: ControllerSpec):
-    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples."""
+    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples, fed back
+    from the pose's wrapped polar image (polar_image's float path, written out)."""
     k1, half_k1 = spec.gains.k1, 0.5 * spec.gains.k1
     law, cos, sin = steering_law(FLOAT_MATH, spec.kind, spec.gains), math.cos, math.sin
+    atan2, hypot, wrap, pi = math.atan2, math.hypot, wrap_float, math.pi
 
     def f(y):
         x, y_pos, theta = y
-        rho, delta, gamma = polar_image(x, y_pos, theta)
+        delta = wrap(atan2(y_pos, x) + pi)
+        rho, gamma = hypot(x, y_pos), wrap(delta - theta)
         if rho == 0.0:
             raise DomainError("polar chart undefined at rho=0")
         omega = half_k1 * sin(2.0 * gamma) + law(delta, gamma)
@@ -356,30 +365,28 @@ def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
 
 
 class _Samples:
-    """The output grid t = i*dt, i = 1..n_samples, fed to record(t, y)."""
+    """A run's samples on the grid t = i*dt, i = 0..n, as one flat list of floats.
 
-    def __init__(self, cfg: SimConfig, record, n_samples: int) -> None:
+    No time is stored: sample i is taken at i*dt.  The integrators append
+    each state and test the capture box in place: a polar sample is in it
+    when rho and both |angles| are below radius (never, for a radius <= 0),
+    a Cartesian one when hypot(x, y) is and pose_captured.  i and next are
+    the next sample's index and time.
+    """
+
+    def __init__(self, cfg: SimConfig, y0, cartesian: bool) -> None:
         self.dt = cfg.dt
-        self.t_end = n_samples * cfg.dt
-        self.record = record
-        self.i = 1
-        self.next = cfg.dt
+        self.n = int(round(cfg.t_final / cfg.dt))
+        self.t_end = self.n * cfg.dt
+        self.flat = list(y0)
+        self.radius = cfg.capture_radius
+        self.polar = not cartesian
+        self.i, self.next = 1, cfg.dt
 
-    def fill(self, t: float, h: float, t_new: float, z, dense) -> bool:
-        """Record the grid times in (t, t_new] of an accepted step of size h.
-
-        The sample at t_new is the step's solution z; the others are
-        dense(s), the state at t + s*h.  True when record stops the run.
-        _dop853 has this loop written out.
-        """
-        i, t_sample, record = self.i, self.next, self.record
-        while t_sample <= t_new:
-            if record(t_sample, z if t_sample == t_new else dense((t_sample - t) / h)):
-                return True
-            i += 1
-            t_sample = i * self.dt
-        self.i, self.next = i, t_sample
-        return False
+    def pose_captured(self, x: float, y: float, theta: float) -> bool:
+        """Whether the angles of a pose's wrapped polar image are inside the box."""
+        _, delta, gamma = polar_image(x, y, theta)
+        return abs(delta) < self.radius and abs(gamma) < self.radius
 
 
 # The stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section
@@ -398,16 +405,17 @@ _STIFF_EVERY = 10
 def _dop853(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
     """Dormand-Prince 8(5,3) steps from (t, y), with k1 = f(y) and trial step h.
 
-    Returns (outcome, t, y, f(y), h): outcome "done" or "stopped" (record
-    returned True), or "stiff" with the state after the accepted step on
-    which the stiffness test fired for the 15th time.  Stage N is unpacked
+    Returns (outcome, t, y, f(y), h): outcome "done", "captured", or
+    "stiff" with the state after the accepted step on which the stiffness
+    test fired for the 15th time.  Stage N is unpacked
     once into fNa, fNb, fNc.  Stage 13, f(z), is evaluated once the step
     is accepted, and the extra stages 14..16 only when the step holds a
     grid time; a DomainError in any stage retries the step at h/4.
     """
-    rtol, atol, h_min, sqrt = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt
-    t_end, dt, record = samples.t_end, samples.dt, samples.record
-    i, t_sample = samples.i, samples.next
+    rtol, atol, h_min, sqrt, hypot = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt, math.hypot
+    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
+                                      samples.polar)
+    pose_captured, i, t_sample = samples.pose_captured, samples.i, samples.next
     n_accepted = n_stiff = n_nonstiff = 0
     while True:
         if h < h_min:
@@ -571,22 +579,23 @@ def _dop853(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool)
             q63 = h * (_D7_1 * f1c + _D7_6 * f6c + _D7_7 * f7c + _D7_8 * f8c + _D7_9 * f9c +
                        _D7_10 * f10c + _D7_11 * f11c + _D7_12 * f12c + _D7_13 * f13c +
                        _D7_14 * f14c + _D7_15 * f15c + _D7_16 * f16c)
-            # samples.fill written out: a closure call per sample would cost
-            # this loop about 5 % of a capture run
+            # the samples in (t, t_new]: z at t_new, the dense output before
             while t_sample <= t_new:
                 if t_sample == t_new:
-                    sample = z
+                    s1, s2, s3 = z1, z2, z3
                 else:
                     s = (t_sample - t) / h
                     r = 1.0 - s
                     c1 = q31 + s * (q41 + r * (q51 + s * q61))
                     c2 = q32 + s * (q42 + r * (q52 + s * q62))
                     c3 = q33 + s * (q43 + r * (q53 + s * q63))
-                    sample = (y1 + s * (q01 + r * (q11 + s * (q21 + r * c1))),
-                              y2 + s * (q02 + r * (q12 + s * (q22 + r * c2))),
-                              y3 + s * (q03 + r * (q13 + s * (q23 + r * c3))))
-                if record(t_sample, sample):
-                    return "stopped", t_new, z, f13, h
+                    s1 = y1 + s * (q01 + r * (q11 + s * (q21 + r * c1)))
+                    s2 = y2 + s * (q02 + r * (q12 + s * (q22 + r * c2)))
+                    s3 = y3 + s * (q03 + r * (q13 + s * (q23 + r * c3)))
+                flat += (s1, s2, s3)
+                if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
+                        else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
+                    return "captured", t_new, z, f13, h
                 i += 1
                 t_sample = i * dt
         if last:
@@ -629,13 +638,15 @@ def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list)
     the sparsity of the polar field.  W = I - h*d*J is solved in closed
     form: the angular (delta, gamma) block first, then rho.  One Jacobian
     per accepted step; a rejected step keeps it.  Returns (outcome, t, y,
-    f(y), h): outcome "done", "stopped", or "nonstiff" when h*rho(J) < 1
+    f(y), h): outcome "done", "captured", or "nonstiff" when h*rho(J) < 1
     held on the last 6 steps.  Appends a note on the stretch run here.
     In the formulas above, f0 is (f01, f02, f03), k1 is (a1, a2, a3), f1 is
     (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
     """
-    rtol, atol = cfg.rtol, cfg.atol
-    t_end = samples.t_end
+    rtol, atol, hypot = cfg.rtol, cfg.atol, math.hypot
+    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
+                                      samples.polar)
+    pose_captured, i, t_sample = samples.pose_captured, samples.i, samples.next
     t_start, n_steps, n_jac, n_small = t, 0, 0, 0
     try:
         while True:
@@ -643,8 +654,8 @@ def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list)
             n_jac += 1
             # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
             disc = j22 * j22 + 4.0 * j12 * j21
-            radius = max(abs(j00), (abs(j22) + math.sqrt(disc)) / 2.0 if disc >= 0.0
-                         else math.sqrt(abs(j12 * j21)))
+            spectral = max(abs(j00), (abs(j22) + math.sqrt(disc)) / 2.0 if disc >= 0.0
+                           else math.sqrt(abs(j12 * j21)))
             y1, y2, y3 = y
             f01, f02, f03 = fy
             while True:
@@ -684,42 +695,79 @@ def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list)
                 h *= max(0.2, 0.9 * err ** (-1.0 / 3.0))  # also after a NaN error
             n_steps += 1
             t_step, t = t, (t_end if last else t + h)
-            if samples.next <= t:
-                scale = h / (1.0 - 2.0 * _ROS_D)
-
-                def dense(s):
+            scale = h / (1.0 - 2.0 * _ROS_D)
+            # the samples in (t_step, t]: z at t, the continuous extension before
+            while t_sample <= t:
+                if t_sample == t:
+                    s1, s2, s3 = z
+                else:
+                    s = (t_sample - t_step) / h
                     p, q = scale * s * (1.0 - s), scale * s * (s - 2.0 * _ROS_D)
-                    return (y1 + p * a1 + q * b1, y2 + p * a2 + q * b2, y3 + p * a3 + q * b3)
-
-                if samples.fill(t_step, h, t, z, dense):
-                    return "stopped", t, z, f2, h
+                    s1, s2, s3 = y1 + p * a1 + q * b1, y2 + p * a2 + q * b2, y3 + p * a3 + q * b3
+                flat += (s1, s2, s3)
+                if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
+                        else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
+                    return "captured", t, z, f2, h
+                i += 1
+                t_sample = i * dt
             y, fy = z, f2
             if last:
                 return "done", t, y, fy, h
-            n_small = n_small + 1 if h * radius < 1.0 else 0
+            n_small = n_small + 1 if h * spectral < 1.0 else 0
             h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             if n_small == _NONSTIFF_AFTER:
+                samples.i, samples.next = i, t_sample
                 return "nonstiff", t, y, fy, h
     finally:
         notes.append((t_start, f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], "
                                f"{n_steps} steps, {n_jac} Jacobians"))
 
 
-def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: list,
+def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
+    """dop853.f's HINIT (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
+
+    With the norm |v| = sqrt(sum (v_k/s_k)^2), s_k = atol + rtol*|y0_k|: an
+    explicit Euler step of h = 0.01*|y0|/|f0| probes the second derivative
+    as |f(y0 + h*f0) - f0|/h, and the first step makes h^8 times the larger
+    of that and |f0| equal to 0.01, at most 100*h and h_max.  A DomainError
+    in the probe quarters h, as in any stage.
+    """
+    y1, y2, y3 = y0
+    f1, f2, f3 = f0
+    s1, s2, s3 = (cfg.atol + cfg.rtol * abs(y1), cfg.atol + cfg.rtol * abs(y2),
+                  cfg.atol + cfg.rtol * abs(y3))
+    dnf = (f1 / s1) ** 2 + (f2 / s2) ** 2 + (f3 / s3) ** 2
+    dny = (y1 / s1) ** 2 + (y2 / s2) ** 2 + (y3 / s3) ** 2
+    h = min(h_max, 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else 0.01 * math.sqrt(dny / dnf))
+    while True:
+        try:
+            g1, g2, g3 = f((y1 + h * f1, y2 + h * f2, y3 + h * f3))
+            break
+        except DomainError:
+            h *= 0.25
+            if h < cfg.h_min:
+                raise _below_h_min(h, 0.0) from None
+    der2 = math.sqrt(((g1 - f1) / s1) ** 2 + ((g2 - f2) / s2) ** 2 + ((g3 - f3) / s3) ** 2) / h
+    der12 = max(der2, math.sqrt(dnf))
+    h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
+    return min(h_max, 100.0 * h, h1)  # h_max, not NaN, when f(y0) is not finite
+
+
+def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                         jac=None) -> str:
-    """Advance y' = f(y) and call record(t, y) at t = i*dt.
+    """Advance y' = f(y) and record its samples at t = i*dt.
 
     Error control alone sets the step size; only the last step is cut
-    short, to end on t = n_samples*dt.  The samples inside an accepted
-    step come from the dense output.  Runs DOP853 and, when a Jacobian is
-    given and its stiffness test fires, ode23s until the problem is no
-    longer stiff (each stretch adds a note).  Returns "done" or "stopped"
-    (record returned True), or raises _BoundaryHit when the step size
-    collapses below cfg.h_min (stage evaluations that leave the domain
-    count as failed steps and shrink the step first).
+    short, to end on t = n*dt.  The samples inside an accepted step come
+    from the dense output.  Runs DOP853 and, when a Jacobian is given and
+    its stiffness test fires, ode23s until the problem is no longer stiff
+    (each stretch adds a note).  Returns "done" or "captured", or raises
+    _BoundaryHit when the step size collapses below cfg.h_min (stage
+    evaluations that leave the domain count as failed steps and shrink the
+    step first).
     """
-    samples = _Samples(cfg, record, n_samples)
-    t, y, fy, h = 0.0, y0, f(y0), min(cfg.dt, 1e-3)
+    fy = f(y0)
+    t, y, h = 0.0, y0, _initial_step(f, y0, fy, cfg, samples.t_end)
     while True:
         outcome, t, y, fy, h = _dop853(f, t, y, fy, h, cfg, samples, jac is not None)
         if outcome != "stiff":
@@ -733,23 +781,24 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, record, n_samples: int, notes: li
 _RK4_STABLE = 2.8
 
 
-def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list) -> str:
-    """Classic RK4 with step dt; record(t, y) after each step.
+def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> str:
+    """Classic RK4 with step dt, recording the state after each step.
 
     The right-hand side at each new state is evaluated before the state is
     recorded, so a step that leaves the domain ends the run (_BoundaryHit)
     on the last valid sample instead of raising DomainError.  The first
     step whose estimate of h*|lambda| exceeds RK4's stability bound adds a
     note; stages 2 and 3 share t + h/2 and differ by h/2*(f2 - f1), so
-    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.
+    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.  Returns "done" or
+    "captured".
     """
+    flat, radius, polar, hypot = samples.flat, samples.radius, samples.polar, math.hypot
     t = 0.0
-    y = y0
+    y1, y2, y3 = y0
     h = cfg.dt
-    f1 = f(y)
+    f1 = f(y0)
     stable = True
-    for i in range(1, n_samples + 1):
-        y1, y2, y3 = y
+    for i in range(1, samples.n + 1):
         try:
             f2 = f((y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
             f3 = f((y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
@@ -761,7 +810,7 @@ def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list)
                     notes.append((t, "rk4 unstable: h*|lambda| ~ "
                                   f"{2.0 * math.sqrt(num / den):.3g} > {_RK4_STABLE} at t={t:.6g}"))
             f4 = f((y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
-            y = (
+            y1, y2, y3 = y = (
                 y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
                 y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
                 y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
@@ -770,63 +819,42 @@ def _integrate_fixed(f, y0, cfg: SimConfig, record, n_samples: int, notes: list)
         except DomainError as exc:
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
-        if record(t, y):
-            return "stopped"
+        flat += y
+        if (y1 < radius and abs(y2) < radius and abs(y3) < radius if polar
+                else hypot(y1, y2) < radius and samples.pose_captured(y1, y2, y3)):
+            return "captured"
     return "done"
 
 
-def _run(f, y0, cfg: SimConfig, captured, jac=None):
+def _run(f, y0, cfg: SimConfig, cartesian: bool = False, jac=None):
     """Integrate and sample; returns (times, ys, status, capture_time, notes, stop).
 
+    ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
+    integrators computed it; cartesian selects the capture test of poses.
     notes are the integrator's remarks on the run (stiff stretches, rk4
     instability), each as (start of the step it names, text); stop is the
     reason for a boundary stop, else "".
     """
-    n_samples = int(round(cfg.t_final / cfg.dt))
-    times, ys = [0.0], [y0]
-    capture_time = [None]
-
-    def record(t, y):
-        times.append(t)
-        ys.append(y)
-        if captured is not None and captured(y):
-            capture_time[0] = t
-            return True
-        return False
-
+    samples = _Samples(cfg, y0, cartesian)
     notes: list[tuple[float, str]] = []
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
-            outcome = _integrate_adaptive(f, y0, cfg, record, n_samples, notes, jac)
+            outcome = _integrate_adaptive(f, y0, cfg, samples, notes, jac)
         else:
-            outcome = _integrate_fixed(f, y0, cfg, record, n_samples, notes)
+            outcome = _integrate_fixed(f, y0, cfg, samples, notes)
     except _BoundaryHit as hit:
-        outcome = "boundary"
-        stop = str(hit)
-    if outcome == "boundary":
-        status = SimStatus.BOUNDARY_STOP
-    elif capture_time[0] is not None:
-        status = SimStatus.CAPTURED
-    else:
-        status = SimStatus.HORIZON_REACHED
-    return np.array(times), np.array(ys, dtype=float), status, capture_time[0], notes, stop
+        outcome, stop = "boundary", str(hit)
+    ys = np.array(samples.flat, dtype=float).reshape(-1, 3)
+    times = np.arange(len(ys), dtype=float) * cfg.dt
+    if outcome == "captured":
+        return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop
+    status = SimStatus.BOUNDARY_STOP if outcome == "boundary" else SimStatus.HORIZON_REACHED
+    return times, ys, status, None, notes, stop
 
 
 def _join_note(notes: list, stop: str) -> str:
     return "; ".join([text for _, text in notes] + ([stop] if stop else []))
-
-
-def _capture_test(cfg: SimConfig, to_polar):
-    if cfg.capture_radius <= 0.0:
-        return None
-    radius = cfg.capture_radius
-
-    def captured(y):
-        rho, delta, gamma = to_polar(y)
-        return rho < radius and abs(delta) < radius and abs(gamma) < radius
-
-    return captured
 
 
 def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):
@@ -874,13 +902,13 @@ def simulate(
     if cfg.frame is Frame.POLAR:
         y0 = (polar0.rho, polar0.delta, polar0.gamma)
         times, ys, status, capture_time, notes, stop = _run(
-            _polar_field(spec), y0, cfg, _capture_test(cfg, lambda y: y), _polar_jacobian(spec))
+            _polar_field(spec), y0, cfg, jac=_polar_jacobian(spec))
         rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
         y0 = (cart0.x, cart0.y, cart0.theta)
         times, ys, status, capture_time, notes, stop = _run(
-            _cartesian_field(spec), y0, cfg, _capture_test(cfg, lambda y: polar_image(*y)))
+            _cartesian_field(spec), y0, cfg, cartesian=True)
         rho, delta, gamma = _reconstruct_cartesian(ys, polar0)
 
     inside = spec.space.contains_angles(delta, gamma)
@@ -893,10 +921,12 @@ def simulate(
         times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
 
     if cfg.frame is Frame.POLAR:
+        # rounding as a run decays onto the target; written as 0, the rule of state()
+        rho = np.where((rho < 0.0) & (rho >= -_RHO_ROUNDING), 0.0, rho)
         theta = delta - gamma
         x = -rho * np.cos(delta)
         y_pos = -rho * np.sin(delta)
-        rho_fb, delta_fb, gamma_fb = np.maximum(rho, 0.0), delta, gamma
+        rho_fb, delta_fb, gamma_fb = rho, delta, gamma
     else:
         x, y_pos, theta = ys[:, 0], ys[:, 1], ys[:, 2]
         # Feedback as computed during integration: from the wrapped image.
@@ -939,7 +969,7 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
         return (-k1 * rho * cos_g * cos_g, rate, rate)
 
     y0 = (x0.rho, x0.delta, x0.gamma)
-    times, ys, status, capture_time, notes, stop = _run(f, y0, cfg, _capture_test(cfg, lambda y: y))
+    times, ys, status, capture_time, notes, stop = _run(f, y0, cfg)
     rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
     theta = delta - gamma
     v = k1 * rho * np.cos(gamma)

@@ -1,5 +1,6 @@
 """Closed-loop integration: fields, integrators, capture, and CSV output."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import polarpark.sim as sim
-from polarpark.geometry import FLOAT_MATH
+from polarpark.controllers import steering_law
+from polarpark.geometry import FLOAT_MATH, polar_image
 from polarpark import (
     CartesianState,
     CompositeLyapunovFn,
@@ -123,6 +125,40 @@ class TestFields:
                 for a, b in ((rho_c, rho_p), (delta_c, delta_p), (gamma_c, gamma_p)):
                     assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_cartesian_feedback_is_polar_image_then_steering_law(self, kind):
+        # bit for bit, on random poses and on the edges of the angle wrap:
+        # y = +-0.0 behind the target (atan2 = +-pi), headings at multiples
+        # of 2*pi and headings wound up to |theta| = 1e3
+        gains = Gains(1.3, 0.7, 1.1, 0.9)
+        spec = ControllerSpec(kind, gains, allow_unproven_gains=True)
+        field, law = sim._cartesian_field(spec), steering_law(FLOAT_MATH, kind, gains)
+        k1 = gains.k1
+
+        def expected(x, y, theta):
+            rho, delta, gamma = polar_image(x, y, theta)
+            omega = 0.5 * k1 * math.sin(2.0 * gamma) + law(delta, gamma)
+            v = k1 * rho * math.cos(gamma)
+            return (v * math.cos(theta), v * math.sin(theta), omega)
+
+        rng = np.random.default_rng(23)
+        poses = [(float(x), float(y), float(theta)) for x, y, theta in zip(
+            rng.uniform(-5.0, 5.0, 10_000), rng.uniform(-5.0, 5.0, 10_000),
+            rng.uniform(-1e3, 1e3, 10_000))]
+        turns = [2.0 * math.pi * k for k in (-159, -3, -1, 0, 1, 2, 159)]
+        for x, y, theta in itertools.product((-2.0, -1e-3), (0.0, -0.0), turns + [1e3, -1e3]):
+            poses.append((x, y, theta))
+        for theta in turns:
+            poses.append((-1.0, 0.3, theta))
+        for pose in poses:
+            try:
+                want = expected(*pose)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    field(pose)
+                continue
+            assert field(pose) == want, pose
+
     def test_field_regular_at_small_rho(self):
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
         rates = rhs_polar(spec, PolarState(1e-300, 1.0, 1.0))
@@ -186,20 +222,20 @@ class TestIntegrators:
 
     # Float RHS evaluations on criterion 05's 64 starts and the final sample
     # (t, rho, delta, gamma) of each kind's first start at rho0 = 1, as the
-    # DOP853 loop produced them.  Any change to the steps DOP853 takes moves
-    # these; a faster loop must leave them exact.  The final rho of the
-    # BOLSA and BAGAL runs is rounding below 0 (Trajectory.state reads 0).
-    STEP_COUNTS = {ControllerKind.GLOBA: 10_400, ControllerKind.BARFLI: 12_554,
-                   ControllerKind.BOLSA: 11_820, ControllerKind.BAGAL: 11_242}
+    # DOP853 loop produced them from the HINIT first step.  Any change to the
+    # steps DOP853 takes moves these; a faster loop must leave them exact.
+    # The BAGAL run's integrated rho ends rounding below 0, written as 0.
+    STEP_COUNTS = {ControllerKind.GLOBA: 10_018, ControllerKind.BARFLI: 12_222,
+                   ControllerKind.BOLSA: 11_362, ControllerKind.BAGAL: 10_844}
     FINAL_SAMPLES = {
-        ControllerKind.GLOBA: (10.65, 0.00014073558841878488, 0.0003859652481031811,
-                               0.0008880169861184637),
-        ControllerKind.BARFLI: (9.600000000000001, 0.0005744060736492068, 0.0006147144013922972,
-                                0.0009330945845957649),
-        ControllerKind.BOLSA: (55.5, -8.997126885831373e-26, 0.000997543488336564,
-                               -0.00011242481036281214),
-        ControllerKind.BAGAL: (55.300000000000004, -1.5130459947000028e-25, 0.000996714851717439,
-                               -0.00011233148196705205),
+        ControllerKind.GLOBA: (10.65, 0.0001407355883469514, 0.0003859652501570768,
+                               0.0008880169847880192),
+        ControllerKind.BARFLI: (9.600000000000001, 0.0005744060736580268, 0.0006147144013027956,
+                                0.0009330945846535347),
+        ControllerKind.BOLSA: (55.5, 5.855111236321611e-26, 0.000997543487550494,
+                               -0.0001124248102835632),
+        ControllerKind.BAGAL: (55.300000000000004, 0.0, 0.0009967148506192312,
+                               -0.0001123314816812125),
     }
 
     @pytest.mark.parametrize("kind", list(ControllerKind))
@@ -214,6 +250,45 @@ class TestIntegrators:
         final = finals[0]
         assert (final.t[-1], final.rho[-1], final.delta[-1], final.gamma[-1]) == (
             self.FINAL_SAMPLES[kind])
+
+    # Float RHS evaluations of the Cartesian frame (DOP853 only) on 4
+    # unit-gain starts per kind over 20 s with capture off, and the final
+    # sample (x, y, theta) of each start.
+    CARTESIAN_STARTS = (PolarState(1.0, 0.5, -0.5), PolarState(2.0, -1.0, 1.5),
+                        PolarState(1.5, 2.5, -2.0), PolarState(3.0, -2.0, 0.3))
+    CARTESIAN_RUNS = {
+        ControllerKind.GLOBA: (6_652, (
+            (-2.522105647007196e-09, -1.5189281080235804e-18, 2.2326101743205516e-09),
+            (-1.281391659909492e-08, 5.725267084144229e-17, -9.526894177090574e-09),
+            (-4.755978691353499e-08, 4.996759852608088e-15, -2.0552471767986617e-07),
+            (-2.9786813024386354e-08, -2.1952005592587801e-16, 4.116766576239803e-08))),
+        ControllerKind.BARFLI: (7_589, (
+            (-2.5258522818238846e-09, -1.4975583490398981e-18, 2.222731888427815e-09),
+            (-1.2574644501363866e-08, 5.5248453655281575e-17, -9.471407585208464e-09),
+            (-3.47860195657634e-08, 2.3742984547138307e-15, -1.6297923989297545e-07),
+            (-3.717969167667003e-08, -1.8012246390395647e-16, 3.572361135552408e-08))),
+        ControllerKind.BOLSA: (7_286, (
+            (-2.6091541519567767e-09, -2.0672485389555052e-14, -8.638110149392114e-06),
+            (-1.4447511824810713e-08, -4.3751915546637224e-13, 8.79450578787982e-05),
+            (-1.0507467858656849e-07, -2.6960202689451906e-11, 0.0005821304953000508),
+            (-3.0405674287189674e-08, -2.961632216389796e-12, 7.650712909063704e-05))),
+        ControllerKind.BAGAL: (7_985, (
+            (-2.621106209012324e-09, -2.2429669990082606e-14, -7.777794911410039e-06),
+            (-1.515255605696762e-08, -4.575888464515372e-13, 9.003196228331039e-05),
+            (-1.1121148101768743e-05, 2.2479163501643558e-08, -0.004353257808197243),
+            (-1.0145079450832735e-07, -9.76346438884673e-12, 2.1135704361299308e-05))),
+    }
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_cartesian_step_selection_is_pinned(self, kind, rhs_calls):
+        spec = ControllerSpec(kind, UNIT)
+        cfg = SimConfig(dt=0.05, t_final=20.0, capture_radius=0.0, frame=Frame.CARTESIAN)
+        finals = []
+        for start in self.CARTESIAN_STARTS:
+            traj = simulate(spec, start, cfg)
+            assert traj.status is SimStatus.HORIZON_REACHED and traj.t[-1] == 20.0
+            finals.append((traj.x[-1], traj.y[-1], traj.theta[-1]))
+        assert (len(rhs_calls), tuple(finals)) == self.CARTESIAN_RUNS[kind]
 
     def test_tableau_is_scipys(self):
         # every nonzero coefficient of scipy's DOP853 tableau, exactly, and
@@ -235,7 +310,7 @@ class TestIntegrators:
     def test_global_error_against_a_tight_reference(self):
         # criterion 05's starts at rho0 in {1, 3} with each kind's first 4
         # angle pairs, 20 s with capture off, against scipy's DOP853 at
-        # rtol 1e-13: the worst state error is 1.2e-9 (the Dormand-Prince
+        # rtol 1e-13: the worst state error is 1.07e-9 (the Dormand-Prince
         # 5(4) pair used before reached 2.52e-9 at the same tolerances)
         from test_acceptance import CONVERGENCE_GRIDS, REFERENCE_GAINS
 
@@ -363,18 +438,23 @@ class TestTermination:
 
 
 class TestStateAccessor:
-    def test_rounding_below_zero_reads_zero(self):
+    def test_simulate_writes_no_negative_distance(self):
         # GLOBA from (1, 0.5, -0.5) with capture off decays onto the target,
-        # and rounding takes rho a few 1e-13 below 0 on many samples
-        # (down to -2.27e-13 at t = 29.2 with the 5(4) pair used before);
-        # each of them used to raise ValueError in state()
+        # and rounding takes the integrated rho a few 1e-13 below 0 on many
+        # samples (230 of them, down to -1.83e-13; x was then written as
+        # +1.83e-13, on the wrong side of the target); simulate writes them
+        # as 0, the rule of state(), before x, y, v and V are derived
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
-        traj = simulate(spec, PolarState(1.0, 0.5, -0.5), SimConfig(capture_radius=0.0))
-        negative = np.flatnonzero(traj.rho < 0.0)
-        assert negative.size and traj.rho.min() >= -1e-9
-        for i in negative.tolist():
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        traj = simulate(spec, PolarState(1.0, 0.5, -0.5), SimConfig(capture_radius=0.0),
+                        lyapunov=fn)
+        zero = traj.rho == 0.0
+        assert zero.any() and traj.rho.min() == 0.0
+        assert np.all(traj.x[zero] == 0.0) and np.all(traj.y[zero] == 0.0)
+        assert np.all(traj.v[zero] == 0.0)
+        assert np.array_equal(traj.lyapunov, fn.value(traj.rho, traj.delta, traj.gamma))
+        for i in np.flatnonzero(zero).tolist():
             assert traj.state(i) == PolarState(0.0, float(traj.delta[i]), float(traj.gamma[i]))
-        assert traj.final_state().rho >= 0.0
 
     def test_rho_below_the_rounding_bound_raises(self):
         col = np.zeros(3)
@@ -407,11 +487,11 @@ class TestStiffFallback:
     # Jacobian must leave them exact.
     STIFF_RUNS = {
         (ControllerKind.BARFLI, "delta"): (
-            2_980, "stiff: ode23s on t in [0.00151665, 0.440916], 295 steps, 295 Jacobians"),
+            2_926, "stiff: ode23s on t in [0.00149146, 0.440905], 295 steps, 295 Jacobians"),
         (ControllerKind.BAGAL, "delta"): (
-            932, "stiff: ode23s on t in [0.00575514, 5], 10 steps, 10 Jacobians"),
-        (ControllerKind.BOLSA, "gamma"): (411, ""),
-        (ControllerKind.BAGAL, "gamma"): (400, ""),
+            878, "stiff: ode23s on t in [0.00573064, 5], 10 steps, 10 Jacobians"),
+        (ControllerKind.BOLSA, "gamma"): (362, ""),
+        (ControllerKind.BAGAL, "gamma"): (377, ""),
     }
 
     @pytest.mark.parametrize("kind, which", list(STIFF_RUNS))
@@ -537,7 +617,7 @@ class TestStiffFallback:
             return (0.0, 0.0, 0.0, 1e4, -1e4)
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
-        times, ys, status, _, notes, stop = sim._run(f, (1.0, 0.0, 0.0), cfg, None, jac)
+        times, ys, status, _, notes, stop = sim._run(f, (1.0, 0.0, 0.0), cfg, jac=jac)
         assert status is SimStatus.BOUNDARY_STOP
         assert stop.startswith("step size") and "below h_min at t=0.5" in stop
         assert len(notes) == 1 and notes[0][1].startswith("stiff: ode23s on t in [")
@@ -630,6 +710,59 @@ class TestFrames:
         assert cart.status is SimStatus.HORIZON_REACHED
         assert cart.gamma[0] == cart_to_polar(start).gamma
         assert np.max(np.abs(cart.gamma - polar.gamma)) < 1e-8
+
+
+class TestSampling:
+    """A capture run is the capture-off run cut right after its first sample in the box."""
+
+    @staticmethod
+    def check_cut(spec, start, cfg, lyapunov=None) -> bool:
+        """Compare the run at cfg with its capture-off twin; True when it captured."""
+        on = simulate(spec, start, cfg, lyapunov=lyapunov)
+        off = simulate(spec, start, dataclasses.replace(cfg, capture_radius=0.0),
+                       lyapunov=lyapunov)
+        for traj in (on, off):
+            assert np.array_equal(traj.t, np.arange(len(traj)) * cfg.dt)
+        # the box test of the run's own frame: the integrated polar state,
+        # or the wrapped polar image of the integrated pose
+        if cfg.frame is Frame.POLAR:
+            rho, delta, gamma = off.rho, off.delta, off.gamma
+        else:
+            rho, delta, gamma = polar_image(off.x, off.y, off.theta)
+        r = cfg.capture_radius
+        inside = (rho < r) & (np.abs(delta) < r) & (np.abs(gamma) < r)
+        inside[0] = False  # the start is not tested
+        n = int(np.argmax(inside)) + 1 if inside.any() else len(off)
+        for name in ("t",) + Trajectory._columns:
+            assert np.array_equal(getattr(on, name), getattr(off, name)[:n], equal_nan=True), name
+        if n == len(off):
+            assert (on.status, on.capture_time, on.note) == (off.status, None, off.note)
+            return False
+        assert on.status is SimStatus.CAPTURED and on.capture_time == off.t[n - 1]
+        return True
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    @pytest.mark.parametrize("frame", list(Frame))
+    @pytest.mark.parametrize("integrator", list(IntegratorKind))
+    def test_capture_cuts_the_capture_off_run(self, kind, frame, integrator):
+        spec = ControllerSpec(kind, UNIT)
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        cfg = SimConfig(dt=0.05, t_final=30.0, capture_radius=1e-2, frame=frame,
+                        integrator=integrator)
+        for start in (PolarState(1.0, 0.5, -0.5), PolarState(2.0, -1.0, 1.5)):
+            assert self.check_cut(spec, start, cfg, fn)
+
+    @pytest.mark.parametrize("radius, captured", [(1e-3, False), (3.1, True)])
+    def test_capture_in_a_stiff_stretch(self, radius, captured):
+        # the BAGAL barrier run spends all but its first steps in ode23s; a
+        # box of radius 3.1 holds its first sample, one of 1e-3 none
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        cfg = SimConfig(dt=0.05, t_final=60.0, capture_radius=radius)
+        start = PolarState(1.0, math.pi - 0.05, 0.0)
+        assert self.check_cut(spec, start, cfg) is captured
+        traj = simulate(spec, start, cfg)
+        assert traj.note.startswith("stiff: ode23s on t in [")
+        assert len(traj) == (2 if captured else 1201)
 
 
 def _angles(bounded):
