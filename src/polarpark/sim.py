@@ -122,6 +122,10 @@ class SimStatus(Enum):
     BOUNDARY_STOP = "boundary_stop"
 
 
+# The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig).
+_HORIZON_SLACK = 1.0 + 1e-12
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings.
@@ -129,7 +133,12 @@ class SimConfig:
     dt is the output sampling interval; with the fixed-step integrator it
     is also the step size, while the adaptive integrator's steps are set
     by rtol and atol alone.  capture_radius <= 0 disables capture
-    detection.  Every numeric setting must be finite.
+    detection.  Every numeric setting must be finite, and so must
+    t_final/dt.  The run samples t = i*dt for i = 0..n and ends at n*dt,
+    where n is the largest integer with n <= (t_final/dt)*(1 + 1e-12): the
+    last grid time not past t_final, the relative 1e-12 keeping a t_final
+    that is a multiple of dt (60/0.05, 0.3/0.1) from losing its last
+    sample to rounding in the quotient.
     """
 
     dt: float = 0.05
@@ -147,6 +156,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.dt <= self.t_final):
             raise ValueError(f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
+        if not math.isfinite(self.t_final / self.dt * _HORIZON_SLACK):
+            raise ValueError(f"t_final/dt must be finite, got dt={self.dt}, t_final={self.t_final}")
         for name in ("rtol", "atol", "h_min"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -376,7 +387,7 @@ class _Samples:
 
     def __init__(self, cfg: SimConfig, y0, cartesian: bool) -> None:
         self.dt = cfg.dt
-        self.n = int(round(cfg.t_final / cfg.dt))
+        self.n = math.floor(cfg.t_final / cfg.dt * _HORIZON_SLACK)
         self.t_end = self.n * cfg.dt
         self.flat = list(y0)
         self.radius = cfg.capture_radius

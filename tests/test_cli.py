@@ -198,6 +198,12 @@ class TestConfigValidation:
         code, err = self.exit_code(tmp_path, {**BASE_SIM, "sim": {key: value}}, capsys)
         assert code == 1 and f"{key} must be finite" in err
 
+    def test_horizon_past_the_float_range(self, tmp_path, capsys):
+        # t_final/dt overflows; simulate used to raise OverflowError as a traceback
+        code, err = self.exit_code(
+            tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "t_final": 1e308}}, capsys)
+        assert code == 1 and "invalid config: bad sim settings" in err
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         code, err = self.exit_code(
             tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "step_size": 0.1}}, capsys)

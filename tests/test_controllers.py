@@ -14,8 +14,8 @@ from polarpark import (
     omega_tilde,
     psi,
 )
-from polarpark.controllers import backstepping_terms
-from polarpark.geometry import FLOAT_MATH
+from polarpark.controllers import _psi, backstepping_terms, steering_law
+from polarpark.geometry import COMPLEX_MATH, FLOAT_MATH
 
 UNIT = Gains(1.0, 1.0, 1.0, 1.0)
 
@@ -181,3 +181,87 @@ class TestOmegaTilde:
                 minus = omega_tilde(spec, -d, -g)
                 assert plus == pytest.approx(-minus, rel=1e-12, abs=1e-12)
 
+
+def _reference_law(xp, kind, gains):
+    """Each steering law written out: the backstepping kinds composed from
+    backstepping_terms and _psi, the bounded kinds term by term."""
+    k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
+
+    def law(delta, gamma):
+        if kind in (ControllerKind.BOLSA, ControllerKind.BAGAL):
+            if kind is ControllerKind.BAGAL:
+                if abs(delta) >= math.pi:
+                    raise DomainError("steering undefined at |delta| >= pi")
+                half_tan = xp.tan(delta / 2.0)
+                steep_delta = (1.0 + half_tan * half_tan) * half_tan
+                weight = 2.0 * k3
+            else:
+                steep_delta, weight = delta, k3
+            cos_g = xp.cos(gamma)
+            return k2 * xp.sin(gamma) + weight * (cos_g * (1.0 + cos_g) ** 2 / 4.0) * steep_delta
+        Delta, dDelta, z = backstepping_terms(xp, kind, k2, delta, gamma)
+        gain_sq = 1.0 + 4.0 * k2 * k2 * Delta * Delta
+        return k4 * z + dDelta * (
+            k1 * k2 * xp.sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * _psi(xp, z, k2, Delta) * Delta)
+
+    return law
+
+
+def _bits(value):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return (value.real.hex(), value.imag.hex())
+
+
+class TestFusedKernels:
+    """The scalar laws sim.py binds equal the reference composition bit for bit."""
+
+    GAIN_SETS = (UNIT, Gains(1.5, 0.7, 2.0, 3.0), Gains(0.3, 2.5, 0.1, 0.4))
+
+    @staticmethod
+    def edge_points(kind, k2):
+        near_pi = [math.pi - j * 1e-13 for j in (1, 3, 10)] + [math.nextafter(math.pi, 0.0)]
+        deltas = [0.0, 1e-9, 0.4, -1.3] + near_pi + [-d for d in near_pi]
+        if kind is ControllerKind.GLOBA:
+            deltas += [3.5, -7.0]
+        points = []
+        for delta in deltas:
+            # z = gamma + atan(2*k2*Delta)/2 at, and within 1e-8 of, zero
+            if kind in (ControllerKind.GLOBA, ControllerKind.BARFLI):
+                Delta, _ = delta_shaping(kind, delta)
+                offset = -0.5 * math.atan(2.0 * k2 * Delta)
+                points += [(delta, offset + eps) for eps in (0.0, 3e-9, -7e-9, 9.9e-9, 2e-8)]
+            points += [(delta, gamma) for gamma in (0.0, 1.2, -3.0, math.pi, -4.0, 6.5)]
+        return points
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    @pytest.mark.parametrize("gains", GAIN_SETS)
+    def test_scalar_kernels_equal_the_reference(self, kind, gains):
+        rng = np.random.default_rng(11)
+        delta_max = 8.0 if kind is ControllerKind.GLOBA else math.pi
+        points = [(float(d), float(g)) for d, g in zip(
+            rng.uniform(-delta_max, delta_max, 10_000), rng.uniform(-7.0, 7.0, 10_000))]
+        points += self.edge_points(kind, gains.k2)
+        fused = steering_law(FLOAT_MATH, kind, gains)
+        fused_c = steering_law(COMPLEX_MATH, kind, gains)
+        reference = _reference_law(FLOAT_MATH, kind, gains)
+        reference_c = _reference_law(COMPLEX_MATH, kind, gains)
+        for delta, gamma in points:
+            assert fused(delta, gamma).hex() == reference(delta, gamma).hex(), (delta, gamma)
+            for args in ((delta + 1e-30j, gamma), (delta, gamma + 1e-30j)):
+                assert _bits(fused_c(*args)) == _bits(reference_c(*args)), args
+
+    def test_points_reach_the_series_branch(self):
+        hits = 0
+        for kind in (ControllerKind.GLOBA, ControllerKind.BARFLI):
+            for delta, gamma in self.edge_points(kind, 0.7):
+                _, _, z = backstepping_terms(FLOAT_MATH, kind, 0.7, delta, gamma)
+                hits += abs(z) < 1e-8
+        assert hits > 20
+
+    @pytest.mark.parametrize("kind", [ControllerKind.BARFLI, ControllerKind.BAGAL])
+    @pytest.mark.parametrize("xp, step", [(FLOAT_MATH, 0.0), (COMPLEX_MATH, 1e-30j)])
+    def test_delta_barrier_in_both_scalar_namespaces(self, kind, xp, step):
+        law = steering_law(xp, kind, UNIT)
+        for delta in (math.pi, -math.pi, 3.5, math.nextafter(math.pi, 4.0)):
+            with pytest.raises(DomainError, match="steering undefined"):
+                law(delta + step, 0.3)

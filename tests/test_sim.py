@@ -78,6 +78,13 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     SimConfig(**{name: bad})
 
+    def test_horizon_quotient_must_be_finite(self):
+        # 1e308/0.05 overflows: the sample count used to raise OverflowError in
+        # simulate; so does a finite quotient within 1e-12 of the float range
+        for dt, t_final in ((0.05, 1e308), (1e-300, 1.7976931348623e8)):
+            with pytest.raises(ValueError, match="t_final/dt must be finite"):
+                SimConfig(dt=dt, t_final=t_final)
+
     def test_trajectory_validation(self):
         t = np.array([0.0, 0.1])
         col = np.zeros(2)
@@ -364,6 +371,21 @@ class TestTermination:
         assert traj.status is SimStatus.HORIZON_REACHED
         assert traj.capture_time is None
         assert traj.t[-1] == 1.0
+
+    @pytest.mark.parametrize("integrator", list(IntegratorKind))
+    @pytest.mark.parametrize("t_final, t_last", [(1.1, 0.8), (1.0, 0.8), (0.8, 0.8), (1.6, 1.6)])
+    def test_horizon_is_the_last_grid_time_not_past_t_final(self, integrator, t_final, t_last):
+        # dt = 0.4: round(t_final/dt) ran t_final = 1.1 on to 1.2000000000000002
+        spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
+        cfg = SimConfig(dt=0.4, t_final=t_final, capture_radius=0.0, integrator=integrator)
+        traj = simulate(spec, PolarState(1.0, 0.5, -0.5), cfg)
+        assert traj.status is SimStatus.HORIZON_REACHED
+        assert traj.t[-1] == t_last and traj.t[-1] <= t_final
+
+    @pytest.mark.parametrize("t_final, dt, n", [(60.0, 0.05, 1200), (0.3, 0.1, 3), (0.7, 0.1, 7)])
+    def test_horizon_keeps_a_multiple_of_dt_whose_quotient_rounds_low(self, t_final, dt, n):
+        # 0.3/0.1 = 2.9999999999999996 and 0.7/0.1 = 6.999999999999999
+        assert sim._Samples(SimConfig(dt=dt, t_final=t_final), (1.0, 0.0, 0.0), False).n == n
 
     def test_boundary_stop_when_started_against_the_wall(self):
         # from delta = pi - 1e-13 any resolvable step crosses the barrier,
