@@ -16,35 +16,36 @@ Each field is autonomous, f(y) on 3-tuples, with the float steering law
 omega_tilde once, on the sample arrays.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
-baselines, and for accuracy the adaptive Dormand-Prince 8(5,3) method
-DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10), whose
-order 8 suits the default rtol of 1e-10.  Both integrators append each
-sample on the uniform grid k*dt to one flat buffer of floats and test it
-for capture in place; its time is k*dt, rebuilt from the index k.  The
-adaptive integrator starts from dop853.f's HINIT estimate of the first
-step, lets error control alone choose its steps (a step is cut short only
-at the end of the horizon) and fills the grid points inside each accepted
-step from DOP853's dense output of degree 7, so the sampling interval does
-not bound the step size.
+baselines, and for accuracy an adaptive one: a single step loop with two
+step rules, the Dormand-Prince 8(5,3) method DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.10), whose order 8 suits the default
+rtol of 1e-10, and for stiff stretches the linearly implicit Rosenbrock
+pair ode23s of Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1997).  Both
+integrators append each sample on the uniform grid k*dt to one flat
+buffer of floats and test it for capture in place; its time is k*dt,
+rebuilt from the index k.  The adaptive loop starts from dop853.f's HINIT
+estimate of the first step, lets error control alone choose its steps (a
+step is cut short only at the end of the horizon) and fills the grid
+points inside each accepted step from the rule's dense output (DOP853's
+of degree 7), so the sampling interval does not bound the step size.  The
+h_min stop, the cut of the last step, the retry of a step whose stage
+leaves the domain, the reject test, the step-size update, the sampling and
+the capture test are the loop's, whichever rule took the step.
 
-In the polar frame the adaptive integrator also watches for stiffness.
-Near the barrier lines the steering grows without bound, and the gamma
-mode can decay 1e4 times faster than the state moves, which holds an
-explicit method to steps at its stability limit.  DOP853 runs the
-stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section IV.2)
-on every 10th accepted step, and on every step once an estimate was
-positive: after 15 estimates of h*|lambda| above 6.1, unless 6 in a row
-below it reset the count, the run continues with ode23s, the
-linearly implicit Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
-Comput. 18, 1997), in the manner of LSODA.  ode23s uses the field's
-Jacobian, with the partials of omega_tilde taken by complex step, and
-hands back to DOP853 once h times the Jacobian's spectral radius stays
-below 1 for 6 steps.  It keeps the scaled RMS error norm, the output grid
-(from its own continuous extension), the capture test, h_min and the
-domain retries.  Each stiff stretch adds `stiff: ode23s on t in [a, b],
-N steps, M Jacobians` to the trajectory's note; a run that never switches
-is DOP853's alone.  The Cartesian frame and simulate_unsteered stay
-DOP853-only.  The fixed-step integrator notes `rk4 unstable: ...` on the
+The rule is chosen by stiffness tests, in the manner of LSODA.  Near the
+barrier lines the steering grows without bound, and the gamma mode can
+decay 1e4 times faster than the state moves, which holds an explicit
+method to steps at its stability limit.  In the polar frame, DOP853 steps
+run the stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II,
+section IV.2) on every 10th accepted step, and on every step once an
+estimate was positive: after 15 estimates of h*|lambda| above 6.1, unless
+6 in a row below it reset the count, ode23s takes the next steps, with the
+field's Jacobian (the partials of omega_tilde taken by complex step),
+until h times the Jacobian's spectral radius has stayed below 1 for 6
+steps.  Each ode23s stretch adds `stiff: ode23s on t in [a, b], N steps,
+M Jacobians` to the trajectory's note; a run that never switches is
+DOP853's alone.  The Cartesian frame and simulate_unsteered take DOP853
+steps only.  The fixed-step integrator notes `rk4 unstable: ...` on the
 first step whose estimate of h*|lambda| exceeds RK4's stability bound of
 about 2.8.
 
@@ -122,8 +123,15 @@ class SimStatus(Enum):
     BOUNDARY_STOP = "boundary_stop"
 
 
-# The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig).
+# The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig); a
+# run keeps n + 1 samples of about 200 bytes each, so n is capped at 10**7 (about 2 GB).
 _HORIZON_SLACK = 1.0 + 1e-12
+_MAX_INTERVALS = 10**7
+
+
+def _interval_count(dt: float, t_final: float) -> int:
+    """n, the number of sampling intervals in the horizon n*dt."""
+    return math.floor(t_final / dt * _HORIZON_SLACK)
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ class SimConfig:
     where n is the largest integer with n <= (t_final/dt)*(1 + 1e-12): the
     last grid time not past t_final, the relative 1e-12 keeping a t_final
     that is a multiple of dt (60/0.05, 0.3/0.1) from losing its last
-    sample to rounding in the quotient.
+    sample to rounding in the quotient.  n may be at most 10**7.
     """
 
     dt: float = 0.05
@@ -158,6 +166,10 @@ class SimConfig:
             raise ValueError(f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
         if not math.isfinite(self.t_final / self.dt * _HORIZON_SLACK):
             raise ValueError(f"t_final/dt must be finite, got dt={self.dt}, t_final={self.t_final}")
+        n = _interval_count(self.dt, self.t_final)
+        if n > _MAX_INTERVALS:
+            raise ValueError(f"the horizon holds n = {n} sampling intervals, above the cap of "
+                             f"{_MAX_INTERVALS}")
         for name in ("rtol", "atol", "h_min"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -381,18 +393,16 @@ class _Samples:
     No time is stored: sample i is taken at i*dt.  The integrators append
     each state and test the capture box in place: a polar sample is in it
     when rho and both |angles| are below radius (never, for a radius <= 0),
-    a Cartesian one when hypot(x, y) is and pose_captured.  i and next are
-    the next sample's index and time.
+    a Cartesian one when hypot(x, y) is and pose_captured.
     """
 
     def __init__(self, cfg: SimConfig, y0, cartesian: bool) -> None:
         self.dt = cfg.dt
-        self.n = math.floor(cfg.t_final / cfg.dt * _HORIZON_SLACK)
+        self.n = _interval_count(cfg.dt, cfg.t_final)
         self.t_end = self.n * cfg.dt
         self.flat = list(y0)
         self.radius = cfg.capture_radius
         self.polar = not cartesian
-        self.i, self.next = 1, cfg.dt
 
     def pose_captured(self, x: float, y: float, theta: float) -> bool:
         """Whether the angles of a pose's wrapped polar image are inside the box."""
@@ -413,222 +423,6 @@ _STIFF_RESET = 6
 _STIFF_EVERY = 10
 
 
-def _dop853(f, t, y, k1, h, cfg: SimConfig, samples: _Samples, stiff_test: bool):
-    """Dormand-Prince 8(5,3) steps from (t, y), with k1 = f(y) and trial step h.
-
-    Returns (outcome, t, y, f(y), h): outcome "done", "captured", or
-    "stiff" with the state after the accepted step on which the stiffness
-    test fired for the 15th time.  Stage N is unpacked
-    once into fNa, fNb, fNc.  Stage 13, f(z), is evaluated once the step
-    is accepted, and the extra stages 14..16 only when the step holds a
-    grid time; a DomainError in any stage retries the step at h/4.
-    """
-    rtol, atol, h_min, sqrt, hypot = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt, math.hypot
-    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
-                                      samples.polar)
-    pose_captured, i, t_sample = samples.pose_captured, samples.i, samples.next
-    n_accepted = n_stiff = n_nonstiff = 0
-    while True:
-        if h < h_min:
-            raise _below_h_min(h, t)
-        last = t + h >= t_end
-        if last:
-            h = t_end - t
-        t_new = t_end if last else t + h
-        y1, y2, y3 = y
-        f1a, f1b, f1c = k1
-        try:
-            f2a, f2b, f2c = f((y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b, y3 + h * _A2_1 * f1c))
-            f3a, f3b, f3c = f((
-                y1 + h * (_A3_1 * f1a + _A3_2 * f2a),
-                y2 + h * (_A3_1 * f1b + _A3_2 * f2b),
-                y3 + h * (_A3_1 * f1c + _A3_2 * f2c)))
-            f4a, f4b, f4c = f((
-                y1 + h * (_A4_1 * f1a + _A4_3 * f3a),
-                y2 + h * (_A4_1 * f1b + _A4_3 * f3b),
-                y3 + h * (_A4_1 * f1c + _A4_3 * f3c)))
-            f5a, f5b, f5c = f((
-                y1 + h * (_A5_1 * f1a + _A5_3 * f3a + _A5_4 * f4a),
-                y2 + h * (_A5_1 * f1b + _A5_3 * f3b + _A5_4 * f4b),
-                y3 + h * (_A5_1 * f1c + _A5_3 * f3c + _A5_4 * f4c)))
-            f6a, f6b, f6c = f((
-                y1 + h * (_A6_1 * f1a + _A6_4 * f4a + _A6_5 * f5a),
-                y2 + h * (_A6_1 * f1b + _A6_4 * f4b + _A6_5 * f5b),
-                y3 + h * (_A6_1 * f1c + _A6_4 * f4c + _A6_5 * f5c)))
-            f7a, f7b, f7c = f((
-                y1 + h * (_A7_1 * f1a + _A7_4 * f4a + _A7_5 * f5a + _A7_6 * f6a),
-                y2 + h * (_A7_1 * f1b + _A7_4 * f4b + _A7_5 * f5b + _A7_6 * f6b),
-                y3 + h * (_A7_1 * f1c + _A7_4 * f4c + _A7_5 * f5c + _A7_6 * f6c)))
-            f8a, f8b, f8c = f((
-                y1 + h * (_A8_1 * f1a + _A8_4 * f4a + _A8_5 * f5a + _A8_6 * f6a + _A8_7 * f7a),
-                y2 + h * (_A8_1 * f1b + _A8_4 * f4b + _A8_5 * f5b + _A8_6 * f6b + _A8_7 * f7b),
-                y3 + h * (_A8_1 * f1c + _A8_4 * f4c + _A8_5 * f5c + _A8_6 * f6c + _A8_7 * f7c)))
-            u1 = y1 + h * (_A9_1 * f1a + _A9_4 * f4a + _A9_5 * f5a + _A9_6 * f6a + _A9_7 * f7a +
-                           _A9_8 * f8a)
-            u2 = y2 + h * (_A9_1 * f1b + _A9_4 * f4b + _A9_5 * f5b + _A9_6 * f6b + _A9_7 * f7b +
-                           _A9_8 * f8b)
-            u3 = y3 + h * (_A9_1 * f1c + _A9_4 * f4c + _A9_5 * f5c + _A9_6 * f6c + _A9_7 * f7c +
-                           _A9_8 * f8c)
-            f9a, f9b, f9c = f((u1, u2, u3))
-            u1 = y1 + h * (_A10_1 * f1a + _A10_4 * f4a + _A10_5 * f5a + _A10_6 * f6a +
-                           _A10_7 * f7a + _A10_8 * f8a + _A10_9 * f9a)
-            u2 = y2 + h * (_A10_1 * f1b + _A10_4 * f4b + _A10_5 * f5b + _A10_6 * f6b +
-                           _A10_7 * f7b + _A10_8 * f8b + _A10_9 * f9b)
-            u3 = y3 + h * (_A10_1 * f1c + _A10_4 * f4c + _A10_5 * f5c + _A10_6 * f6c +
-                           _A10_7 * f7c + _A10_8 * f8c + _A10_9 * f9c)
-            f10a, f10b, f10c = f((u1, u2, u3))
-            u1 = y1 + h * (_A11_1 * f1a + _A11_4 * f4a + _A11_5 * f5a + _A11_6 * f6a +
-                           _A11_7 * f7a + _A11_8 * f8a + _A11_9 * f9a + _A11_10 * f10a)
-            u2 = y2 + h * (_A11_1 * f1b + _A11_4 * f4b + _A11_5 * f5b + _A11_6 * f6b +
-                           _A11_7 * f7b + _A11_8 * f8b + _A11_9 * f9b + _A11_10 * f10b)
-            u3 = y3 + h * (_A11_1 * f1c + _A11_4 * f4c + _A11_5 * f5c + _A11_6 * f6c +
-                           _A11_7 * f7c + _A11_8 * f8c + _A11_9 * f9c + _A11_10 * f10c)
-            f11a, f11b, f11c = f((u1, u2, u3))
-            u1 = y1 + h * (_A12_1 * f1a + _A12_4 * f4a + _A12_5 * f5a + _A12_6 * f6a +
-                           _A12_7 * f7a + _A12_8 * f8a + _A12_9 * f9a + _A12_10 * f10a +
-                           _A12_11 * f11a)
-            u2 = y2 + h * (_A12_1 * f1b + _A12_4 * f4b + _A12_5 * f5b + _A12_6 * f6b +
-                           _A12_7 * f7b + _A12_8 * f8b + _A12_9 * f9b + _A12_10 * f10b +
-                           _A12_11 * f11b)
-            u3 = y3 + h * (_A12_1 * f1c + _A12_4 * f4c + _A12_5 * f5c + _A12_6 * f6c +
-                           _A12_7 * f7c + _A12_8 * f8c + _A12_9 * f9c + _A12_10 * f10c +
-                           _A12_11 * f11c)
-            f12a, f12b, f12c = f((u1, u2, u3))
-            g1 = (_B1 * f1a + _B6 * f6a + _B7 * f7a + _B8 * f8a + _B9 * f9a + _B10 * f10a +
-                  _B11 * f11a + _B12 * f12a)
-            g2 = (_B1 * f1b + _B6 * f6b + _B7 * f7b + _B8 * f8b + _B9 * f9b + _B10 * f10b +
-                  _B11 * f11b + _B12 * f12b)
-            g3 = (_B1 * f1c + _B6 * f6c + _B7 * f7c + _B8 * f8c + _B9 * f9c + _B10 * f10c +
-                  _B11 * f11c + _B12 * f12c)
-            z1, z2, z3 = y1 + h * g1, y2 + h * g2, y3 + h * g3
-            s1 = atol + rtol * max(abs(y1), abs(z1))
-            s2 = atol + rtol * max(abs(y2), abs(z2))
-            s3 = atol + rtol * max(abs(y3), abs(z3))
-            e51 = (_E1 * f1a + _E6 * f6a + _E7 * f7a + _E8 * f8a + _E9 * f9a + _E10 * f10a +
-                   _E11 * f11a + _E12 * f12a) / s1
-            e52 = (_E1 * f1b + _E6 * f6b + _E7 * f7b + _E8 * f8b + _E9 * f9b + _E10 * f10b +
-                   _E11 * f11b + _E12 * f12b) / s2
-            e53 = (_E1 * f1c + _E6 * f6c + _E7 * f7c + _E8 * f8c + _E9 * f9c + _E10 * f10c +
-                   _E11 * f11c + _E12 * f12c) / s3
-            e31 = (g1 - _BHH1 * f1a - _BHH2 * f9a - _BHH3 * f12a) / s1
-            e32 = (g2 - _BHH1 * f1b - _BHH2 * f9b - _BHH3 * f12b) / s2
-            e33 = (g3 - _BHH1 * f1c - _BHH2 * f9c - _BHH3 * f12c) / s3
-            err5 = e51 * e51 + e52 * e52 + e53 * e53
-            err3 = e31 * e31 + e32 * e32 + e33 * e33
-            den = err5 + 0.01 * err3
-            err = h * err5 / sqrt(3.0 * den) if den else 0.0
-            if not err <= 1.0:  # also rejects a NaN error
-                h *= max(0.2, 0.9 * err**-0.125)
-                continue
-            z = (z1, z2, z3)
-            f13a, f13b, f13c = f13 = f(z)
-            if t_sample <= t_new:
-                v1 = y1 + h * (_A14_1 * f1a + _A14_7 * f7a + _A14_8 * f8a + _A14_9 * f9a +
-                               _A14_10 * f10a + _A14_11 * f11a + _A14_12 * f12a + _A14_13 * f13a)
-                v2 = y2 + h * (_A14_1 * f1b + _A14_7 * f7b + _A14_8 * f8b + _A14_9 * f9b +
-                               _A14_10 * f10b + _A14_11 * f11b + _A14_12 * f12b + _A14_13 * f13b)
-                v3 = y3 + h * (_A14_1 * f1c + _A14_7 * f7c + _A14_8 * f8c + _A14_9 * f9c +
-                               _A14_10 * f10c + _A14_11 * f11c + _A14_12 * f12c + _A14_13 * f13c)
-                f14a, f14b, f14c = f((v1, v2, v3))
-                v1 = y1 + h * (_A15_1 * f1a + _A15_6 * f6a + _A15_7 * f7a + _A15_8 * f8a +
-                               _A15_11 * f11a + _A15_12 * f12a + _A15_13 * f13a + _A15_14 * f14a)
-                v2 = y2 + h * (_A15_1 * f1b + _A15_6 * f6b + _A15_7 * f7b + _A15_8 * f8b +
-                               _A15_11 * f11b + _A15_12 * f12b + _A15_13 * f13b + _A15_14 * f14b)
-                v3 = y3 + h * (_A15_1 * f1c + _A15_6 * f6c + _A15_7 * f7c + _A15_8 * f8c +
-                               _A15_11 * f11c + _A15_12 * f12c + _A15_13 * f13c + _A15_14 * f14c)
-                f15a, f15b, f15c = f((v1, v2, v3))
-                v1 = y1 + h * (_A16_1 * f1a + _A16_6 * f6a + _A16_7 * f7a + _A16_8 * f8a +
-                               _A16_9 * f9a + _A16_13 * f13a + _A16_14 * f14a + _A16_15 * f15a)
-                v2 = y2 + h * (_A16_1 * f1b + _A16_6 * f6b + _A16_7 * f7b + _A16_8 * f8b +
-                               _A16_9 * f9b + _A16_13 * f13b + _A16_14 * f14b + _A16_15 * f15b)
-                v3 = y3 + h * (_A16_1 * f1c + _A16_6 * f6c + _A16_7 * f7c + _A16_8 * f8c +
-                               _A16_9 * f9c + _A16_13 * f13c + _A16_14 * f14c + _A16_15 * f15c)
-                f16a, f16b, f16c = f((v1, v2, v3))
-        except DomainError:
-            # A stage left the domain; retry with a smaller step until
-            # h_min decides this is a genuine boundary approach.
-            h *= 0.25
-            continue
-        if t_sample <= t_new:
-            # the dense output's q0..q6, as in the comment on the _Dk_j
-            q01, q02, q03 = z1 - y1, z2 - y2, z3 - y3
-            q11, q12, q13 = h * f1a - q01, h * f1b - q02, h * f1c - q03
-            q21, q22, q23 = q01 - h * f13a - q11, q02 - h * f13b - q12, q03 - h * f13c - q13
-            q31 = h * (_D4_1 * f1a + _D4_6 * f6a + _D4_7 * f7a + _D4_8 * f8a + _D4_9 * f9a +
-                       _D4_10 * f10a + _D4_11 * f11a + _D4_12 * f12a + _D4_13 * f13a +
-                       _D4_14 * f14a + _D4_15 * f15a + _D4_16 * f16a)
-            q32 = h * (_D4_1 * f1b + _D4_6 * f6b + _D4_7 * f7b + _D4_8 * f8b + _D4_9 * f9b +
-                       _D4_10 * f10b + _D4_11 * f11b + _D4_12 * f12b + _D4_13 * f13b +
-                       _D4_14 * f14b + _D4_15 * f15b + _D4_16 * f16b)
-            q33 = h * (_D4_1 * f1c + _D4_6 * f6c + _D4_7 * f7c + _D4_8 * f8c + _D4_9 * f9c +
-                       _D4_10 * f10c + _D4_11 * f11c + _D4_12 * f12c + _D4_13 * f13c +
-                       _D4_14 * f14c + _D4_15 * f15c + _D4_16 * f16c)
-            q41 = h * (_D5_1 * f1a + _D5_6 * f6a + _D5_7 * f7a + _D5_8 * f8a + _D5_9 * f9a +
-                       _D5_10 * f10a + _D5_11 * f11a + _D5_12 * f12a + _D5_13 * f13a +
-                       _D5_14 * f14a + _D5_15 * f15a + _D5_16 * f16a)
-            q42 = h * (_D5_1 * f1b + _D5_6 * f6b + _D5_7 * f7b + _D5_8 * f8b + _D5_9 * f9b +
-                       _D5_10 * f10b + _D5_11 * f11b + _D5_12 * f12b + _D5_13 * f13b +
-                       _D5_14 * f14b + _D5_15 * f15b + _D5_16 * f16b)
-            q43 = h * (_D5_1 * f1c + _D5_6 * f6c + _D5_7 * f7c + _D5_8 * f8c + _D5_9 * f9c +
-                       _D5_10 * f10c + _D5_11 * f11c + _D5_12 * f12c + _D5_13 * f13c +
-                       _D5_14 * f14c + _D5_15 * f15c + _D5_16 * f16c)
-            q51 = h * (_D6_1 * f1a + _D6_6 * f6a + _D6_7 * f7a + _D6_8 * f8a + _D6_9 * f9a +
-                       _D6_10 * f10a + _D6_11 * f11a + _D6_12 * f12a + _D6_13 * f13a +
-                       _D6_14 * f14a + _D6_15 * f15a + _D6_16 * f16a)
-            q52 = h * (_D6_1 * f1b + _D6_6 * f6b + _D6_7 * f7b + _D6_8 * f8b + _D6_9 * f9b +
-                       _D6_10 * f10b + _D6_11 * f11b + _D6_12 * f12b + _D6_13 * f13b +
-                       _D6_14 * f14b + _D6_15 * f15b + _D6_16 * f16b)
-            q53 = h * (_D6_1 * f1c + _D6_6 * f6c + _D6_7 * f7c + _D6_8 * f8c + _D6_9 * f9c +
-                       _D6_10 * f10c + _D6_11 * f11c + _D6_12 * f12c + _D6_13 * f13c +
-                       _D6_14 * f14c + _D6_15 * f15c + _D6_16 * f16c)
-            q61 = h * (_D7_1 * f1a + _D7_6 * f6a + _D7_7 * f7a + _D7_8 * f8a + _D7_9 * f9a +
-                       _D7_10 * f10a + _D7_11 * f11a + _D7_12 * f12a + _D7_13 * f13a +
-                       _D7_14 * f14a + _D7_15 * f15a + _D7_16 * f16a)
-            q62 = h * (_D7_1 * f1b + _D7_6 * f6b + _D7_7 * f7b + _D7_8 * f8b + _D7_9 * f9b +
-                       _D7_10 * f10b + _D7_11 * f11b + _D7_12 * f12b + _D7_13 * f13b +
-                       _D7_14 * f14b + _D7_15 * f15b + _D7_16 * f16b)
-            q63 = h * (_D7_1 * f1c + _D7_6 * f6c + _D7_7 * f7c + _D7_8 * f8c + _D7_9 * f9c +
-                       _D7_10 * f10c + _D7_11 * f11c + _D7_12 * f12c + _D7_13 * f13c +
-                       _D7_14 * f14c + _D7_15 * f15c + _D7_16 * f16c)
-            # the samples in (t, t_new]: z at t_new, the dense output before
-            while t_sample <= t_new:
-                if t_sample == t_new:
-                    s1, s2, s3 = z1, z2, z3
-                else:
-                    s = (t_sample - t) / h
-                    r = 1.0 - s
-                    c1 = q31 + s * (q41 + r * (q51 + s * q61))
-                    c2 = q32 + s * (q42 + r * (q52 + s * q62))
-                    c3 = q33 + s * (q43 + r * (q53 + s * q63))
-                    s1 = y1 + s * (q01 + r * (q11 + s * (q21 + r * c1)))
-                    s2 = y2 + s * (q02 + r * (q12 + s * (q22 + r * c2)))
-                    s3 = y3 + s * (q03 + r * (q13 + s * (q23 + r * c3)))
-                flat += (s1, s2, s3)
-                if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
-                        else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
-                    return "captured", t_new, z, f13, h
-                i += 1
-                t_sample = i * dt
-        if last:
-            return "done", t_new, z, f13, h
-        h_new = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.125)))
-        n_accepted += 1
-        if stiff_test and (n_stiff or n_accepted % _STIFF_EVERY == 0):
-            d1, d2, d3 = f13a - f12a, f13b - f12b, f13c - f12c
-            if h * h * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
-                    (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
-                n_stiff += 1
-                n_nonstiff = 0
-                if n_stiff == _STIFF_AFTER:
-                    samples.i, samples.next = i, t_sample
-                    return "stiff", t_new, z, f13, h_new
-            else:
-                n_nonstiff += 1
-                if n_nonstiff == _STIFF_RESET:
-                    n_stiff = 0
-        t, y, k1, h = t_new, z, f13, h_new
-
-
 # ode23s, the Rosenbrock pair of Shampine & Reichelt (SIAM J. Sci.
 # Comput. 18, 1997), for an autonomous field.  With W = I - h*d*J:
 #     k1 = W^-1 f0,  f1 = f(y + h/2*k1),  k2 = W^-1 (f1 - k1) + k1,
@@ -640,98 +434,6 @@ _ROS_E32 = 6.0 + math.sqrt(2.0)
 # Back to DOP853 once h*rho(J) < 1, inside its stability region with room to
 # spare, on this many accepted steps in a row.
 _NONSTIFF_AFTER = 6
-
-
-def _ode23s(f, jac, t, y, fy, h, cfg: SimConfig, samples: _Samples, notes: list):
-    """ode23s steps from (t, y), with fy = f(y) and trial step h.
-
-    jac(y) gives the Jacobian's nonzero entries (J00, J02, J12, J21, J22),
-    the sparsity of the polar field.  W = I - h*d*J is solved in closed
-    form: the angular (delta, gamma) block first, then rho.  One Jacobian
-    per accepted step; a rejected step keeps it.  Returns (outcome, t, y,
-    f(y), h): outcome "done", "captured", or "nonstiff" when h*rho(J) < 1
-    held on the last 6 steps.  Appends a note on the stretch run here.
-    In the formulas above, f0 is (f01, f02, f03), k1 is (a1, a2, a3), f1 is
-    (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
-    """
-    rtol, atol, hypot = cfg.rtol, cfg.atol, math.hypot
-    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
-                                      samples.polar)
-    pose_captured, i, t_sample = samples.pose_captured, samples.i, samples.next
-    t_start, n_steps, n_jac, n_small = t, 0, 0, 0
-    try:
-        while True:
-            j00, j02, j12, j21, j22 = jac(y)
-            n_jac += 1
-            # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
-            disc = j22 * j22 + 4.0 * j12 * j21
-            spectral = max(abs(j00), (abs(j22) + math.sqrt(disc)) / 2.0 if disc >= 0.0
-                           else math.sqrt(abs(j12 * j21)))
-            y1, y2, y3 = y
-            f01, f02, f03 = fy
-            while True:
-                if h < cfg.h_min:
-                    raise _below_h_min(h, t)
-                last = t + h >= t_end
-                if last:
-                    h = t_end - t
-                hd = h * _ROS_D
-                a12, a21, a22 = hd * j12, hd * j21, 1.0 - hd * j22
-                w00, w02 = 1.0 / (1.0 - hd * j00), hd * j02
-
-                def solve(r1, r2, r3):
-                    x2 = (a22 * r2 + a12 * r3) * inv_det
-                    x3 = (r3 + a21 * r2) * inv_det
-                    return (r1 + w02 * x3) * w00, x2, x3
-
-                try:
-                    inv_det = 1.0 / (a22 - a12 * a21)
-                    a1, a2, a3 = solve(f01, f02, f03)
-                    g1, g2, g3 = f((y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3))
-                    b1, b2, b3 = solve(g1 - a1, g2 - a2, g3 - a3)
-                    b1, b2, b3 = b1 + a1, b2 + a2, b3 + a3
-                    z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
-                    f2 = f(z)
-                except (DomainError, ZeroDivisionError):  # a stage outside, or W singular
-                    h *= 0.25
-                    continue
-                c1, c2, c3 = solve(
-                    f2[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f01),
-                    f2[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f02),
-                    f2[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f03))
-                err = _error_norm(h / 6.0 * (a1 - 2.0 * b1 + c1), h / 6.0 * (a2 - 2.0 * b2 + c2),
-                                  h / 6.0 * (a3 - 2.0 * b3 + c3), y, z, rtol, atol)
-                if err <= 1.0:
-                    break
-                h *= max(0.2, 0.9 * err ** (-1.0 / 3.0))  # also after a NaN error
-            n_steps += 1
-            t_step, t = t, (t_end if last else t + h)
-            scale = h / (1.0 - 2.0 * _ROS_D)
-            # the samples in (t_step, t]: z at t, the continuous extension before
-            while t_sample <= t:
-                if t_sample == t:
-                    s1, s2, s3 = z
-                else:
-                    s = (t_sample - t_step) / h
-                    p, q = scale * s * (1.0 - s), scale * s * (s - 2.0 * _ROS_D)
-                    s1, s2, s3 = y1 + p * a1 + q * b1, y2 + p * a2 + q * b2, y3 + p * a3 + q * b3
-                flat += (s1, s2, s3)
-                if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
-                        else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
-                    return "captured", t, z, f2, h
-                i += 1
-                t_sample = i * dt
-            y, fy = z, f2
-            if last:
-                return "done", t, y, fy, h
-            n_small = n_small + 1 if h * spectral < 1.0 else 0
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-            if n_small == _NONSTIFF_AFTER:
-                samples.i, samples.next = i, t_sample
-                return "nonstiff", t, y, fy, h
-    finally:
-        notes.append((t_start, f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], "
-                               f"{n_steps} steps, {n_jac} Jacobians"))
 
 
 def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
@@ -764,28 +466,294 @@ def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
     return min(h_max, 100.0 * h, h1)  # h_max, not NaN, when f(y0) is not finite
 
 
+def _stiff_note(t_start: float, t: float, n_steps: int, n_jac: int) -> tuple[float, str]:
+    """The note on an ode23s stretch from t_start to t."""
+    return t_start, (f"stiff: ode23s on t in [{t_start:.6g}, {t:.6g}], {n_steps} steps, "
+                     f"{n_jac} Jacobians")
+
+
 def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                         jac=None) -> str:
-    """Advance y' = f(y) and record its samples at t = i*dt.
+    """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
-    Error control alone sets the step size; only the last step is cut
-    short, to end on t = n*dt.  The samples inside an accepted step come
-    from the dense output.  Runs DOP853 and, when a Jacobian is given and
-    its stiffness test fires, ode23s until the problem is no longer stiff
-    (each stretch adds a note).  Returns "done" or "captured", or raises
-    _BoundaryHit when the step size collapses below cfg.h_min (stage
-    evaluations that leave the domain count as failed steps and shrink the
-    step first).
+    DOP853 takes the steps, and when a Jacobian is given its stiffness test
+    hands them to ode23s until h*rho(J) < 1 has held for 6 steps; each
+    ode23s stretch adds a note.  Step control is the same for both rules:
+    the first step is HINIT's, error control alone sets the step size, only
+    the last step is cut short (to end on t = n*dt), a step whose error norm
+    err is above 1 (or NaN) is rejected, and the next trial step is h times
+    0.9*err^e clamped to [0.2, 5], with e = -1/8 for DOP853 and -1/3 for
+    ode23s.  A stage outside the domain, or a singular W, retries the step
+    at h/4.  The samples inside an accepted step come from the rule's dense
+    output.  Returns "done" or "captured", or raises _BoundaryHit when the
+    step size falls below cfg.h_min.
+
+    DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
+    is evaluated once the step is accepted, and the extra stages 14..16
+    only when the step holds a grid time.  ode23s takes one Jacobian per
+    accepted state, a rejected step keeping it; jac(y) gives its nonzero
+    entries (J00, J02, J12, J21, J22), the sparsity of the polar field, and
+    W = I - h*d*J is solved in closed form: the angular (delta, gamma)
+    block first, then rho.  In the formulas of ode23s, f0 is (f1a, f1b,
+    f1c), k1 is (a1, a2, a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and
+    k3 is (c1, c2, c3).
     """
+    rtol, atol, h_min, sqrt, hypot = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt, math.hypot
+    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
+                                      samples.polar)
+    pose_captured, can_switch = samples.pose_captured, jac is not None
     fy = f(y0)
-    t, y, h = 0.0, y0, _initial_step(f, y0, fy, cfg, samples.t_end)
-    while True:
-        outcome, t, y, fy, h = _dop853(f, t, y, fy, h, cfg, samples, jac is not None)
-        if outcome != "stiff":
-            return outcome
-        outcome, t, y, fy, h = _ode23s(f, jac, t, y, fy, h, cfg, samples, notes)
-        if outcome != "nonstiff":
-            return outcome
+    t, y, h = 0.0, y0, _initial_step(f, y0, fy, cfg, t_end)
+    i, t_sample, stiff, expo, captured = 1, dt, False, -0.125, False
+    n_steps = n_stiff = n_nonstiff = 0
+    while h >= h_min:  # a rejected or retried step comes back with its smaller h
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        t_new = t_end if last else t + h
+        y1, y2, y3 = y
+        f1a, f1b, f1c = fy
+        try:
+            if stiff:
+                hd = h * _ROS_D
+                a12, a21, a22 = hd * j12, hd * j21, 1.0 - hd * j22
+                w00, w02 = 1.0 / (1.0 - hd * j00), hd * j02
+
+                def solve(r1, r2, r3):
+                    x2 = (a22 * r2 + a12 * r3) * inv_det
+                    x3 = (r3 + a21 * r2) * inv_det
+                    return (r1 + w02 * x3) * w00, x2, x3
+
+                inv_det = 1.0 / (a22 - a12 * a21)
+                a1, a2, a3 = solve(f1a, f1b, f1c)
+                g1, g2, g3 = f((y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3))
+                b1, b2, b3 = solve(g1 - a1, g2 - a2, g3 - a3)
+                b1, b2, b3 = b1 + a1, b2 + a2, b3 + a3
+                z1, z2, z3 = z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
+                fz = f(z)
+                c1, c2, c3 = solve(
+                    fz[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f1a),
+                    fz[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f1b),
+                    fz[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c))
+                err = _error_norm(h / 6.0 * (a1 - 2.0 * b1 + c1), h / 6.0 * (a2 - 2.0 * b2 + c2),
+                                  h / 6.0 * (a3 - 2.0 * b3 + c3), y, z, rtol, atol)
+                scale = h / (1.0 - 2.0 * _ROS_D)
+            else:
+                f2a, f2b, f2c = f((y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b,
+                                   y3 + h * _A2_1 * f1c))
+                f3a, f3b, f3c = f((
+                    y1 + h * (_A3_1 * f1a + _A3_2 * f2a),
+                    y2 + h * (_A3_1 * f1b + _A3_2 * f2b),
+                    y3 + h * (_A3_1 * f1c + _A3_2 * f2c)))
+                f4a, f4b, f4c = f((
+                    y1 + h * (_A4_1 * f1a + _A4_3 * f3a),
+                    y2 + h * (_A4_1 * f1b + _A4_3 * f3b),
+                    y3 + h * (_A4_1 * f1c + _A4_3 * f3c)))
+                f5a, f5b, f5c = f((
+                    y1 + h * (_A5_1 * f1a + _A5_3 * f3a + _A5_4 * f4a),
+                    y2 + h * (_A5_1 * f1b + _A5_3 * f3b + _A5_4 * f4b),
+                    y3 + h * (_A5_1 * f1c + _A5_3 * f3c + _A5_4 * f4c)))
+                f6a, f6b, f6c = f((
+                    y1 + h * (_A6_1 * f1a + _A6_4 * f4a + _A6_5 * f5a),
+                    y2 + h * (_A6_1 * f1b + _A6_4 * f4b + _A6_5 * f5b),
+                    y3 + h * (_A6_1 * f1c + _A6_4 * f4c + _A6_5 * f5c)))
+                f7a, f7b, f7c = f((
+                    y1 + h * (_A7_1 * f1a + _A7_4 * f4a + _A7_5 * f5a + _A7_6 * f6a),
+                    y2 + h * (_A7_1 * f1b + _A7_4 * f4b + _A7_5 * f5b + _A7_6 * f6b),
+                    y3 + h * (_A7_1 * f1c + _A7_4 * f4c + _A7_5 * f5c + _A7_6 * f6c)))
+                f8a, f8b, f8c = f((
+                    y1 + h * (_A8_1 * f1a + _A8_4 * f4a + _A8_5 * f5a + _A8_6 * f6a + _A8_7 * f7a),
+                    y2 + h * (_A8_1 * f1b + _A8_4 * f4b + _A8_5 * f5b + _A8_6 * f6b + _A8_7 * f7b),
+                    y3 + h * (_A8_1 * f1c + _A8_4 * f4c + _A8_5 * f5c + _A8_6 * f6c + _A8_7 * f7c)))
+                u1 = y1 + h * (_A9_1 * f1a + _A9_4 * f4a + _A9_5 * f5a + _A9_6 * f6a + _A9_7 * f7a +
+                               _A9_8 * f8a)
+                u2 = y2 + h * (_A9_1 * f1b + _A9_4 * f4b + _A9_5 * f5b + _A9_6 * f6b + _A9_7 * f7b +
+                               _A9_8 * f8b)
+                u3 = y3 + h * (_A9_1 * f1c + _A9_4 * f4c + _A9_5 * f5c + _A9_6 * f6c + _A9_7 * f7c +
+                               _A9_8 * f8c)
+                f9a, f9b, f9c = f((u1, u2, u3))
+                u1 = y1 + h * (_A10_1 * f1a + _A10_4 * f4a + _A10_5 * f5a + _A10_6 * f6a +
+                               _A10_7 * f7a + _A10_8 * f8a + _A10_9 * f9a)
+                u2 = y2 + h * (_A10_1 * f1b + _A10_4 * f4b + _A10_5 * f5b + _A10_6 * f6b +
+                               _A10_7 * f7b + _A10_8 * f8b + _A10_9 * f9b)
+                u3 = y3 + h * (_A10_1 * f1c + _A10_4 * f4c + _A10_5 * f5c + _A10_6 * f6c +
+                               _A10_7 * f7c + _A10_8 * f8c + _A10_9 * f9c)
+                f10a, f10b, f10c = f((u1, u2, u3))
+                u1 = y1 + h * (_A11_1 * f1a + _A11_4 * f4a + _A11_5 * f5a + _A11_6 * f6a +
+                               _A11_7 * f7a + _A11_8 * f8a + _A11_9 * f9a + _A11_10 * f10a)
+                u2 = y2 + h * (_A11_1 * f1b + _A11_4 * f4b + _A11_5 * f5b + _A11_6 * f6b +
+                               _A11_7 * f7b + _A11_8 * f8b + _A11_9 * f9b + _A11_10 * f10b)
+                u3 = y3 + h * (_A11_1 * f1c + _A11_4 * f4c + _A11_5 * f5c + _A11_6 * f6c +
+                               _A11_7 * f7c + _A11_8 * f8c + _A11_9 * f9c + _A11_10 * f10c)
+                f11a, f11b, f11c = f((u1, u2, u3))
+                u1 = y1 + h * (_A12_1 * f1a + _A12_4 * f4a + _A12_5 * f5a + _A12_6 * f6a +
+                               _A12_7 * f7a + _A12_8 * f8a + _A12_9 * f9a + _A12_10 * f10a +
+                               _A12_11 * f11a)
+                u2 = y2 + h * (_A12_1 * f1b + _A12_4 * f4b + _A12_5 * f5b + _A12_6 * f6b +
+                               _A12_7 * f7b + _A12_8 * f8b + _A12_9 * f9b + _A12_10 * f10b +
+                               _A12_11 * f11b)
+                u3 = y3 + h * (_A12_1 * f1c + _A12_4 * f4c + _A12_5 * f5c + _A12_6 * f6c +
+                               _A12_7 * f7c + _A12_8 * f8c + _A12_9 * f9c + _A12_10 * f10c +
+                               _A12_11 * f11c)
+                f12a, f12b, f12c = f((u1, u2, u3))
+                g1 = (_B1 * f1a + _B6 * f6a + _B7 * f7a + _B8 * f8a + _B9 * f9a + _B10 * f10a +
+                      _B11 * f11a + _B12 * f12a)
+                g2 = (_B1 * f1b + _B6 * f6b + _B7 * f7b + _B8 * f8b + _B9 * f9b + _B10 * f10b +
+                      _B11 * f11b + _B12 * f12b)
+                g3 = (_B1 * f1c + _B6 * f6c + _B7 * f7c + _B8 * f8c + _B9 * f9c + _B10 * f10c +
+                      _B11 * f11c + _B12 * f12c)
+                z1, z2, z3 = y1 + h * g1, y2 + h * g2, y3 + h * g3
+                s1 = atol + rtol * max(abs(y1), abs(z1))
+                s2 = atol + rtol * max(abs(y2), abs(z2))
+                s3 = atol + rtol * max(abs(y3), abs(z3))
+                e51 = (_E1 * f1a + _E6 * f6a + _E7 * f7a + _E8 * f8a + _E9 * f9a + _E10 * f10a +
+                       _E11 * f11a + _E12 * f12a) / s1
+                e52 = (_E1 * f1b + _E6 * f6b + _E7 * f7b + _E8 * f8b + _E9 * f9b + _E10 * f10b +
+                       _E11 * f11b + _E12 * f12b) / s2
+                e53 = (_E1 * f1c + _E6 * f6c + _E7 * f7c + _E8 * f8c + _E9 * f9c + _E10 * f10c +
+                       _E11 * f11c + _E12 * f12c) / s3
+                e31 = (g1 - _BHH1 * f1a - _BHH2 * f9a - _BHH3 * f12a) / s1
+                e32 = (g2 - _BHH1 * f1b - _BHH2 * f9b - _BHH3 * f12b) / s2
+                e33 = (g3 - _BHH1 * f1c - _BHH2 * f9c - _BHH3 * f12c) / s3
+                err5 = e51 * e51 + e52 * e52 + e53 * e53
+                err3 = e31 * e31 + e32 * e32 + e33 * e33
+                den = err5 + 0.01 * err3
+                err = h * err5 / sqrt(3.0 * den) if den else 0.0
+            if not err <= 1.0:  # also rejects a NaN error
+                h *= max(0.2, 0.9 * err**expo)
+                continue
+            if not stiff:
+                z = (z1, z2, z3)
+                f13a, f13b, f13c = fz = f(z)
+            if t_sample <= t_new and not stiff:
+                v1 = y1 + h * (_A14_1 * f1a + _A14_7 * f7a + _A14_8 * f8a + _A14_9 * f9a +
+                               _A14_10 * f10a + _A14_11 * f11a + _A14_12 * f12a + _A14_13 * f13a)
+                v2 = y2 + h * (_A14_1 * f1b + _A14_7 * f7b + _A14_8 * f8b + _A14_9 * f9b +
+                               _A14_10 * f10b + _A14_11 * f11b + _A14_12 * f12b + _A14_13 * f13b)
+                v3 = y3 + h * (_A14_1 * f1c + _A14_7 * f7c + _A14_8 * f8c + _A14_9 * f9c +
+                               _A14_10 * f10c + _A14_11 * f11c + _A14_12 * f12c + _A14_13 * f13c)
+                f14a, f14b, f14c = f((v1, v2, v3))
+                v1 = y1 + h * (_A15_1 * f1a + _A15_6 * f6a + _A15_7 * f7a + _A15_8 * f8a +
+                               _A15_11 * f11a + _A15_12 * f12a + _A15_13 * f13a + _A15_14 * f14a)
+                v2 = y2 + h * (_A15_1 * f1b + _A15_6 * f6b + _A15_7 * f7b + _A15_8 * f8b +
+                               _A15_11 * f11b + _A15_12 * f12b + _A15_13 * f13b + _A15_14 * f14b)
+                v3 = y3 + h * (_A15_1 * f1c + _A15_6 * f6c + _A15_7 * f7c + _A15_8 * f8c +
+                               _A15_11 * f11c + _A15_12 * f12c + _A15_13 * f13c + _A15_14 * f14c)
+                f15a, f15b, f15c = f((v1, v2, v3))
+                v1 = y1 + h * (_A16_1 * f1a + _A16_6 * f6a + _A16_7 * f7a + _A16_8 * f8a +
+                               _A16_9 * f9a + _A16_13 * f13a + _A16_14 * f14a + _A16_15 * f15a)
+                v2 = y2 + h * (_A16_1 * f1b + _A16_6 * f6b + _A16_7 * f7b + _A16_8 * f8b +
+                               _A16_9 * f9b + _A16_13 * f13b + _A16_14 * f14b + _A16_15 * f15b)
+                v3 = y3 + h * (_A16_1 * f1c + _A16_6 * f6c + _A16_7 * f7c + _A16_8 * f8c +
+                               _A16_9 * f9c + _A16_13 * f13c + _A16_14 * f14c + _A16_15 * f15c)
+                f16a, f16b, f16c = f((v1, v2, v3))
+                # the dense output's q0..q6, as in the comment on the _Dk_j
+                q01, q02, q03 = z1 - y1, z2 - y2, z3 - y3
+                q11, q12, q13 = h * f1a - q01, h * f1b - q02, h * f1c - q03
+                q21, q22, q23 = q01 - h * f13a - q11, q02 - h * f13b - q12, q03 - h * f13c - q13
+                q31 = h * (_D4_1 * f1a + _D4_6 * f6a + _D4_7 * f7a + _D4_8 * f8a + _D4_9 * f9a +
+                           _D4_10 * f10a + _D4_11 * f11a + _D4_12 * f12a + _D4_13 * f13a +
+                           _D4_14 * f14a + _D4_15 * f15a + _D4_16 * f16a)
+                q32 = h * (_D4_1 * f1b + _D4_6 * f6b + _D4_7 * f7b + _D4_8 * f8b + _D4_9 * f9b +
+                           _D4_10 * f10b + _D4_11 * f11b + _D4_12 * f12b + _D4_13 * f13b +
+                           _D4_14 * f14b + _D4_15 * f15b + _D4_16 * f16b)
+                q33 = h * (_D4_1 * f1c + _D4_6 * f6c + _D4_7 * f7c + _D4_8 * f8c + _D4_9 * f9c +
+                           _D4_10 * f10c + _D4_11 * f11c + _D4_12 * f12c + _D4_13 * f13c +
+                           _D4_14 * f14c + _D4_15 * f15c + _D4_16 * f16c)
+                q41 = h * (_D5_1 * f1a + _D5_6 * f6a + _D5_7 * f7a + _D5_8 * f8a + _D5_9 * f9a +
+                           _D5_10 * f10a + _D5_11 * f11a + _D5_12 * f12a + _D5_13 * f13a +
+                           _D5_14 * f14a + _D5_15 * f15a + _D5_16 * f16a)
+                q42 = h * (_D5_1 * f1b + _D5_6 * f6b + _D5_7 * f7b + _D5_8 * f8b + _D5_9 * f9b +
+                           _D5_10 * f10b + _D5_11 * f11b + _D5_12 * f12b + _D5_13 * f13b +
+                           _D5_14 * f14b + _D5_15 * f15b + _D5_16 * f16b)
+                q43 = h * (_D5_1 * f1c + _D5_6 * f6c + _D5_7 * f7c + _D5_8 * f8c + _D5_9 * f9c +
+                           _D5_10 * f10c + _D5_11 * f11c + _D5_12 * f12c + _D5_13 * f13c +
+                           _D5_14 * f14c + _D5_15 * f15c + _D5_16 * f16c)
+                q51 = h * (_D6_1 * f1a + _D6_6 * f6a + _D6_7 * f7a + _D6_8 * f8a + _D6_9 * f9a +
+                           _D6_10 * f10a + _D6_11 * f11a + _D6_12 * f12a + _D6_13 * f13a +
+                           _D6_14 * f14a + _D6_15 * f15a + _D6_16 * f16a)
+                q52 = h * (_D6_1 * f1b + _D6_6 * f6b + _D6_7 * f7b + _D6_8 * f8b + _D6_9 * f9b +
+                           _D6_10 * f10b + _D6_11 * f11b + _D6_12 * f12b + _D6_13 * f13b +
+                           _D6_14 * f14b + _D6_15 * f15b + _D6_16 * f16b)
+                q53 = h * (_D6_1 * f1c + _D6_6 * f6c + _D6_7 * f7c + _D6_8 * f8c + _D6_9 * f9c +
+                           _D6_10 * f10c + _D6_11 * f11c + _D6_12 * f12c + _D6_13 * f13c +
+                           _D6_14 * f14c + _D6_15 * f15c + _D6_16 * f16c)
+                q61 = h * (_D7_1 * f1a + _D7_6 * f6a + _D7_7 * f7a + _D7_8 * f8a + _D7_9 * f9a +
+                           _D7_10 * f10a + _D7_11 * f11a + _D7_12 * f12a + _D7_13 * f13a +
+                           _D7_14 * f14a + _D7_15 * f15a + _D7_16 * f16a)
+                q62 = h * (_D7_1 * f1b + _D7_6 * f6b + _D7_7 * f7b + _D7_8 * f8b + _D7_9 * f9b +
+                           _D7_10 * f10b + _D7_11 * f11b + _D7_12 * f12b + _D7_13 * f13b +
+                           _D7_14 * f14b + _D7_15 * f15b + _D7_16 * f16b)
+                q63 = h * (_D7_1 * f1c + _D7_6 * f6c + _D7_7 * f7c + _D7_8 * f8c + _D7_9 * f9c +
+                           _D7_10 * f10c + _D7_11 * f11c + _D7_12 * f12c + _D7_13 * f13c +
+                           _D7_14 * f14c + _D7_15 * f15c + _D7_16 * f16c)
+        except (DomainError, ZeroDivisionError):  # a stage outside, or W singular
+            # retry with a smaller step until h_min decides this is a genuine
+            # boundary approach
+            h *= 0.25
+            continue
+        n_steps += 1
+        t_step, t = t, t_new
+        # the samples in (t_step, t]: z at t, the dense output before
+        while t_sample <= t:
+            if t_sample == t:
+                s1, s2, s3 = z1, z2, z3
+            else:
+                s = (t_sample - t_step) / h
+                if stiff:
+                    p, q = scale * s * (1.0 - s), scale * s * (s - 2.0 * _ROS_D)
+                    s1, s2, s3 = y1 + p * a1 + q * b1, y2 + p * a2 + q * b2, y3 + p * a3 + q * b3
+                else:
+                    r = 1.0 - s
+                    c1 = q31 + s * (q41 + r * (q51 + s * q61))
+                    c2 = q32 + s * (q42 + r * (q52 + s * q62))
+                    c3 = q33 + s * (q43 + r * (q53 + s * q63))
+                    s1 = y1 + s * (q01 + r * (q11 + s * (q21 + r * c1)))
+                    s2 = y2 + s * (q02 + r * (q12 + s * (q22 + r * c2)))
+                    s3 = y3 + s * (q03 + r * (q13 + s * (q23 + r * c3)))
+            flat += (s1, s2, s3)
+            if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
+                    else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
+                captured = True
+                break
+            i += 1
+            t_sample = i * dt
+        if captured or last:
+            break
+        y, fy, h_step = z, fz, h
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**expo))
+        # the stiffness tests, on the accepted step h_step
+        if stiff:
+            n_small = n_small + 1 if h_step * spectral < 1.0 else 0
+            if n_small == _NONSTIFF_AFTER:
+                notes.append(_stiff_note(t_start, t, n_steps, n_jac))
+                stiff, expo, n_steps, n_stiff, n_nonstiff = False, -0.125, 0, 0, 0
+        elif can_switch and (n_stiff or n_steps % _STIFF_EVERY == 0):
+            d1, d2, d3 = f13a - f12a, f13b - f12b, f13c - f12c
+            if h_step * h_step * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
+                    (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
+                n_stiff += 1
+                n_nonstiff = 0
+                if n_stiff == _STIFF_AFTER:
+                    stiff, expo, t_start, n_steps, n_jac, n_small = True, -1.0 / 3.0, t, 0, 0, 0
+            else:
+                n_nonstiff += 1
+                if n_nonstiff == _STIFF_RESET:
+                    n_stiff = 0
+        if stiff:
+            j00, j02, j12, j21, j22 = jac(y)
+            n_jac += 1
+            # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
+            disc = j22 * j22 + 4.0 * j12 * j21
+            spectral = max(abs(j00), (abs(j22) + sqrt(disc)) / 2.0 if disc >= 0.0
+                           else sqrt(abs(j12 * j21)))
+    if stiff:
+        notes.append(_stiff_note(t_start, t, n_steps, n_jac))
+    if captured:
+        return "captured"
+    if t == t_end:
+        return "done"
+    raise _below_h_min(h, t)
 
 
 # RK4's stability interval on the negative real axis ends near -2.785.

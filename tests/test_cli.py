@@ -204,6 +204,32 @@ class TestConfigValidation:
             tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "t_final": 1e308}}, capsys)
         assert code == 1 and "invalid config: bad sim settings" in err
 
+    def test_horizon_past_the_sample_cap(self, tmp_path, capsys):
+        # 2e10 sampling intervals; the run used to grow its samples until memory ran out
+        code, err = self.exit_code(
+            tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "t_final": 1e9, "capture_radius": 0.0}},
+            capsys)
+        assert code == 1 and "invalid config: bad sim settings" in err and "cap of" in err
+
+    @pytest.mark.parametrize("payload, message", [
+        ([BASE_SIM], "top level must be a JSON object"),
+        ({**BASE_SIM, "gains": "1 1 1 1"}, "gains must be a 4-list or an object"),
+        ({**BASE_SIM, "gains": [1.0, 0.0, 1.0, 1.0]}, "bad gains"),
+        ({**BASE_SIM, "initial_conditions": [[1.0, 0.5, -0.5]]},
+         "initial condition #0 must be an object"),
+        ({**BASE_SIM, "initial_conditions": [{"rho": -1.0, "delta": 0.5, "gamma": -0.5}]},
+         "initial condition #0: negative rho"),
+        ({**BASE_SIM, "sim": [0.05, 10.0]}, "sim must be an object"),
+        ({**BASE_SIM, "sim": {"frame": "spherical"}}, "unknown frame 'spherical'"),
+        ({**BASE_SIM, "sim": {"integrator": "euler"}}, "unknown integrator 'euler'"),
+        ({**BASE_SIM, "compositor_order": "gamma_first"},
+         "compositor_order must be rho_first or vdg_first"),
+    ])
+    def test_rejected_config(self, tmp_path, capsys, payload, message):
+        code, err = self.exit_code(tmp_path, payload, capsys)
+        assert code == 1 and err.startswith(f"error: invalid config: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         code, err = self.exit_code(
             tmp_path, {**BASE_SIM, "sim": {"dt": 0.05, "step_size": 0.1}}, capsys)

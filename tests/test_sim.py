@@ -85,6 +85,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="t_final/dt must be finite"):
                 SimConfig(dt=dt, t_final=t_final)
 
+    def test_horizon_sample_count_is_capped(self):
+        # 2e10 intervals: the run would grow its sample buffer until memory
+        # ran out; the cap is 10**7 intervals (about 2 GB of samples)
+        with pytest.raises(ValueError, match=r"n = 20000000000 .* cap of 10000000"):
+            SimConfig(dt=0.05, t_final=1e9)
+        cfg = SimConfig(dt=1e-6, t_final=10.0)  # constructed, never run
+        assert sim._interval_count(cfg.dt, cfg.t_final) == 10**7
+
     def test_trajectory_validation(self):
         t = np.array([0.0, 0.1])
         col = np.zeros(2)
@@ -648,6 +656,48 @@ class TestStiffFallback:
         assert np.max(np.abs(ys[:, 2] - exact)) < 1e-9
         assert np.max(np.abs(ys[:, 1] - times)) < 1e-12
         assert np.all(ys[:, 0] == 1.0)
+
+    # Step-control branches that criterion 06 and the workloads never run,
+    # pinned on loose tolerances (rtol 1e-4, atol 1e-6) near the barriers
+    LOOSE = SimConfig(dt=0.05, t_final=5.0, rtol=1e-4, atol=1e-6)
+
+    def test_ode23s_rejects_steps(self, rhs_calls):
+        # ode23s rejects 2 of its trial steps on this run
+        spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
+        traj = simulate(spec, self.BARRIER_START, self.LOOSE)
+        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 477
+        assert traj.note == "stiff: ode23s on t in [0.0010312, 4.25031], 26 steps, 26 Jacobians"
+        assert (traj.rho[-1], traj.delta[-1], traj.gamma[-1]) == (
+            0.0971606792943247, 0.6023863964867147, -0.7044730000963098)
+
+    def test_dop853_retries_a_stage_outside_the_space(self, rhs_calls):
+        # a DOP853 stage crosses the barrier twice and the step is retried at
+        # h/4 each time; the run still reaches its horizon
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        start = PolarState(1.0, math.pi - 0.05, -(math.pi - 0.05))
+        traj = simulate(spec, start, self.LOOSE)
+        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 648
+        assert traj.note == "stiff: ode23s on t in [0.174741, 5], 10 steps, 10 Jacobians"
+        assert (traj.rho[-1], traj.delta[-1], traj.gamma[-1]) == (
+            0.8424415922583605, 3.104155960712751, -1.5707832102068024)
+
+    @pytest.mark.parametrize("delta0, stop", [
+        (0.5 - 1e-12, "step size 4.410e-10 below h_min at t=0"),
+        (0.5 - 1e-5, "step size 4.011e-10 below h_min at t=9.99988e-06"),
+    ])
+    def test_initial_step_probe_retries_down_to_h_min(self, delta0, stop):
+        # delta' = 1 toward a wall at delta = 0.5: from 1e-12 below it HINIT's
+        # probe quarters h until h_min stops the run; from 1e-5 below it the
+        # first steps are taken and their stages at the wall end the run
+        def f(y):
+            if y[1] >= 0.5:
+                raise DomainError("wall")
+            return (0.0, 1.0, 0.0)
+
+        cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
+        times, ys, status, _, notes, got = sim._run(f, (1.0, delta0, 0.0), cfg)
+        assert status is SimStatus.BOUNDARY_STOP and (got, notes) == (stop, [])
+        assert times.tolist() == [0.0] and ys.tolist() == [[1.0, delta0, 0.0]]
 
 
 class TestRk4StabilityNote:

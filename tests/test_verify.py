@@ -185,6 +185,16 @@ class TestProposition1Check:
         assert not rep.passed
         assert rep.details["failing_condition"] == "zero-at-origin"
 
+    def test_uncoupled_gains_fail_the_closed_loop_decrease(self):
+        # k1*k3 = 0.1 < k2^2 = 9 breaks the coupling BOLSA's certificate needs:
+        # the merge conditions hold, but V rises along the closed loop
+        fn = LyapunovFn(ControllerKind.BOLSA, Gains(1.0, 3.0, 0.1, 1.0))
+        rep = check_proposition1(Compositor.sum_form(), fn, n_samples=100, seed=1)
+        assert not rep.passed
+        assert rep.details["failing_condition"] == "closed-loop-decrease"
+        assert rep.worst_margin == pytest.approx(15.89, abs=5e-3)
+        assert rep.witness == pytest.approx((2.62, -9.47, 0.915), abs=5e-3)
+
     def test_nan_partial_fails_like_composite(self):
         # a NaN partial on the r axis is a violation, whichever partial it
         # is; composite() screens with the same conditions and rejects it
