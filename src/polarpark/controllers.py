@@ -25,13 +25,13 @@ BOLSA and BAGAL need the gain coupling k1*k3 >= k2^2 for their decrease
 certificates; construction rejects gains that violate it unless the
 caller explicitly opts out.
 
-steering_law(xp, kind, gains) binds one law for a numeric namespace.  On
-the scalar namespaces (floats for the simulator's right-hand sides,
-complex scalars for its complex-step Jacobian) each backstepping law is
-one fused closure with no helper calls.  Arrays, and the storage
-functions in lyapunov.py, compose backstepping_terms and _psi instead;
-that composition is the reference the fused closures are tested to equal
-bit for bit.
+steering_law(xp, kind, gains) binds one law for a numeric namespace: two
+kernels, one per family.  The bounded kernel (BOLSA, BAGAL) serves every
+namespace; the backstepping kernel (GLOBA, BARFLI) serves the scalar ones
+(floats for the simulator's right-hand sides, complex scalars for its
+complex-step Jacobian) and calls no helper.  Arrays, and lyapunov.py,
+compose backstepping_terms and _psi instead: the reference the kernel is
+tested to equal bit for bit.
 """
 from __future__ import annotations
 
@@ -149,16 +149,12 @@ class ControllerSpec:
 _DELTA_BARRIER = "steering undefined at |delta| >= pi"
 
 
-def _require_delta_inside(xp, delta) -> None:
-    if xp.any(abs(delta) >= math.pi):
-        raise DomainError(_DELTA_BARRIER)
-
-
 def _delta_shaping(xp, kind: ControllerKind, delta):
     if kind is _GLOBA:
         return delta, 1.0
     if kind is _BARFLI:
-        _require_delta_inside(xp, delta)
+        if xp.any(abs(delta) >= math.pi):
+            raise DomainError(_DELTA_BARRIER)
         half_tan = xp.tan(delta / 2.0)
         return 2.0 * half_tan, 1.0 + half_tan * half_tan
     raise ValueError(f"no delta shaping for controller kind {kind.value}")
@@ -241,44 +237,36 @@ def backstepping_terms(xp, kind: ControllerKind, k2: float, delta, gamma):
     return Delta, dDelta, gamma + 0.5 * xp.atan(2.0 * k2 * Delta)
 
 
-def _unshaped(delta):
-    return delta
-
-
 def steering_law(xp, kind: ControllerKind, gains: Gains):
     """omega_tilde of `kind` at `gains` as law(delta, gamma), evaluated in the namespace `xp`.
 
-    The one statement of each steering law, with the gains bound once per
-    law.  For the scalar namespaces (FLOAT_MATH, COMPLEX_MATH) the
-    backstepping laws are fused kernels: gain products, namespace
-    functions and the kind are resolved here, and a call runs no helper.
-    They repeat, operation for operation, the composition of
-    backstepping_terms and _psi that arrays (and lyapunov.py) use, which
-    is their tested reference: they agree bit for bit.  BOLSA and BAGAL
-    are one body for every namespace, BAGAL's with the delta barrier.
+    The one statement of each steering law, with the gains bound once, as
+    two kernels, one per family, each branching only on a flag set here.
+    The bounded kernel (BOLSA; BAGAL adds the delta barrier) serves every
+    namespace.  For the scalar namespaces (FLOAT_MATH, COMPLEX_MATH) the
+    backstepping kernel (GLOBA; BARFLI shapes the angle) is fused: a call
+    runs no helper, and it repeats, operation for operation, the
+    composition of backstepping_terms and _psi that arrays (and
+    lyapunov.py) use, its tested reference: they agree bit for bit.
     """
     k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
     sin, cos, tan, atan, sqrt, any_ = xp.sin, xp.cos, xp.tan, xp.atan, xp.sqrt, xp.any
     pi = math.pi
     if kind is _BOLSA or kind is _BAGAL:
-        if kind is _BAGAL:
-            weight = 2.0 * k3
+        barrier = kind is _BAGAL
+        weight = 2.0 * k3 if barrier else k3
 
-            def shaped(delta):
+        def law(delta, gamma):
+            if barrier:  # BAGAL steers on the steep angle tan(delta/2) / cos(delta/2)^2
                 if any_(abs(delta) >= pi):
                     raise DomainError(_DELTA_BARRIER)
                 half_tan = tan(delta / 2.0)
-                return (1.0 + half_tan * half_tan) * half_tan
-        else:
-            weight, shaped = k3, _unshaped
-
-        def law(delta, gamma):
+                delta = (1.0 + half_tan * half_tan) * half_tan
             # cos(gamma) / (1 + tan(gamma/2)^2)^2 written via the half-angle
             # identity 1/(1 + tan^2) = (1 + cos)/2, so it extends smoothly
             # through |gamma| = pi where it vanishes.
-            steep_delta = shaped(delta)
             cos_g = cos(gamma)
-            return k2 * sin(gamma) + weight * (cos_g * (1.0 + cos_g) ** 2 / 4.0) * steep_delta
+            return k2 * sin(gamma) + weight * (cos_g * (1.0 + cos_g) ** 2 / 4.0) * delta
         return law
     if xp is ARRAY_MATH:
         def law(delta, gamma):
@@ -292,29 +280,16 @@ def steering_law(xp, kind: ControllerKind, gains: Gains):
     # every rounding of the reference; psi's sqrt(1 + 4*k2^2*Delta^2) is
     # the sqrt of gain_sq, and its 2*k2*Delta the argument of atan.
     k1k2, two_k2, four_k2_sq = k1 * k2, 2.0 * k2, 4.0 * k2 * k2
-    if kind is _GLOBA:
-        def law(delta, gamma):
-            two_k2_delta = two_k2 * delta
-            z = gamma + 0.5 * atan(two_k2_delta)
-            gain_sq = 1.0 + four_k2_sq * delta * delta
-            if abs(z) < 1e-8:
-                sin_ratio, versine_ratio = 1.0 - (2.0 / 3.0) * z * z, z * (1.0 - z * z / 3.0)
-            else:
-                sin_z = sin(z)
-                sin_ratio, versine_ratio = sin(2.0 * z) / (2.0 * z), sin_z * sin_z / z
-            psi_z = (sin_ratio + two_k2_delta * versine_ratio) / sqrt(gain_sq)
-            # dDelta = 1: the product by 1.0 keeps the zero signs of a
-            # complex step as the reference has them.
-            return k4 * z + 1.0 * (
-                k1k2 * sin(2.0 * gamma) / (2.0 * gain_sq) + k3 * psi_z * delta)
-        return law
+    barrier = kind is _BARFLI
 
-    # BARFLI: the same law on the shaped angle Delta = 2*tan(delta/2).
     def law(delta, gamma):
-        if abs(delta) >= pi:
-            raise DomainError(_DELTA_BARRIER)
-        half_tan = tan(delta / 2.0)
-        Delta, dDelta = 2.0 * half_tan, 1.0 + half_tan * half_tan
+        if barrier:  # BARFLI: the shaped angle Delta = 2*tan(delta/2)
+            if abs(delta) >= pi:
+                raise DomainError(_DELTA_BARRIER)
+            half_tan = tan(delta / 2.0)
+            Delta, dDelta = 2.0 * half_tan, 1.0 + half_tan * half_tan
+        else:  # GLOBA: a product by dDelta = 1.0 keeps the reference's complex-step zero signs
+            Delta, dDelta = delta, 1.0
         two_k2_Delta = two_k2 * Delta
         z = gamma + 0.5 * atan(two_k2_Delta)
         gain_sq = 1.0 + four_k2_sq * Delta * Delta

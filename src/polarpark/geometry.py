@@ -47,12 +47,6 @@ def _exp_saturating(x: np.ndarray) -> np.ndarray:
         return np.exp(x)
 
 
-def _round_half_even(x: np.ndarray) -> np.ndarray:
-    # round() returns an int, whose zero has no sign; adding 0.0 turns the
-    # -0.0 of np.rint into that same 0.0.
-    return np.rint(x) + 0.0
-
-
 def _namespace(name: str, **functions) -> ModuleType:
     # A module object rather than a SimpleNamespace: CPython specialises
     # attribute calls on modules, which keeps the float path as fast as
@@ -73,12 +67,12 @@ def _namespace(name: str, **functions) -> ModuleType:
 # a domain test to one answer.
 FLOAT_MATH = _namespace(
     "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
-    log1p=math.log1p, exp=_exp_or_inf, atan2=math.atan2, hypot=math.hypot, round=round,
+    log1p=math.log1p, exp=_exp_or_inf, atan2=math.atan2, hypot=math.hypot,
     any=bool, all=bool,
 )
 ARRAY_MATH = _namespace(
     "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
-    log1p=np.log1p, exp=_exp_saturating, atan2=np.arctan2, hypot=np.hypot, round=_round_half_even,
+    log1p=np.log1p, exp=_exp_saturating, atan2=np.arctan2, hypot=np.hypot,
     any=np.any, all=np.all,
 )
 COMPLEX_MATH = _namespace(
@@ -117,8 +111,9 @@ def wrap_angle(angle):
     if not isinstance(angle, np.ndarray):
         return wrap_float(angle)
     # np.rint rounds half to even, as round() does in wrap_float, so both
-    # paths agree bit for bit.
-    wrapped = angle - TWO_PI * ARRAY_MATH.round(angle / TWO_PI)
+    # paths agree bit for bit; round() returns an int, whose zero has no
+    # sign, and adding 0.0 turns the -0.0 of np.rint into that same 0.0.
+    wrapped = angle - TWO_PI * (np.rint(angle / TWO_PI) + 0.0)
     low, high = wrapped <= -math.pi, wrapped > math.pi
     wrapped[low] += TWO_PI
     wrapped[high] -= TWO_PI

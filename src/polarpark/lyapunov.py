@@ -325,29 +325,26 @@ class CompositeLyapunovFn:
     compositor: Compositor
     angular: LyapunovFn
 
+    def _arguments(self, rho, delta, gamma):
+        # (r, s) of the compositor: (rho^2, V_dg), or (V_dg, rho^2) with VDG_FIRST.
+        angular, rho_sq = self.angular.value(delta, gamma), rho * rho
+        if self.compositor.order is ArgumentOrder.RHO_FIRST:
+            return rho_sq, angular
+        return angular, rho_sq
+
     def _partials(self, rho, delta, gamma):
         # (dC/d(rho^2), dC/dV_dg) at the state, whichever argument order.
-        s = self.angular.value(delta, gamma)
-        r = rho * rho
-        if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            return self.compositor.partials(r, s)
-        p_angular, p_rho_sq = self.compositor.partials(s, r)
-        return p_rho_sq, p_angular
+        partials = self.compositor.partials(*self._arguments(rho, delta, gamma))
+        return partials if self.compositor.order is ArgumentOrder.RHO_FIRST else partials[::-1]
 
     def value(self, rho, delta, gamma):
-        s = self.angular.value(delta, gamma)
-        r = rho * rho
-        if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            return self.compositor.value(r, s)
-        return self.compositor.value(s, r)
+        return self.compositor.value(*self._arguments(rho, delta, gamma))
 
     def log1p_value(self, rho, delta, gamma):
         """log(1 + V), ordered as V; for exp_product log1p(r) + s, finite where V overflows."""
         if self.compositor.form is not CompositorForm.EXP_PRODUCT:
             return math_for(rho, delta).log1p(self.value(rho, delta, gamma))
-        s, r = self.angular.value(delta, gamma), rho * rho
-        if self.compositor.order is ArgumentOrder.VDG_FIRST:
-            r, s = s, r
+        r, s = self._arguments(rho, delta, gamma)
         return math_for(r).log1p(r) + s
 
     def gradient(self, rho, delta, gamma):

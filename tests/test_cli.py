@@ -426,6 +426,23 @@ class TestSweep:
         distance = float(row[header.index("min_barrier_distance")])
         assert distance == pytest.approx(0.05, abs=1e-6) and distance <= 0.05
 
+    def test_start_outside_the_space_is_an_error_row(self, tmp_path):
+        # the second start is beyond BARFLI's delta barrier: its row carries
+        # the error and no results, and the sweep still exits 0
+        payload = {"controller": "barfli", "gain_sets": [[1, 1, 1, 1]],
+                   "initial_conditions": [{"rho": 1, "delta": 0.5, "gamma": 0.2},
+                                          {"rho": 1, "delta": 3.5, "gamma": 0}],
+                   "sim": {"t_final": 2}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[1].split(",")[6] == "horizon_reached"
+        assert lines[2] == ("0,1,1.0,1.0,1.0,1.0,,,,,,"
+                            "initial state outside the open space S1 of barfli")
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["n_runs"] == 2 and summary["n_completed"] == 1
+
     def test_bad_gain_set_rejected(self, tmp_path, capsys):
         payload = {**self.PAYLOAD, "controller": "bagal",
                    "gain_sets": [[1.0, 2.0, 1.0, 1.0]]}

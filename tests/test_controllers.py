@@ -15,7 +15,7 @@ from polarpark import (
     psi,
 )
 from polarpark.controllers import _psi, backstepping_terms, steering_law
-from polarpark.geometry import COMPLEX_MATH, FLOAT_MATH
+from polarpark.geometry import ARRAY_MATH, COMPLEX_MATH, FLOAT_MATH
 
 UNIT = Gains(1.0, 1.0, 1.0, 1.0)
 
@@ -265,3 +265,14 @@ class TestFusedKernels:
         for delta in (math.pi, -math.pi, 3.5, math.nextafter(math.pi, 4.0)):
             with pytest.raises(DomainError, match="steering undefined"):
                 law(delta + step, 0.3)
+
+    @pytest.mark.parametrize("family, namespaces", [
+        ((ControllerKind.GLOBA, ControllerKind.BARFLI), (FLOAT_MATH, COMPLEX_MATH)),
+        ((ControllerKind.BOLSA, ControllerKind.BAGAL), (FLOAT_MATH, COMPLEX_MATH, ARRAY_MATH)),
+    ])
+    def test_one_kernel_per_design_family(self, family, namespaces):
+        # the two kinds of a family differ only in a branch chosen at bind
+        # time, so their laws are closures over one code object
+        for xp in namespaces:
+            first, second = (steering_law(xp, kind, UNIT) for kind in family)
+            assert first.__code__ is second.__code__, xp.__name__

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import polarpark.sim as sim
 from polarpark.controllers import steering_law
@@ -655,6 +656,28 @@ class TestStiffFallback:
         exact = times - 1e-4 * (1.0 - np.exp(-1e4 * times))
         assert np.max(np.abs(ys[:, 2] - exact)) < 1e-9
         assert np.max(np.abs(ys[:, 1] - times)) < 1e-12
+        assert np.all(ys[:, 0] == 1.0)
+
+    def test_stiff_spectral_radius_of_complex_eigenvalues(self):
+        # delta'' = -1e8*delta - 1e3*delta' as (delta, gamma = delta'): the
+        # eigenvalues -500 +- 9987i make disc < 0 on every Jacobian, so ode23s
+        # takes the spectral radius as sqrt(|J12*J21|); a radius too small
+        # would hand the run back to DOP853 and add a second note
+        def f(y):
+            return (0.0, y[2], -1e8 * y[1] - 1e3 * y[2])
+
+        def jac(y):
+            return (0.0, 0.0, 1.0, -1e8, -1e3)
+
+        cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
+        times, ys, status, _, notes, _ = sim._run(f, (1.0, 1e-3, 0.0), cfg, jac=jac)
+        assert status is SimStatus.HORIZON_REACHED and times[-1] == 1.0
+        assert [note for _, note in notes] == [
+            "stiff: ode23s on t in [0.0671662, 1], 9 steps, 9 Jacobians"]
+        a = np.array([[0.0, 1.0], [-1e8, -1e3]])
+        exact = np.array([expm(a * t) @ (1e-3, 0.0) for t in times])
+        assert np.max(np.abs(ys[:, 1] - exact[:, 0])) < 1e-14
+        assert np.max(np.abs(ys[:, 2] - exact[:, 1])) < 1e-9
         assert np.all(ys[:, 0] == 1.0)
 
     # Step-control branches that criterion 06 and the workloads never run,
