@@ -24,7 +24,7 @@ from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
-from .verify import run_suite
+from .verify import run_suite, value_increases
 
 __all__ = ["main"]
 
@@ -123,7 +123,8 @@ def _parse_ic(obj, index: int) -> PolarState | CartesianState:
     except ValueError as exc:
         _fail(f"initial condition #{index}: {exc}")
     _fail(
-        f"initial condition #{index} must have keys rho/delta/gamma or x/y/theta, got {sorted(keys)}"
+        f"initial condition #{index} must have keys rho/delta/gamma or x/y/theta, "
+        f"got {sorted(keys)}"
     )
 
 
@@ -184,7 +185,10 @@ def _parse_compositor(cfg: dict) -> Compositor:
 
 def _out_dir(args) -> Path:
     out = Path(args.out if args.out is not None else "out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -261,14 +265,10 @@ def _exit_code(statuses: list[SimStatus], no_run_message: str) -> int:
 
 def _v_monotone(traj: Trajectory, lyap: CompositeLyapunovFn,
                 tol: float = 1e-8) -> tuple[bool, float]:
-    """(V never rises by more than tol, its largest rise); on log(1 + V) where V overflowed."""
-    vals = traj.lyapunov
-    if np.isnan(vals).any() or len(vals) < 2:
+    """(V never rises by more than tol, its largest rise), by verify.value_increases."""
+    if np.isnan(traj.lyapunov).any() or len(traj) < 2:
         return True, 0.0
-    if np.isinf(vals).any():
-        vals = lyap.log1p_value(traj.rho, traj.delta, traj.gamma)
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, reported as non-finite
-        max_rise = float(np.diff(vals).max())
+    max_rise = float(value_increases(traj, lyap).max())  # NaN is reported as non-finite
     return max_rise <= tol, max_rise
 
 
@@ -453,8 +453,8 @@ def _cmd_compare(args) -> int:
     flagged = sum(1 for r in rows if r.get("flag"))
     print(
         f"compare: {len(rows)} rows ({flagged} flagged), "
-        f"{sum(p['essentially_identical'] for p in pairs)}/{len(pairs)} pairs essentially identical, "
-        f"outputs in {out}"
+        f"{sum(p['essentially_identical'] for p in pairs)}/{len(pairs)} pairs "
+        f"essentially identical, outputs in {out}"
     )
     return _exit_code(statuses, "no run completed")
 

@@ -191,7 +191,8 @@ def bolsa_decay_bound(gains: Gains, delta, gamma, shift_weight: float = 1.0):
     t = math_for(gamma).tan(gamma / 2.0)
     v0 = 4.0 * t * t
     penalty = delta + shift_weight * q * t
-    return -2.0 * gains.k1 * gains.k2 * v0 - 1.5 * gains.k2 * penalty * penalty - 2.0 * gains.k1 * q * v0 * v0
+    return (-2.0 * gains.k1 * gains.k2 * v0 - 1.5 * gains.k2 * penalty * penalty
+            - 2.0 * gains.k1 * q * v0 * v0)
 
 
 class CompositorForm(Enum):

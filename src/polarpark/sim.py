@@ -11,9 +11,11 @@ Trajectories can be integrated in either frame:
 
 Both frames describe the same flow while the trajectory stays inside the
 principal angle range, which is how the frame-equivalence checks are run.
-Each field is autonomous, f(y) on 3-tuples, with the float steering law
-(controllers.steering_law) bound once per run; post-processing evaluates
-omega_tilde once, on the sample arrays.
+Each field is autonomous, f(y) on 3-tuples, with a float steering law
+bound once per run; post-processing evaluates the law once, on the sample
+arrays.  simulate steers by controllers.steering_law, and
+simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma), which cancels
+the turn rate: both run one pipeline, in either frame.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
 baselines, and for accuracy an adaptive one: a single step loop with two
@@ -53,11 +55,11 @@ The adaptive integrator reports a boundary stop when step control pushes
 the step size below h_min, which happens when the state runs into an
 excluded set (for example a barrier line approached too closely to resolve
 in double precision); the fixed-step one reports it when a stage leaves the
-controller's space.  With either integrator, a run whose sampled state
-(unwrapped, in both frames) leaves the space ends before its first sample
-outside, as a boundary stop, and keeps no remark on a step that starts
-after its last sample: the wrapped Cartesian feedback and the extended
-bounded-gamma laws do not notice such a crossing themselves.
+controller's space or overflows.  With either integrator, a run whose
+sampled state (unwrapped, in both frames) leaves the space ends before its
+first sample outside, as a boundary stop, and keeps no remark on a step
+that starts after its last sample: the wrapped Cartesian feedback and the
+extended bounded-gamma laws do not notice such a crossing themselves.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ from .geometry import (
     CartesianState,
     DomainError,
     PolarState,
+    StateSpace,
     cart_to_polar,
     polar_image,
     polar_to_cart,
@@ -236,10 +239,10 @@ class Trajectory:
                   zip(*(column.tolist() for column in columns)))
 
 
-def _polar_field(spec: ControllerSpec):
-    """The closed-loop polar field as f(y) on (rho, delta, gamma) tuples."""
-    k1, half_k1 = spec.gains.k1, 0.5 * spec.gains.k1
-    law, cos, sin = steering_law(FLOAT_MATH, spec.kind, spec.gains), math.cos, math.sin
+def _polar_field(k1: float, law):
+    """The closed-loop polar field as f(y) on (rho, delta, gamma) tuples, steered by
+    the float law omega_tilde = law(delta, gamma)."""
+    half_k1, cos, sin = 0.5 * k1, math.cos, math.sin
 
     def f(y):
         rho, delta, gamma = y
@@ -278,14 +281,14 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     (k1/2)*sin(2*gamma), -omega_tilde).  Regular as rho -> 0: the angular
     rates do not involve rho.
     """
-    return _polar_field(spec)((state.rho, state.delta, state.gamma))
+    law = steering_law(FLOAT_MATH, spec.kind, spec.gains)
+    return _polar_field(spec.gains.k1, law)((state.rho, state.delta, state.gamma))
 
 
-def _cartesian_field(spec: ControllerSpec):
-    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples, fed back
-    from the pose's wrapped polar image (polar_image's float path, written out)."""
-    k1, half_k1 = spec.gains.k1, 0.5 * spec.gains.k1
-    law, cos, sin = steering_law(FLOAT_MATH, spec.kind, spec.gains), math.cos, math.sin
+def _cartesian_field(k1: float, law):
+    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples, steered by the
+    float law from the pose's wrapped polar image (polar_image's float path, written out)."""
+    half_k1, cos, sin = 0.5 * k1, math.cos, math.sin
     atan2, hypot, wrap, pi = math.atan2, math.hypot, wrap_float, math.pi
 
     def f(y):
@@ -391,18 +394,18 @@ class _Samples:
     """A run's samples on the grid t = i*dt, i = 0..n, as one flat list of floats.
 
     No time is stored: sample i is taken at i*dt.  The integrators append
-    each state and test the capture box in place: a polar sample is in it
-    when rho and both |angles| are below radius (never, for a radius <= 0),
-    a Cartesian one when hypot(x, y) is and pose_captured.
+    each state and test the capture box in place: in cfg.frame, a polar
+    sample is in it when rho and both |angles| are below radius (never, for
+    a radius <= 0), a Cartesian one when hypot(x, y) is and pose_captured.
     """
 
-    def __init__(self, cfg: SimConfig, y0, cartesian: bool) -> None:
+    def __init__(self, cfg: SimConfig, y0) -> None:
         self.dt = cfg.dt
         self.n = _interval_count(cfg.dt, cfg.t_final)
         self.t_end = self.n * cfg.dt
         self.flat = list(y0)
         self.radius = cfg.capture_radius
-        self.polar = not cartesian
+        self.polar = cfg.frame is Frame.POLAR
 
     def pose_captured(self, x: float, y: float, theta: float) -> bool:
         """Whether the angles of a pose's wrapped polar image are inside the box."""
@@ -764,15 +767,15 @@ def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> s
     """Classic RK4 with step dt, recording the state after each step.
 
     The right-hand side at each new state is evaluated before the state is
-    recorded, so a step that leaves the domain ends the run (_BoundaryHit)
-    on the last valid sample instead of raising DomainError.  The first
+    recorded, so a step that leaves the domain, or whose state overflows,
+    ends the run (_BoundaryHit) on the last valid sample.  The first
     step whose estimate of h*|lambda| exceeds RK4's stability bound adds a
     note; stages 2 and 3 share t + h/2 and differ by h/2*(f2 - f1), so
     h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.  Returns "done" or
     "captured".
     """
     flat, radius, polar, hypot = samples.flat, samples.radius, samples.polar, math.hypot
-    t = 0.0
+    isfinite, t = math.isfinite, 0.0
     y1, y2, y3 = y0
     h = cfg.dt
     f1 = f(y0)
@@ -795,7 +798,9 @@ def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> s
                 y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
             )
             f1 = f(y)
-        except DomainError as exc:
+            if not (isfinite(y1) and isfinite(y2) and isfinite(y3)):
+                raise OverflowError("the state overflowed")
+        except (ValueError, OverflowError) as exc:  # DomainError, or overflow to inf or NaN
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
         flat += y
@@ -805,16 +810,15 @@ def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> s
     return "done"
 
 
-def _run(f, y0, cfg: SimConfig, cartesian: bool = False, jac=None):
-    """Integrate and sample; returns (times, ys, status, capture_time, notes, stop).
+def _run(f, y0, cfg: SimConfig, jac=None):
+    """Integrate and sample in cfg.frame; returns (times, ys, status, capture_time, notes, stop).
 
     ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
-    integrators computed it; cartesian selects the capture test of poses.
-    notes are the integrator's remarks on the run (stiff stretches, rk4
-    instability), each as (start of the step it names, text); stop is the
-    reason for a boundary stop, else "".
+    integrators computed it.  notes are the integrator's remarks on the run
+    (stiff stretches, rk4 instability), each as (start of the step it names,
+    text); stop is the reason for a boundary stop, else "".
     """
-    samples = _Samples(cfg, y0, cartesian)
+    samples = _Samples(cfg, y0)
     notes: list[tuple[float, str]] = []
     stop = ""
     try:
@@ -830,10 +834,6 @@ def _run(f, y0, cfg: SimConfig, cartesian: bool = False, jac=None):
         return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop
     status = SimStatus.BOUNDARY_STOP if outcome == "boundary" else SimStatus.HORIZON_REACHED
     return times, ys, status, None, notes, stop
-
-
-def _join_note(notes: list, stop: str) -> str:
-    return "; ".join([text for _, text in notes] + ([stop] if stop else []))
 
 
 def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):
@@ -872,28 +872,52 @@ def simulate(
     Raises:
         DomainError: If x0 lies outside the controller's open space.
     """
+    return _simulate(
+        x0, cfg, spec.space, spec.kind.value, spec.gains.k1,
+        steering_law(FLOAT_MATH, spec.kind, spec.gains),
+        lambda delta, gamma: omega_tilde(spec, delta, gamma), _polar_jacobian(spec), lyapunov)
+
+
+def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) -> Trajectory:
+    """Integrate with the turn rate forced to zero (steering off).
+
+    Only the forward-velocity feedback v = k1*rho*cos(gamma) acts, so
+    theta is frozen and both angles drift at the same rate:
+    delta' = gamma' = (k1/2)*sin(2*gamma).  Useful for studying the
+    uncontrolled line-of-sight behavior.  The run is simulate's on the
+    space S, steered by omega_tilde = -(k1/2)*sin(2*gamma), in either frame
+    (DOP853 steps only); a start with rho = 0 raises DomainError.
+    """
+    if k1 <= 0.0:
+        raise ValueError("k1 must be positive")
+    return _simulate(x0, cfg, StateSpace.S, "the unsteered loop", k1,
+                     lambda delta, gamma: -0.5 * k1 * math.sin(2.0 * gamma),
+                     lambda delta, gamma: -0.5 * k1 * np.sin(2.0 * gamma))
+
+
+def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law, array_law,
+              jac=None, lyapunov: CompositeLyapunovFn | None = None) -> Trajectory:
+    """The run of simulate and simulate_unsteered: the loop steered by omega_tilde =
+    law(delta, gamma) on floats, array_law on the sample arrays, in space; jac is the
+    polar field's Jacobian for the stiff fallback (none: DOP853 steps only)."""
     polar0 = x0 if isinstance(x0, PolarState) else cart_to_polar(x0)
-    if not spec.space.contains(polar0):
-        raise DomainError(
-            f"initial state outside the open space {spec.space.value} of {spec.kind.value}"
-        )
+    if not space.contains(polar0):
+        raise DomainError(f"initial state outside the open space {space.value} of {name}")
 
     if cfg.frame is Frame.POLAR:
         y0 = (polar0.rho, polar0.delta, polar0.gamma)
-        times, ys, status, capture_time, notes, stop = _run(
-            _polar_field(spec), y0, cfg, jac=_polar_jacobian(spec))
+        times, ys, status, capture_time, notes, stop = _run(_polar_field(k1, law), y0, cfg, jac)
         rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
         y0 = (cart0.x, cart0.y, cart0.theta)
-        times, ys, status, capture_time, notes, stop = _run(
-            _cartesian_field(spec), y0, cfg, cartesian=True)
+        times, ys, status, capture_time, notes, stop = _run(_cartesian_field(k1, law), y0, cfg)
         rho, delta, gamma = _reconstruct_cartesian(ys, polar0)
 
-    inside = spec.space.contains_angles(delta, gamma)
+    inside = space.contains_angles(delta, gamma)
     if not np.all(inside):
         n = int(np.argmin(inside))
-        stop = f"state left the domain {spec.space.value} at t={times[n]:.6g}"
+        stop = f"state left the domain {space.value} at t={times[n]:.6g}"
         # a remark on a step after the last kept sample names a cut-off part of the run
         notes = [note for note in notes if note[0] <= times[n - 1]]
         status, capture_time = SimStatus.BOUNDARY_STOP, None
@@ -913,8 +937,7 @@ def simulate(
         if not rho_fb.all():
             raise DomainError("polar chart undefined at rho=0")
 
-    k1 = spec.gains.k1
-    tilde = omega_tilde(spec, delta_fb, gamma_fb)
+    tilde = array_law(delta_fb, gamma_fb)
     v = k1 * rho_fb * np.cos(gamma_fb)
     omega = 0.5 * k1 * np.sin(2.0 * gamma_fb) + tilde
     if lyapunov is None:
@@ -923,41 +946,7 @@ def simulate(
         with np.errstate(over="ignore"):  # as with floats, V overflows quietly to inf
             values = lyapunov.value(rho, delta, gamma)
 
-    return Trajectory(
-        t=times, rho=rho, delta=delta, gamma=gamma, x=x, y=y_pos, theta=theta,
-        v=v, omega=omega, omega_tilde=tilde, lyapunov=values,
-        status=status, frame=cfg.frame, capture_time=capture_time, note=_join_note(notes, stop),
-    )
-
-
-def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) -> Trajectory:
-    """Integrate with the turn rate forced to zero (steering off).
-
-    Only the forward-velocity feedback v = k1*rho*cos(gamma) acts, so
-    theta is frozen and both angles drift at the same rate:
-    delta' = gamma' = (k1/2)*sin(2*gamma).  Useful for studying the
-    uncontrolled line-of-sight behavior.
-    """
-    if k1 <= 0.0:
-        raise ValueError("k1 must be positive")
-
-    def f(y):
-        rho, delta, gamma = y
-        cos_g = math.cos(gamma)
-        rate = 0.5 * k1 * math.sin(2.0 * gamma)
-        return (-k1 * rho * cos_g * cos_g, rate, rate)
-
-    y0 = (x0.rho, x0.delta, x0.gamma)
-    times, ys, status, capture_time, notes, stop = _run(f, y0, cfg)
-    rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
-    theta = delta - gamma
-    v = k1 * rho * np.cos(gamma)
-    omega = np.zeros_like(v)
-    # omega = feedforward + omega_tilde = 0 resolves the split as below.
-    tilde = -0.5 * k1 * np.sin(2.0 * gamma)
-    return Trajectory(
-        t=times, rho=rho, delta=delta, gamma=gamma,
-        x=-rho * np.cos(delta), y=-rho * np.sin(delta), theta=theta,
-        v=v, omega=omega, omega_tilde=tilde, lyapunov=np.full(len(times), np.nan),
-        status=status, frame=Frame.POLAR, capture_time=capture_time, note=_join_note(notes, stop),
-    )
+    note = "; ".join(filter(None, [text for _, text in notes] + [stop]))
+    return Trajectory(t=times, rho=rho, delta=delta, gamma=gamma, x=x, y=y_pos, theta=theta, v=v,
+                      omega=omega, omega_tilde=tilde, lyapunov=values, status=status,
+                      frame=cfg.frame, capture_time=capture_time, note=note)

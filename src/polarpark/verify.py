@@ -24,7 +24,7 @@ from numpy.exceptions import ComplexWarning
 from .controllers import ControllerKind, ControllerSpec, Gains, omega_tilde
 from .geometry import DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
-from .sim import SimConfig, Trajectory, simulate
+from .sim import _RHO_ROUNDING, SimConfig, Trajectory, simulate
 
 __all__ = [
     "CertReport",
@@ -32,6 +32,7 @@ __all__ = [
     "check_clf",
     "check_proposition1",
     "check_kl_decay",
+    "value_increases",
     "check_gradient",
     "run_suite",
     "SUITE_NAMES",
@@ -325,7 +326,8 @@ def check_clf(
         tolerance=0.0,
         criterion="worst_margin < 0",
         seed=seed if drawn else None,
-        details={"n_samples": int(len(samples)), "turn_rate": "designed" if omega_fn is None else "override"},
+        details={"n_samples": int(len(samples)),
+                 "turn_rate": "designed" if omega_fn is None else "override"},
     )
 
 
@@ -378,6 +380,17 @@ def check_proposition1(
     )
 
 
+def value_increases(traj: Trajectory, lyapunov: CompositeLyapunovFn | None = None) -> np.ndarray:
+    """Step increases of traj's V samples; on `lyapunov`.log1p_value, a finite monotone
+    transform, where V overflowed to inf (else inf - inf is NaN, which counts as a rise)."""
+    values = traj.lyapunov
+    if lyapunov is not None and np.isinf(values).any():
+        with np.errstate(over="ignore"):  # as for V itself, overflow goes quietly to inf
+            values = lyapunov.log1p_value(traj.rho, traj.delta, traj.gamma)
+    with np.errstate(invalid="ignore"):
+        return np.diff(values)
+
+
 def check_kl_decay(
     traj: Trajectory,
     space: StateSpace,
@@ -389,9 +402,8 @@ def check_kl_decay(
     """Certify decay to the target along a recorded trajectory.
 
     Requires the space metric to end below `metric_tol` and the attached
-    full-state function samples to be non-increasing up to `increase_tol`
-    per step (the constructive surrogate for a decaying envelope); where they
-    overflowed to inf, on `lyapunov`.log1p_value at the states, if given.
+    full-state function samples to rise by at most `increase_tol` per step
+    (the constructive surrogate for a decaying envelope), by value_increases.
 
     Raises:
         ValueError: If the trajectory is empty or carries no function
@@ -401,15 +413,14 @@ def check_kl_decay(
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    values = np.asarray(traj.lyapunov, dtype=float)
-    if np.isnan(values).any():
+    if np.isnan(np.asarray(traj.lyapunov, dtype=float)).any():
         raise ValueError("trajectory carries no Lyapunov samples")
 
     rho = np.asarray(traj.rho, dtype=float)
     inside = space.contains_angles(
         np.asarray(traj.delta, dtype=float), np.asarray(traj.gamma, dtype=float)
     )
-    left = (rho < -1e-9) | np.logical_not(inside)
+    left = (rho < -_RHO_ROUNDING) | np.logical_not(inside)
     if left.any():
         i = int(np.argmax(left))
         raise DomainError(
@@ -417,10 +428,7 @@ def check_kl_decay(
         )
 
     final_metric = metric(space, traj.final_state())
-    if lyapunov is not None and np.isinf(values).any():
-        values = lyapunov.log1p_value(rho, traj.delta, traj.gamma)
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails the check
-        increases = np.diff(values)
+    increases = value_increases(traj, lyapunov)  # NaN fails the check
     max_increase = float(increases.max()) if increases.size else 0.0
     i_inc = int(np.argmax(increases)) + 1 if increases.size else 0
 

@@ -115,6 +115,21 @@ class TestSimulate:
         rows = (out / "ic_000.csv").read_text().splitlines()[1:]
         assert len(rows) == 21 and all(row.endswith(",inf") for row in rows)
 
+    def test_diverging_rk4_run_exits_3_with_strict_json(self, tmp_path, capsys):
+        # gamma overflows after t = 269 (math.cos(inf) raised ValueError out
+        # of the run), and so does V: log(1 + V) is taken without a warning
+        payload = {**BASE_SIM, "gains": [5.0, 5.0, 5.0, 5.0],
+                   "initial_conditions": [{"rho": 1.0, "delta": 2.0, "gamma": 2.0}],
+                   "sim": {"dt": 1.0, "t_final": 400.0, "integrator": "rk4"}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        assert "stopped on a barrier" in capsys.readouterr().err
+        text = (out / "summary.json").read_text()
+        entry = json.loads(text, parse_constant=_reject_constant)["results"][0]
+        assert entry["status"] == "boundary_stop"
+        assert entry["note"].endswith("; rk4 step from t=269 left the domain: math domain error")
+
     def test_summary_records_the_smallest_barrier_distance(self, tmp_path):
         # BAGAL started 0.05 from its delta barrier turns away from it;
         # GLOBA's space S has no barrier
@@ -463,6 +478,36 @@ class TestSweep:
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gain_sets" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    @staticmethod
+    def args(tmp_path, command, controller="globa", suite="lemma1"):
+        if command == "verify":
+            return ["verify", "--suite", suite]
+        config = write_config(tmp_path, {**BASE_SIM, "controller": controller})
+        return ["simulate", "--config", config]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_out_exits_1(self, tmp_path, capsys, command, below):
+        # --out at a file, or below one: FileExistsError / NotADirectoryError
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main([*self.args(tmp_path, command), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in captured.err and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command, message", [
+        ("simulate", "unknown controller"), ("verify", "unknown suite")])
+    def test_config_errors_come_first(self, tmp_path, capsys, command, message):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        args = self.args(tmp_path, command, controller="nope", suite="bogus")
+        assert main([*args, "--out", str(blocker)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestEntryPoint:

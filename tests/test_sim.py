@@ -133,7 +133,8 @@ class TestFields:
                 gamma = float(rng.uniform(-g_max, g_max))
                 polar = PolarState(rho, delta, gamma)
                 cart = polar_to_cart(polar)
-                x_rate, y_rate, th_rate = sim._cartesian_field(spec)((cart.x, cart.y, cart.theta))
+                field = sim._cartesian_field(1.0, steering_law(FLOAT_MATH, kind, UNIT))
+                x_rate, y_rate, th_rate = field((cart.x, cart.y, cart.theta))
                 rho_c = (cart.x * x_rate + cart.y * y_rate) / rho
                 delta_c = (cart.x * y_rate - cart.y * x_rate) / (rho * rho)
                 gamma_c = delta_c - th_rate
@@ -147,8 +148,8 @@ class TestFields:
         # y = +-0.0 behind the target (atan2 = +-pi), headings at multiples
         # of 2*pi and headings wound up to |theta| = 1e3
         gains = Gains(1.3, 0.7, 1.1, 0.9)
-        spec = ControllerSpec(kind, gains, allow_unproven_gains=True)
-        field, law = sim._cartesian_field(spec), steering_law(FLOAT_MATH, kind, gains)
+        law = steering_law(FLOAT_MATH, kind, gains)
+        field = sim._cartesian_field(gains.k1, law)
         k1 = gains.k1
 
         def expected(x, y, theta):
@@ -394,7 +395,7 @@ class TestTermination:
     @pytest.mark.parametrize("t_final, dt, n", [(60.0, 0.05, 1200), (0.3, 0.1, 3), (0.7, 0.1, 7)])
     def test_horizon_keeps_a_multiple_of_dt_whose_quotient_rounds_low(self, t_final, dt, n):
         # 0.3/0.1 = 2.9999999999999996 and 0.7/0.1 = 6.999999999999999
-        assert sim._Samples(SimConfig(dt=dt, t_final=t_final), (1.0, 0.0, 0.0), False).n == n
+        assert sim._Samples(SimConfig(dt=dt, t_final=t_final), (1.0, 0.0, 0.0)).n == n
 
     def test_boundary_stop_when_started_against_the_wall(self):
         # from delta = pi - 1e-13 any resolvable step crosses the barrier,
@@ -588,7 +589,8 @@ class TestStiffFallback:
     @pytest.mark.parametrize("kind", list(ControllerKind))
     def test_jacobian_matches_central_differences(self, kind):
         spec = ControllerSpec(kind, Gains(1.3, 0.7, 1.1, 0.9))
-        field, jac = sim._polar_field(spec), sim._polar_jacobian(spec)
+        law = steering_law(FLOAT_MATH, kind, spec.gains)
+        field, jac = sim._polar_field(spec.gains.k1, law), sim._polar_jacobian(spec)
         rng = np.random.default_rng(5)
         step = 1e-6
         for _ in range(300):
@@ -744,6 +746,24 @@ class TestRk4StabilityNote:
         assert traj.note == "rk4 unstable: h*|lambda| ~ 5 > 2.8 at t=0"
         assert abs(traj.gamma[-1]) > 1e113
         assert np.all(np.isfinite(traj.omega_tilde))
+
+    @pytest.mark.parametrize("frame, t_final, t_last, stop", [
+        (Frame.POLAR, 400.0, 269.0, "rk4 step from t=269 left the domain: math domain error"),
+        (Frame.CARTESIAN, 2000.0, 723.0,
+         "rk4 step from t=723 left the domain: the state overflowed"),
+    ])
+    def test_diverging_run_ends_as_boundary_stop(self, frame, t_final, t_last, stop):
+        # gamma (polar) or the position (Cartesian) grows until it overflows:
+        # math.cos(inf) or wrap_float(nan) raised ValueError out of the run,
+        # and a Cartesian state of infinities was recorded before that
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(5.0, 5.0, 5.0, 5.0))
+        cfg = SimConfig(dt=1.0, t_final=t_final, frame=frame,
+                        integrator=IntegratorKind.RK4_FIXED)
+        traj = simulate(spec, PolarState(1.0, 2.0, 2.0), cfg)
+        assert traj.status is SimStatus.BOUNDARY_STOP and traj.t[-1] == t_last
+        assert traj.note.startswith("rk4 unstable: ") and traj.note.endswith("; " + stop)
+        for name in Trajectory._columns[:-1]:  # all but the lyapunov column, NaN here
+            assert np.all(np.isfinite(getattr(traj, name))), name
 
     def test_no_note_on_stable_run(self):
         spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 100.0))
@@ -1021,3 +1041,29 @@ class TestUnsteered:
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError, match="k1"):
             simulate_unsteered(0.0, PolarState(1.0, 0.0, 0.0))
+
+    def test_cartesian_frame_freezes_the_heading(self):
+        # omega = (k1/2)*sin(2*gamma) + omega_tilde is exactly 0.0 in the
+        # field, so theta keeps the start's heading bit for bit
+        start = PolarState(1.0, 0.5, -1.2)
+        cfg = SimConfig(dt=0.05, t_final=30.0, capture_radius=0.0, frame=Frame.CARTESIAN)
+        cart = simulate_unsteered(1.0, start, cfg)
+        assert cart.frame is Frame.CARTESIAN and cart.status is SimStatus.HORIZON_REACHED
+        assert np.all(cart.theta == polar_to_cart(start).theta)
+        assert np.all(cart.omega == 0.0)
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0, 0.3), (1.0, 0.5, -1.2), (2.0, -2.0, 2.5)])
+    def test_frames_agree(self, start):
+        cfg = SimConfig(dt=0.05, t_final=30.0, capture_radius=0.0)
+        polar = simulate_unsteered(1.0, PolarState(*start), cfg)
+        cart = simulate_unsteered(1.0, PolarState(*start),
+                                  dataclasses.replace(cfg, frame=Frame.CARTESIAN))
+        assert (polar.frame, cart.frame) == (Frame.POLAR, Frame.CARTESIAN)
+        assert len(cart) == len(polar) == 601
+        for name in ("rho", "delta", "gamma", "x", "y", "theta"):
+            assert np.max(np.abs(getattr(cart, name) - getattr(polar, name))) < 1e-8, name
+
+    @pytest.mark.parametrize("frame", list(Frame))
+    def test_rejects_a_start_at_the_target(self, frame):
+        with pytest.raises(DomainError):
+            simulate_unsteered(1.0, PolarState(0.0, 0.5, 0.3), SimConfig(frame=frame))
