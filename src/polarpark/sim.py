@@ -38,18 +38,19 @@ The rule is chosen by stiffness tests, in the manner of LSODA.  Near the
 barrier lines the steering grows without bound, and the gamma mode can
 decay 1e4 times faster than the state moves, which holds an explicit
 method to steps at its stability limit.  In the polar frame, DOP853 steps
-run the stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II,
-section IV.2) on every 10th accepted step, and on every step once an
-estimate was positive: after 15 estimates of h*|lambda| above 6.1, unless
-6 in a row below it reset the count, ode23s takes the next steps, with the
-field's Jacobian (the partials of omega_tilde taken by complex step),
-until h times the Jacobian's spectral radius has stayed below 1 for 6
-steps.  Each ode23s stretch adds `stiff: ode23s on t in [a, b], N steps,
-M Jacobians` to the trajectory's note; a run that never switches is
-DOP853's alone.  The Cartesian frame and simulate_unsteered take DOP853
-steps only.  The fixed-step integrator notes `rk4 unstable: ...` on the
-first step whose estimate of h*|lambda| exceeds RK4's stability bound of
-about 2.8.
+run the cheap stiffness estimate of dop853.f (Hairer & Wanner, Solving
+ODEs II, section IV.2) on every 10th accepted step, on the first accepted
+step after a rejected one, and on every step while the last estimate was
+positive.  An estimate of h*|lambda| above 6.1 takes the field's Jacobian
+(the partials of omega_tilde taken by complex step) at the new state, and
+if h times its spectral radius is above 6.1 too, ode23s takes the next
+steps, starting from that Jacobian, until h times the spectral radius has
+stayed below 1 for 6 steps.  Each ode23s stretch adds `stiff: ode23s on
+t in [a, b], N steps, M Jacobians` to the trajectory's note; a run that
+never switches is DOP853's alone.  The Cartesian frame and
+simulate_unsteered take DOP853 steps only.  The fixed-step integrator
+notes `rk4 unstable: ...` on the first step whose estimate of h*|lambda|
+exceeds RK4's stability bound of about 2.8.
 
 The adaptive integrator reports a boundary stop when step control pushes
 the step size below h_min, which happens when the state runs into an
@@ -187,7 +188,10 @@ class Trajectory:
 
     All arrays share the time grid t.  The Cartesian columns are always
     populated: integrated directly in the Cartesian frame, reconstructed
-    from the polar state otherwise.  lyapunov holds the attached composite
+    from the polar state otherwise.  omega_tilde and omega come from one call
+    of the array steering law on the sample columns, so they can differ in
+    the last ulp from the float law the integrator called (np.tan and
+    math.tan round differently).  lyapunov holds the attached composite
     Lyapunov value and is NaN when none was attached.  note holds the
     integrator's remarks (stiff stretches, rk4 instability) and then the
     reason for a boundary stop, joined by "; "; it is empty for a plain run.
@@ -414,15 +418,14 @@ class _Samples:
 
 
 # The stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section
-# IV.2): h*|lambda| ~ h*|f13 - f12| / |z - u12| on an accepted step, where
-# u12 is the state of stage 12 and both stages sit at t + h.  The problem is
-# stiff after 15 estimates above 6.1 (near the edge of the method's
-# stability region on the negative real axis), unless 6 in a row below it
-# reset the count.  The test runs on every 10th accepted step and, once an
-# estimate was above 6.1, on every step until the count resets.
+# IV.2) as a cheap first stage: h*|lambda| ~ h*|f13 - f12| / |z - u12| on an
+# accepted step, where u12 is the state of stage 12 and both stages sit at
+# t + h.  It runs on every 10th accepted step, on the first accepted step
+# after a rejected one, and on every step while the last estimate was above
+# 6.1 (near the edge of the method's stability region on the negative real
+# axis).  A positive estimate takes the Jacobian at the new state, and the
+# problem is stiff, as in LSODA, once h*rho(J) is above the same 6.1.
 _STIFF_RATIO_SQ = 6.1**2
-_STIFF_AFTER = 15
-_STIFF_RESET = 6
 _STIFF_EVERY = 10
 
 
@@ -479,36 +482,39 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                         jac=None) -> str:
     """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
-    DOP853 takes the steps, and when a Jacobian is given its stiffness test
-    hands them to ode23s until h*rho(J) < 1 has held for 6 steps; each
-    ode23s stretch adds a note.  Step control is the same for both rules:
-    the first step is HINIT's, error control alone sets the step size, only
-    the last step is cut short (to end on t = n*dt), a step whose error norm
-    err is above 1 (or NaN) is rejected, and the next trial step is h times
-    0.9*err^e clamped to [0.2, 5], with e = -1/8 for DOP853 and -1/3 for
-    ode23s.  A stage outside the domain, or a singular W, retries the step
-    at h/4.  The samples inside an accepted step come from the rule's dense
-    output.  Returns "done" or "captured", or raises _BoundaryHit when the
-    step size falls below cfg.h_min.
+    DOP853 takes the steps.  When a Jacobian is given, a positive stiffness
+    estimate on an accepted DOP853 step takes jac at the new state, and
+    h*rho(J) above 6.1 hands the steps to ode23s until h*rho(J) < 1 has held
+    for 6 steps; each ode23s stretch adds a note.  Step control is the same
+    for both rules: the first step is HINIT's, error control alone sets the
+    step size, only the last step is cut short (to end on t = n*dt), a step
+    whose error norm err is above 1 (or NaN) is rejected, and the next trial
+    step is h times 0.9*err^e clamped to [0.2, 5], with e = -1/8 for DOP853
+    and -1/3 for ode23s.  A stage outside the domain, or a singular W,
+    retries the step at h/4.  The samples inside an accepted step come from
+    the rule's dense output.  Returns "done" or "captured", or raises
+    _BoundaryHit when the step size falls below cfg.h_min.
 
     DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
     is evaluated once the step is accepted, and the extra stages 14..16
     only when the step holds a grid time.  ode23s takes one Jacobian per
-    accepted state, a rejected step keeping it; jac(y) gives its nonzero
-    entries (J00, J02, J12, J21, J22), the sparsity of the polar field, and
-    W = I - h*d*J is solved in closed form: the angular (delta, gamma)
-    block first, then rho.  In the formulas of ode23s, f0 is (f1a, f1b,
-    f1c), k1 is (a1, a2, a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and
-    k3 is (c1, c2, c3).
+    accepted state, a rejected step keeping it, and its first is the one
+    that confirmed the switch.  jac(y) gives the nonzero entries (J00, J02,
+    J12, J21, J22), the sparsity of the polar field, and W = I - h*d*J is
+    solved in closed form: the angular (delta, gamma) block first, then
+    rho.  In the formulas of ode23s, f0 is (f1a, f1b, f1c), k1 is (a1, a2,
+    a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
     """
     rtol, atol, h_min, sqrt, hypot = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt, math.hypot
     t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
                                       samples.polar)
     pose_captured, can_switch = samples.pose_captured, jac is not None
-    fy = f(y0)
-    t, y, h = 0.0, y0, _initial_step(f, y0, fy, cfg, t_end)
-    i, t_sample, stiff, expo, captured = 1, dt, False, -0.125, False
-    n_steps = n_stiff = n_nonstiff = 0
+    t, y, fy = 0.0, y0, f(y0)
+    try:
+        h = _initial_step(f, y0, fy, cfg, t_end)
+    except ArithmeticError as exc:  # (f/s)**2 overflows, or an infinite |f| makes h 0
+        raise _BoundaryHit(f"initial-step estimate overflowed at t=0: {exc}") from None
+    i, t_sample, stiff, expo, captured, probe, n_steps = 1, dt, False, -0.125, False, False, 0
     while h >= h_min:  # a rejected or retried step comes back with its smaller h
         last = t + h >= t_end
         if last:
@@ -624,6 +630,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                 err = h * err5 / sqrt(3.0 * den) if den else 0.0
             if not err <= 1.0:  # also rejects a NaN error
                 h *= max(0.2, 0.9 * err**expo)
+                probe = can_switch  # a step held by stability: test the next accepted one
                 continue
             if not stiff:
                 z = (z1, z2, z3)
@@ -730,26 +737,21 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
             n_small = n_small + 1 if h_step * spectral < 1.0 else 0
             if n_small == _NONSTIFF_AFTER:
                 notes.append(_stiff_note(t_start, t, n_steps, n_jac))
-                stiff, expo, n_steps, n_stiff, n_nonstiff = False, -0.125, 0, 0, 0
-        elif can_switch and (n_stiff or n_steps % _STIFF_EVERY == 0):
+                stiff, expo, n_steps, probe = False, -0.125, 0, False
+        elif can_switch and (probe or n_steps % _STIFF_EVERY == 0):
             d1, d2, d3 = f13a - f12a, f13b - f12b, f13c - f12c
-            if h_step * h_step * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
-                    (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2):
-                n_stiff += 1
-                n_nonstiff = 0
-                if n_stiff == _STIFF_AFTER:
-                    stiff, expo, t_start, n_steps, n_jac, n_small = True, -1.0 / 3.0, t, 0, 0, 0
-            else:
-                n_nonstiff += 1
-                if n_nonstiff == _STIFF_RESET:
-                    n_stiff = 0
-        if stiff:
+            probe = h_step * h_step * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
+                (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2)
+        if stiff or probe:
             j00, j02, j12, j21, j22 = jac(y)
-            n_jac += 1
             # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
             disc = j22 * j22 + 4.0 * j12 * j21
             spectral = max(abs(j00), (abs(j22) + sqrt(disc)) / 2.0 if disc >= 0.0
                            else sqrt(abs(j12 * j21)))
+            if stiff:
+                n_jac += 1
+            elif h_step * h_step * (spectral * spectral) > _STIFF_RATIO_SQ:  # stiff: J is reused
+                stiff, expo, t_start, n_steps, n_jac, n_small = True, -1.0 / 3.0, t, 0, 1, 0
     if stiff:
         notes.append(_stiff_note(t_start, t, n_steps, n_jac))
     if captured:

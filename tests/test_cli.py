@@ -130,6 +130,21 @@ class TestSimulate:
         assert entry["status"] == "boundary_stop"
         assert entry["note"].endswith("; rk4 step from t=269 left the domain: math domain error")
 
+    def test_initial_step_overflow_exits_3_with_the_note(self, tmp_path, capsys):
+        # k4 = 1e150 overflows HINIT's norm of f(y0): an OverflowError traceback
+        payload = {**BASE_SIM, "gains": [1.0, 1.0, 1.0, 1e150],
+                   "initial_conditions": [{"rho": 1.0, "delta": 0.5, "gamma": -0.5}],
+                   "sim": {"t_final": 1.0}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        assert "stopped on a barrier" in capsys.readouterr().err
+        text = (out / "summary.json").read_text()
+        entry = json.loads(text, parse_constant=_reject_constant)["results"][0]
+        assert entry["status"] == "boundary_stop"
+        assert entry["note"] == (
+            "initial-step estimate overflowed at t=0: (34, 'Numerical result out of range')")
+
     def test_summary_records_the_smallest_barrier_distance(self, tmp_path):
         # BAGAL started 0.05 from its delta barrier turns away from it;
         # GLOBA's space S has no barrier

@@ -519,9 +519,9 @@ class TestStiffFallback:
     # Jacobian must leave them exact.
     STIFF_RUNS = {
         (ControllerKind.BARFLI, "delta"): (
-            2_926, "stiff: ode23s on t in [0.00149146, 0.440905], 295 steps, 295 Jacobians"),
+            2_618, "stiff: ode23s on t in [0.000353926, 0.441573], 295 steps, 295 Jacobians"),
         (ControllerKind.BAGAL, "delta"): (
-            878, "stiff: ode23s on t in [0.00573064, 5], 10 steps, 10 Jacobians"),
+            568, "stiff: ode23s on t in [0.00130161, 5], 9 steps, 9 Jacobians"),
         (ControllerKind.BOLSA, "gamma"): (362, ""),
         (ControllerKind.BAGAL, "gamma"): (377, ""),
     }
@@ -636,21 +636,23 @@ class TestStiffFallback:
             got = -np.array(entries[3:])
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), y
 
-    def test_stiff_stretch_keeps_retries_and_h_min(self):
-        # gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a
-        # wall at delta = 0.5: DOP853 goes stiff, ode23s follows the slow
-        # manifold exactly (the problem is linear), and its stages at the
-        # wall shrink the step below h_min
-        def f(y):
-            if y[1] >= 0.5:
-                raise DomainError("wall")
-            return (0.0, 1.0, -1e4 * (y[2] - y[1]))
+    @staticmethod
+    def toward_wall(y):
+        """gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a wall at delta = 0.5."""
+        if y[1] >= 0.5:
+            raise DomainError("wall")
+        return (0.0, 1.0, -1e4 * (y[2] - y[1]))
 
+    def test_stiff_stretch_keeps_retries_and_h_min(self):
+        # DOP853 goes stiff, ode23s follows the slow manifold exactly (the
+        # problem is linear), and its stages at the wall shrink the step
+        # below h_min
         def jac(y):
             return (0.0, 0.0, 0.0, 1e4, -1e4)
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
-        times, ys, status, _, notes, stop = sim._run(f, (1.0, 0.0, 0.0), cfg, jac=jac)
+        times, ys, status, _, notes, stop = sim._run(self.toward_wall, (1.0, 0.0, 0.0), cfg,
+                                                     jac=jac)
         assert status is SimStatus.BOUNDARY_STOP
         assert stop.startswith("step size") and "below h_min at t=0.5" in stop
         assert len(notes) == 1 and notes[0][1].startswith("stiff: ode23s on t in [")
@@ -659,6 +661,29 @@ class TestStiffFallback:
         assert np.max(np.abs(ys[:, 2] - exact)) < 1e-9
         assert np.max(np.abs(ys[:, 1] - times)) < 1e-12
         assert np.all(ys[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("true_jacobian", [True, False])
+    def test_jacobian_decides_the_switch(self, true_jacobian):
+        # The cheap estimate of h*|lambda| is positive on the field toward the
+        # wall; the Jacobian at the new state confirms it (h*rho(J) > 6.1) and
+        # is the stretch's first, so no Jacobian is taken twice.  A Jacobian of
+        # zeros never confirms: DOP853 keeps every step, probing each one.
+        calls = []
+
+        def jac(y):
+            calls.append(y)
+            return (0.0, 0.0, 0.0, 1e4, -1e4) if true_jacobian else (0.0,) * 5
+
+        cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
+        _, _, status, _, notes, stop = sim._run(self.toward_wall, (1.0, 0.0, 0.0), cfg, jac=jac)
+        assert status is SimStatus.BOUNDARY_STOP and "below h_min at t=0.5" in stop
+        if true_jacobian:
+            ((_, note),) = notes
+            n_steps, n_jac = map(int, re.fullmatch(
+                r"stiff: ode23s on t in \[[^]]+\], (\d+) steps, (\d+) Jacobians", note).groups())
+            assert n_jac == n_steps == len(calls)
+        else:
+            assert notes == [] and len(calls) > 100
 
     def test_stiff_spectral_radius_of_complex_eigenvalues(self):
         # delta'' = -1e8*delta - 1e3*delta' as (delta, gamma = delta'): the
@@ -675,7 +700,7 @@ class TestStiffFallback:
         times, ys, status, _, notes, _ = sim._run(f, (1.0, 1e-3, 0.0), cfg, jac=jac)
         assert status is SimStatus.HORIZON_REACHED and times[-1] == 1.0
         assert [note for _, note in notes] == [
-            "stiff: ode23s on t in [0.0671662, 1], 9 steps, 9 Jacobians"]
+            "stiff: ode23s on t in [0.079141, 1], 7 steps, 7 Jacobians"]
         a = np.array([[0.0, 1.0], [-1e8, -1e3]])
         exact = np.array([expm(a * t) @ (1e-3, 0.0) for t in times])
         assert np.max(np.abs(ys[:, 1] - exact[:, 0])) < 1e-14
@@ -690,10 +715,10 @@ class TestStiffFallback:
         # ode23s rejects 2 of its trial steps on this run
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
         traj = simulate(spec, self.BARRIER_START, self.LOOSE)
-        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 477
-        assert traj.note == "stiff: ode23s on t in [0.0010312, 4.25031], 26 steps, 26 Jacobians"
+        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 230
+        assert traj.note == "stiff: ode23s on t in [0.00021158, 4.36731], 26 steps, 26 Jacobians"
         assert (traj.rho[-1], traj.delta[-1], traj.gamma[-1]) == (
-            0.0971606792943247, 0.6023863964867147, -0.7044730000963098)
+            0.09715979385059294, 0.6023824671175053, -0.7044941051597957)
 
     def test_dop853_retries_a_stage_outside_the_space(self, rhs_calls):
         # a DOP853 stage crosses the barrier twice and the step is retried at
@@ -701,10 +726,10 @@ class TestStiffFallback:
         spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
         start = PolarState(1.0, math.pi - 0.05, -(math.pi - 0.05))
         traj = simulate(spec, start, self.LOOSE)
-        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 648
-        assert traj.note == "stiff: ode23s on t in [0.174741, 5], 10 steps, 10 Jacobians"
+        assert traj.status is SimStatus.HORIZON_REACHED and len(rhs_calls) == 396
+        assert traj.note == "stiff: ode23s on t in [0.173144, 5], 9 steps, 9 Jacobians"
         assert (traj.rho[-1], traj.delta[-1], traj.gamma[-1]) == (
-            0.8424415922583605, 3.104155960712751, -1.5707832102068024)
+            0.842441592352731, 3.1041559604864934, -1.5707832102078114)
 
     @pytest.mark.parametrize("delta0, stop", [
         (0.5 - 1e-12, "step size 4.410e-10 below h_min at t=0"),
@@ -723,6 +748,21 @@ class TestStiffFallback:
         times, ys, status, _, notes, got = sim._run(f, (1.0, delta0, 0.0), cfg)
         assert status is SimStatus.BOUNDARY_STOP and (got, notes) == (stop, [])
         assert times.tolist() == [0.0] and ys.tolist() == [[1.0, delta0, 0.0]]
+
+    @pytest.mark.parametrize("frame", list(Frame))
+    @pytest.mark.parametrize("k4, error", [
+        (1e150, "(34, 'Numerical result out of range')"),
+        (1e300, "float division by zero"),
+    ])
+    def test_initial_step_overflow_is_a_boundary_stop(self, frame, k4, error):
+        # HINIT's (f/s)**2 overflows at k4 = 1e150 (OverflowError out of
+        # simulate); at k4 = 1e300 f/s is inf, the probe step 0.01*|y|/|f|
+        # is 0, and der2 divided by it (ZeroDivisionError)
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, k4))
+        traj = simulate(spec, PolarState(1.0, 0.5, -0.5), SimConfig(t_final=1.0, frame=frame))
+        assert traj.status is SimStatus.BOUNDARY_STOP and traj.frame is frame
+        assert traj.note == f"initial-step estimate overflowed at t=0: {error}"
+        assert traj.t.tolist() == [0.0] and traj.final_state() == PolarState(1.0, 0.5, -0.5)
 
 
 class TestRk4StabilityNote:
