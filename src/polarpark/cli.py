@@ -24,7 +24,7 @@ from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
-from .verify import run_suite, value_increases
+from .verify import _V_RISE_TOL, run_suite, value_increases
 
 __all__ = ["main"]
 
@@ -263,13 +263,12 @@ def _exit_code(statuses: list[SimStatus], no_run_message: str) -> int:
     return 0
 
 
-def _v_monotone(traj: Trajectory, lyap: CompositeLyapunovFn,
-                tol: float = 1e-8) -> tuple[bool, float]:
-    """(V never rises by more than tol, its largest rise), by verify.value_increases."""
+def _v_monotone(traj: Trajectory, lyap: CompositeLyapunovFn) -> tuple[bool, float]:
+    """(V never rises by more than _V_RISE_TOL, its largest rise), by verify.value_increases."""
     if np.isnan(traj.lyapunov).any() or len(traj) < 2:
         return True, 0.0
     max_rise = float(value_increases(traj, lyap).max())  # NaN is reported as non-finite
-    return max_rise <= tol, max_rise
+    return max_rise <= _V_RISE_TOL, max_rise
 
 
 # ---------------------------------------------------------------------------

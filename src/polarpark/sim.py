@@ -11,11 +11,11 @@ Trajectories can be integrated in either frame:
 
 Both frames describe the same flow while the trajectory stays inside the
 principal angle range, which is how the frame-equivalence checks are run.
-Each field is autonomous, f(y) on 3-tuples, with a float steering law
-bound once per run; post-processing evaluates the law once, on the sample
-arrays.  simulate steers by controllers.steering_law, and
-simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma), which cancels
-the turn rate: both run one pipeline, in either frame.
+Each field is autonomous, f(y) on 3-tuples, steered by one law bound once
+per run on floats; the polar Jacobian takes it on complex scalars, and
+post-processing on the sample arrays.  simulate steers by steering_law,
+and simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma), which
+cancels the turn rate: both run one pipeline, in either frame.
 
 Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
 baselines, and for accuracy an adaptive one: a single step loop with two
@@ -47,10 +47,10 @@ if h times its spectral radius is above 6.1 too, ode23s takes the next
 steps, starting from that Jacobian, until h times the spectral radius has
 stayed below 1 for 6 steps.  Each ode23s stretch adds `stiff: ode23s on
 t in [a, b], N steps, M Jacobians` to the trajectory's note; a run that
-never switches is DOP853's alone.  The Cartesian frame and
-simulate_unsteered take DOP853 steps only.  The fixed-step integrator
-notes `rk4 unstable: ...` on the first step whose estimate of h*|lambda|
-exceeds RK4's stability bound of about 2.8.
+never switches is DOP853's alone.  The Cartesian frame takes DOP853
+steps only.  The fixed-step integrator notes `rk4 unstable: ...` on the
+first step whose estimate of h*|lambda| exceeds RK4's stability bound of
+about 2.8.
 
 The adaptive integrator reports a boundary stop when step control pushes
 the step size below h_min, which happens when the state runs into an
@@ -72,6 +72,7 @@ import numpy as np
 
 from .controllers import ControllerSpec, omega_tilde, steering_law
 from .geometry import (
+    ARRAY_MATH,
     COMPLEX_MATH,
     FLOAT_MATH,
     CartesianState,
@@ -256,17 +257,15 @@ def _polar_field(k1: float, law):
     return f
 
 
-def _polar_jacobian(spec: ControllerSpec):
-    """The polar field's Jacobian as jac(y) -> its nonzero entries (J00, J02, J12, J21, J22).
+def _polar_jacobian(k1: float, law):
+    """The Jacobian of _polar_field(k1, .) as jac(y) -> its nonzero entries (J00, J02, J12,
+    J21, J22), for omega_tilde = law(delta, gamma) on Python complex scalars (cmath).
 
     rho' depends on rho and gamma, delta' on gamma alone and gamma' on the
     two angles.  The partials of omega_tilde are complex-step derivatives,
-    Im w(x + i*h*e_k)/h with h = 1e-30, from two calls of the steering law
-    on Python complex scalars (cmath): free of cancellation, so exact to
-    rounding.
+    Im w(x + i*h*e_k)/h with h = 1e-30, from two calls of the law: free of
+    cancellation, so exact to rounding.
     """
-    k1, law = spec.gains.k1, steering_law(COMPLEX_MATH, spec.kind, spec.gains)
-
     def jac(y):
         rho, delta, gamma = y
         w_delta = law(delta + 1e-30j, gamma).imag * 1e30
@@ -874,10 +873,12 @@ def simulate(
     Raises:
         DomainError: If x0 lies outside the controller's open space.
     """
-    return _simulate(
-        x0, cfg, spec.space, spec.kind.value, spec.gains.k1,
-        steering_law(FLOAT_MATH, spec.kind, spec.gains),
-        lambda delta, gamma: omega_tilde(spec, delta, gamma), _polar_jacobian(spec), lyapunov)
+    def law(xp):  # arrays go through omega_tilde, the call perfbench counts
+        if xp is ARRAY_MATH:
+            return lambda delta, gamma: omega_tilde(spec, delta, gamma)
+        return steering_law(xp, spec.kind, spec.gains)
+
+    return _simulate(x0, cfg, spec.space, spec.kind.value, spec.gains.k1, law, lyapunov)
 
 
 def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) -> Trajectory:
@@ -888,33 +889,32 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
     delta' = gamma' = (k1/2)*sin(2*gamma).  Useful for studying the
     uncontrolled line-of-sight behavior.  The run is simulate's on the
     space S, steered by omega_tilde = -(k1/2)*sin(2*gamma), in either frame
-    (DOP853 steps only); a start with rho = 0 raises DomainError.
+    (stiff fallback in the polar one); a start with rho = 0 raises DomainError.
     """
     if k1 <= 0.0:
         raise ValueError("k1 must be positive")
     return _simulate(x0, cfg, StateSpace.S, "the unsteered loop", k1,
-                     lambda delta, gamma: -0.5 * k1 * math.sin(2.0 * gamma),
-                     lambda delta, gamma: -0.5 * k1 * np.sin(2.0 * gamma))
+                     lambda xp: lambda delta, gamma: -0.5 * k1 * xp.sin(2.0 * gamma))
 
 
-def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law, array_law,
-              jac=None, lyapunov: CompositeLyapunovFn | None = None) -> Trajectory:
-    """The run of simulate and simulate_unsteered: the loop steered by omega_tilde =
-    law(delta, gamma) on floats, array_law on the sample arrays, in space; jac is the
-    polar field's Jacobian for the stiff fallback (none: DOP853 steps only)."""
+def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law,
+              lyapunov: CompositeLyapunovFn | None = None) -> Trajectory:
+    """The run of simulate and simulate_unsteered, in space, steered by omega_tilde =
+    law(xp)(delta, gamma): xp is FLOAT_MATH in the field, COMPLEX_MATH in the polar
+    Jacobian of the stiff fallback and ARRAY_MATH on the sample columns."""
     polar0 = x0 if isinstance(x0, PolarState) else cart_to_polar(x0)
     if not space.contains(polar0):
         raise DomainError(f"initial state outside the open space {space.value} of {name}")
 
     if cfg.frame is Frame.POLAR:
         y0 = (polar0.rho, polar0.delta, polar0.gamma)
-        times, ys, status, capture_time, notes, stop = _run(_polar_field(k1, law), y0, cfg, jac)
-        rho, delta, gamma = ys[:, 0], ys[:, 1], ys[:, 2]
+        f, jac = _polar_field(k1, law(FLOAT_MATH)), _polar_jacobian(k1, law(COMPLEX_MATH))
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
         y0 = (cart0.x, cart0.y, cart0.theta)
-        times, ys, status, capture_time, notes, stop = _run(_cartesian_field(k1, law), y0, cfg)
-        rho, delta, gamma = _reconstruct_cartesian(ys, polar0)
+        f, jac = _cartesian_field(k1, law(FLOAT_MATH)), None
+    times, ys, status, capture_time, notes, stop = _run(f, y0, cfg, jac)
+    rho, delta, gamma = ys.T if cfg.frame is Frame.POLAR else _reconstruct_cartesian(ys, polar0)
 
     inside = space.contains_angles(delta, gamma)
     if not np.all(inside):
@@ -939,7 +939,7 @@ def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law, 
         if not rho_fb.all():
             raise DomainError("polar chart undefined at rho=0")
 
-    tilde = array_law(delta_fb, gamma_fb)
+    tilde = law(ARRAY_MATH)(delta_fb, gamma_fb)
     v = k1 * rho_fb * np.cos(gamma_fb)
     omega = 0.5 * k1 * np.sin(2.0 * gamma_fb) + tilde
     if lyapunov is None:

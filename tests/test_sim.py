@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import polarpark.sim as sim
 from polarpark.controllers import steering_law
-from polarpark.geometry import FLOAT_MATH, polar_image
+from polarpark.geometry import COMPLEX_MATH, FLOAT_MATH, polar_image
 from polarpark import (
     CartesianState,
     CompositeLyapunovFn,
@@ -590,7 +590,8 @@ class TestStiffFallback:
     def test_jacobian_matches_central_differences(self, kind):
         spec = ControllerSpec(kind, Gains(1.3, 0.7, 1.1, 0.9))
         law = steering_law(FLOAT_MATH, kind, spec.gains)
-        field, jac = sim._polar_field(spec.gains.k1, law), sim._polar_jacobian(spec)
+        field = sim._polar_field(spec.gains.k1, law)
+        jac = sim._polar_jacobian(spec.gains.k1, steering_law(COMPLEX_MATH, kind, spec.gains))
         rng = np.random.default_rng(5)
         step = 1e-6
         for _ in range(300):
@@ -613,7 +614,7 @@ class TestStiffFallback:
         # delta = gamma = 0) and points 1e-6 from each barrier of the kind
         gains = Gains(1.3, 0.7, 1.1, 0.9)
         spec = ControllerSpec(kind, gains, allow_unproven_gains=True)
-        jac = sim._polar_jacobian(spec)
+        jac = sim._polar_jacobian(gains.k1, steering_law(COMPLEX_MATH, kind, gains))
         rng = np.random.default_rng(11)
         points = [(float(rng.uniform(0.1, 5.0)), float(rng.uniform(-3.0, 3.0)),
                    float(rng.uniform(-3.0, 3.0))) for _ in range(500)]
@@ -1077,6 +1078,39 @@ class TestUnsteered:
         assert np.max(np.abs(traj.rho - expected)) < 1e-9
         assert np.all(traj.delta == 0.4)
         assert np.all(traj.omega == 0.0)
+
+    def test_stiff_run_takes_the_ode23s_path(self, monkeypatch):
+        # at k1 = 1e4 the gamma mode decays at rate k1 once gamma nears pi/2;
+        # DOP853 alone spent 376,987 field evaluations at its stability limit
+        calls = []
+        polar_field = sim._polar_field
+
+        def counting_field(k1, law):
+            f = polar_field(k1, law)
+
+            def counted(y):
+                calls.append(1)
+                return f(y)
+
+            return counted
+
+        monkeypatch.setattr(sim, "_polar_field", counting_field)
+        k1, rho0, delta0, gamma0 = 1e4, 1.0, 0.3, 0.3
+        cfg = SimConfig(dt=0.05, t_final=20.0, capture_radius=0.0)
+        traj = simulate_unsteered(k1, PolarState(rho0, delta0, gamma0), cfg)
+        assert traj.status is SimStatus.HORIZON_REACHED and len(traj) == 401
+        assert re.fullmatch(r"stiff: ode23s on t in \[[^]]+\], \d+ steps, \d+ Jacobians",
+                            traj.note)
+        assert len(calls) <= 1_000
+        # closed form of gamma' = (k1/2)*sin(2*gamma), with T = tan(gamma0): tan(gamma)
+        # = T*exp(k1*t), delta - gamma is constant, and rho' = -k1*rho*cos(gamma)^2;
+        # tolerances are 10x the worst errors measured (gamma 1.6e-15, rho 6.0e-12),
+        # and a few ulps for delta - gamma, which came out exact
+        T, decay = math.tan(gamma0), np.exp(-k1 * traj.t)
+        assert np.max(np.abs(traj.gamma - np.arctan2(T, decay))) <= 1.6e-14
+        assert np.max(np.abs((traj.delta - traj.gamma) - (delta0 - gamma0))) <= 1e-15
+        rho = rho0 * np.sqrt((decay * decay + T * T) / (1.0 + T * T))
+        assert np.max(np.abs(traj.rho - rho)) <= 6e-11
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError, match="k1"):
