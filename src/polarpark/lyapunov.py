@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .controllers import (
@@ -294,25 +294,34 @@ class Compositor:
             diagonal-increase    C(u, u) - C(t, t) for consecutive positive u < t, at (t, t)
 
         NaN counts as +inf, and the first point with the worst margin wins.
-        The callables are called with floats.
+        The callables are called with floats.  A built-in form's screen is
+        memoized per (form, order, grid); a custom one's callables may be
+        anything, so it runs on every call.
         """
-        def margins():
-            yield abs(self.value(0.0, 0.0)) - 1e-12, (0.0, 0.0), "zero-at-origin"
-            for r in grid:
-                for s in grid:
-                    if r or s:
-                        yield -self.value(r, s), (r, s), "positive-off-origin"
-                        for p in self.partials(r, s):
-                            yield -p, (r, s), "positive-partials"
-            diag = [self.value(t, t) for t in grid[1:]]
-            for a, b, t in zip(diag, diag[1:], grid[2:]):
-                yield a - b, (t, t), "diagonal-increase"
+        if self.form is CompositorForm.CUSTOM:
+            return _screen.__wrapped__(self, grid)
+        return _screen(self, tuple(grid))
 
-        return max(
-            ((math.inf if math.isnan(m) else float(m), point, condition)
-             for m, point, condition in margins()),
-            key=lambda item: item[0],
-        )
+
+@lru_cache(maxsize=32)
+def _screen(comp: Compositor, grid: Sequence[float]) -> tuple[float, tuple[float, float], str]:
+    def margins():
+        yield abs(comp.value(0.0, 0.0)) - 1e-12, (0.0, 0.0), "zero-at-origin"
+        for r in grid:
+            for s in grid:
+                if r or s:
+                    yield -comp.value(r, s), (r, s), "positive-off-origin"
+                    for p in comp.partials(r, s):
+                        yield -p, (r, s), "positive-partials"
+        diag = [comp.value(t, t) for t in grid[1:]]
+        for a, b, t in zip(diag, diag[1:], grid[2:]):
+            yield a - b, (t, t), "diagonal-increase"
+
+    return max(
+        ((math.inf if math.isnan(m) else float(m), point, condition)
+         for m, point, condition in margins()),
+        key=lambda item: item[0],
+    )
 
 
 @dataclass(frozen=True)

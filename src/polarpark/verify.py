@@ -147,20 +147,24 @@ def _sample_states(
     rho_range: tuple[float, float] = _RHO_RANGE,
     angular: LyapunovFn | None = None,
     value_cap: float | None = None,
-) -> tuple[np.ndarray, str]:
+) -> tuple[np.ndarray, str, int]:
     """Draw (rho, delta, gamma) rows inside the open space from `seed`.
 
-    With value_cap set, rejects angle pairs where angular.value exceeds the
-    cap.  The returned domain string records every truncation and the seed,
-    then the cap, so reports stay self-describing.
+    Returns (rows, domain string, candidates drawn).  The first round draws
+    max(n, 64).  With value_cap set, angle pairs whose angular.value exceeds
+    it are rejected, and each later round draws the shortfall at 1.25 times
+    the acceptance rate seen (64 to 16*n), rows kept in draw order.  A cap
+    not > 0 raises ValueError (with one > 0, V = 0 at the origin gives the
+    capped region positive measure).  The domain string records every
+    truncation and the seed, then the cap, so reports stay self-describing.
     """
+    if value_cap is not None and not value_cap > 0.0:
+        raise ValueError(f"value_cap must be > 0, got {value_cap!r}")
     rng = np.random.default_rng(seed)
     d_max = _angle_bound(space.delta_bounded, barrier_offset)
     g_max = _angle_bound(space.gamma_bounded, barrier_offset)
-    rows = np.empty((n, 3))
-    got = 0
+    parts, got, drawn, m = [np.empty((0, 3))], 0, 0, max(n, 64)
     while got < n:
-        m = max(n - got, 64)
         cand = np.column_stack(
             [
                 rng.uniform(rho_range[0], rho_range[1], m),
@@ -168,12 +172,14 @@ def _sample_states(
                 rng.uniform(-g_max, g_max, m),
             ]
         )
+        drawn += m
         if value_cap is not None:
             with np.errstate(all="ignore"):
                 cand = cand[angular.value(cand[:, 1], cand[:, 2]) <= value_cap]
-        take = min(n - got, len(cand))
-        rows[got : got + take] = cand[:take]
-        got += take
+        parts.append(cand)
+        got += len(cand)
+        m = 16 * n if got == 0 else min(max(math.ceil(1.25 * (n - got) * drawn / got), 64), 16 * n)
+    rows = np.concatenate(parts)[:n]
     desc = (
         f"{n} samples on {space.value}: rho in [{rho_range[0]:g}, {rho_range[1]:g}], "
         f"|delta| <= {d_max:.4f}, |gamma| <= {g_max:.4f}"
@@ -183,7 +189,7 @@ def _sample_states(
     desc += f"; seed {seed}"
     if value_cap is not None:
         desc += f"; angular value cap {value_cap:g}"
-    return rows, desc
+    return rows, desc, drawn
 
 
 def _worst(margins: np.ndarray) -> tuple[float, int | None]:
@@ -209,9 +215,9 @@ def _row(points: np.ndarray, i: int | None) -> tuple | None:
 
 _LEMMA1_K = (1.0, 1.5, 2.0, 5.0, 10.0, 100.0)
 _LEMMA1_TOLERANCE = 1e-12
-_BARRIER_OFFSET = 1e-3  # check_clf and check_proposition1
+_BARRIER_OFFSET = 1e-3  # every sampled check's distance to the angular barriers
 _KL_METRIC_TOL, _V_RISE_TOL = 1e-3, 1e-8  # the V rise is also the CLI's V_monotone slack
-_GRADIENT_REL_TOL, _GRADIENT_BARRIER_OFFSET = 1e-10, 0.01
+_GRADIENT_REL_TOL = 1e-10
 
 
 def check_lemma1(
@@ -292,11 +298,11 @@ def check_clf(
         value_cap: When set, rejects samples whose angular value exceeds
             the cap.  Needed for exponential merges, whose gradient entries
             overflow the double range near barriers; the term-by-term
-            derivative here would then hit inf - inf.
+            derivative here would then hit inf - inf.  Must be > 0.
     """
     drawn = samples is None
     if drawn:
-        samples, domain = _sample_states(
+        samples, domain, n_drawn = _sample_states(
             spec.space, n_samples, seed, barrier_offset=_BARRIER_OFFSET,
             angular=fn.angular, value_cap=value_cap,
         )
@@ -330,7 +336,8 @@ def check_clf(
         criterion="worst_margin < 0",
         seed=seed if drawn else None,
         details={"n_samples": int(len(samples)),
-                 "turn_rate": "designed" if omega_fn is None else "override"},
+                 "turn_rate": "designed" if omega_fn is None else "override",
+                 **({"n_drawn": n_drawn} if drawn else {})},
     )
 
 
@@ -352,13 +359,14 @@ def check_proposition1(
     function must have a strictly negative derivative along the matched
     closed loop at off-origin samples.  details["failing_condition"] names
     the worst condition of a failing report (closed-loop-decrease for the
-    sampled derivative).
+    sampled derivative), and details["n_drawn"] the candidates drawn.
 
     Never raises on a bad merge function: a violated condition is returned
     as a failing report with its witness.
     """
     worst, witness, failing = comp.screen(_COMP_GRID)
-    states, state_domain = _sample_states(fn.space, n_samples, seed, barrier_offset=_BARRIER_OFFSET)
+    states, state_domain, n_drawn = _sample_states(
+        fn.space, n_samples, seed, barrier_offset=_BARRIER_OFFSET)
     full = CompositeLyapunovFn(comp, fn)
     with np.errstate(all="ignore"):
         vdot = full.vdot(states[:, 0], states[:, 1], states[:, 2])
@@ -378,7 +386,7 @@ def check_proposition1(
         tolerance=0.0,
         criterion="worst_margin < 0",
         seed=seed,
-        details={"failing_condition": failing if worst >= 0.0 else None},
+        details={"failing_condition": failing if worst >= 0.0 else None, "n_drawn": n_drawn},
     )
 
 
@@ -479,9 +487,11 @@ def check_gradient(
     error is |analytic - reference| / max(1, |analytic|, |reference|) per
     coordinate; the worst over all samples and coordinates must stay below
     1e-10 (the worst seen over seeds 0-399 of run_suite("gradient") is
-    5.7e-11).  Sampling stays 0.01 away from angular barriers; `value_cap`,
-    when set, additionally rejects samples whose angular value exceeds the
-    cap (keeps exp of it finite under exponential merges).
+    2.5e-11).  Sampling stays 1e-3 away from angular barriers, as in the
+    other checks: the gradients grow fastest there, and the complex step's
+    error does not grow with them.  `value_cap`, when set, additionally
+    rejects samples whose angular value exceeds the cap (keeps exp of it
+    finite under exponential merges); details["n_drawn"] counts candidates.
 
     V must accept complex arrays.  When it raises on them or casts them to
     real (a custom merge written with math functions, say), the report fails
@@ -492,8 +502,8 @@ def check_gradient(
     space = angular.space
 
     if samples is None:
-        rows, domain = _sample_states(
-            space, n_samples, seed, barrier_offset=_GRADIENT_BARRIER_OFFSET, rho_range=(0.01, 10.0),
+        rows, domain, n_drawn = _sample_states(
+            space, n_samples, seed, barrier_offset=_BARRIER_OFFSET, rho_range=(0.01, 10.0),
             angular=angular, value_cap=value_cap,
         )
         if not composite:
@@ -505,7 +515,8 @@ def check_gradient(
     # One column per coordinate and one complex array evaluation each.
     cols = [rows[:, j] for j in range(rows.shape[1])]
     errs = np.empty(rows.shape)
-    details = {"n_samples": int(len(rows)), "coords": 3 if composite else 2}
+    details = {"n_samples": int(len(rows)), "coords": 3 if composite else 2,
+               **({"n_drawn": n_drawn} if samples is None else {})}
     with np.errstate(all="ignore"), warnings.catch_warnings():
         # casting the probe to real would silently drop the derivative
         warnings.simplefilter("error", ComplexWarning)

@@ -222,6 +222,39 @@ class TestCompositeScreening:
         for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
             composite(factory(), LyapunovFn(ControllerKind.BAGAL, UNIT))
 
+    def test_memoized_builtin_screen_equals_an_uncached_screen(self):
+        from polarpark.lyapunov import _SCREEN_GRID
+        from polarpark.verify import _COMP_GRID
+
+        for factory in (Compositor.sum_form, Compositor.log_sum, Compositor.exp_product):
+            for order in ArgumentOrder:
+                comp = factory(order)
+                # the same merge as a custom compositor, which is never memoized
+                uncached = Compositor.custom(
+                    fn=comp.value,
+                    dfn_dr=lambda r, s, c=comp: c.partials(r, s)[0],
+                    dfn_ds=lambda r, s, c=comp: c.partials(r, s)[1],
+                    order=order,
+                )
+                for grid in (_COMP_GRID, _SCREEN_GRID):
+                    expected = uncached.screen(grid)
+                    assert comp.screen(grid) == expected
+                    assert comp.screen(list(grid)) == expected  # served by the memo
+
+    def test_custom_callables_run_on_every_screen(self):
+        calls = []
+
+        def fn(r, s):
+            calls.append((r, s))
+            return r + s
+
+        c = Compositor.custom(fn=fn, dfn_dr=lambda r, s: 1.0, dfn_ds=lambda r, s: 1.0)
+        grid = [0.0, 1.0, 2.0]
+        first = c.screen(grid)
+        n = len(calls)
+        assert n > 0
+        assert c.screen(grid) == first and len(calls) == 2 * n
+
 
 class TestCompositeFunction:
     def test_frozen_values(self):

@@ -27,3 +27,13 @@ def test_simulate_config_runs_through_the_cli(tmp_path):
     out = tmp_path / "results"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "summary.json").is_file() and (out / "ic_001.csv").is_file()
+
+
+def test_verify_command_runs_through_the_cli(tmp_path):
+    lines = re.findall(r"^polarpark verify (--.*)$", README.read_text(encoding="utf-8"), re.M)
+    assert lines == ["--suite all --seed 0"]
+    assert cli.main(["verify", *lines[0].split(), "--out", str(tmp_path)]) == 0
+    reports = [p for p in tmp_path.glob("verify_*.json") if p.name != "verify_summary.json"]
+    assert len(reports) == 81
+    summary = json.loads((tmp_path / "verify_summary.json").read_text(encoding="utf-8"))
+    assert summary["n_checks"] == 81 and summary["n_failed"] == 0

@@ -351,6 +351,85 @@ class TestGradientCheck:
         assert a == b
 
 
+class TestSampler:
+    """verify._sample_states: a first round as before, then the shortfall in one batch."""
+
+    class Counting:
+        """Angular function that counts its value calls."""
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+        def value(self, delta, gamma):
+            self.calls += 1
+            return self.inner.value(delta, gamma)
+
+    def draw(self, kind, n, seed, cap, offset=0.01):
+        from polarpark.verify import _sample_states
+
+        angular = self.Counting(LyapunovFn(kind, UNIT))
+        rows, domain, drawn = _sample_states(
+            kind.space, n, seed, barrier_offset=offset, angular=angular, value_cap=cap)
+        return rows, domain, drawn, angular
+
+    def test_capped_draw_takes_at_most_three_value_calls(self):
+        # one value call per round: the first, the shortfall, rarely one more
+        for seed in range(5):
+            rows, _, drawn, angular = self.draw(ControllerKind.BOLSA, 1_000, seed, 20.0)
+            assert angular.calls <= 3, seed
+            assert len(rows) == 1_000 and drawn > 1_000
+
+    def test_rows_lie_in_bounds_and_under_the_cap(self):
+        for kind in ControllerKind:
+            for cap in (1.0, 20.0, 600.0):
+                rows, _, _, angular = self.draw(kind, 500, 7, cap)
+                assert rows.shape == (500, 3)
+                assert np.all((rows[:, 0] >= 1e-6) & (rows[:, 0] <= 10.0))
+                for col, bounded in ((1, kind.space.delta_bounded),
+                                     (2, kind.space.gamma_bounded)):
+                    bound = math.pi - 0.01 if bounded else 10.0
+                    assert np.all(np.abs(rows[:, col]) <= bound)
+                assert np.all(angular.inner.value(rows[:, 1], rows[:, 2]) <= cap)
+
+    def test_first_round_is_three_uniform_calls(self):
+        from polarpark.verify import _sample_states
+
+        space = ControllerKind.BAGAL.space
+        bound = math.pi - 1e-3
+
+        def first_round(m):
+            rng = np.random.default_rng(9)
+            return np.column_stack([rng.uniform(1e-6, 10.0, m), rng.uniform(-bound, bound, m),
+                                    rng.uniform(-bound, bound, m)])
+
+        for n in (1_000, 10):
+            rows, _, drawn = _sample_states(space, n, 9, barrier_offset=1e-3)
+            assert drawn == max(n, 64)
+            assert rows.tobytes() == first_round(max(n, 64))[:n].tobytes()
+        # a capped draw that the first round satisfies keeps its accepted rows in order
+        angular = LyapunovFn(ControllerKind.BAGAL, UNIT)
+        rows, _, drawn = _sample_states(
+            space, 10, 9, barrier_offset=1e-3, angular=angular, value_cap=1e6)
+        expected = first_round(64)
+        accepted = expected[angular.value(expected[:, 1], expected[:, 2]) <= 1e6]
+        assert drawn == 64 and rows.tobytes() == accepted[:10].tobytes()
+
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
+    def test_cap_admitting_no_sample_is_rejected(self, cap):
+        # no V is <= these caps (V > 0 off the origin), so drawing would never end
+        full = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(ControllerKind.GLOBA, UNIT))
+        with pytest.raises(ValueError, match="value_cap must be > 0"):
+            check_gradient(full, seed=1, value_cap=cap)
+        with pytest.raises(ValueError, match="value_cap must be > 0"):
+            check_clf(full, ControllerSpec(ControllerKind.GLOBA, UNIT), seed=1, value_cap=cap)
+
+    def test_reports_count_the_candidates_drawn(self):
+        full = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn(ControllerKind.BOLSA, UNIT))
+        rep = check_gradient(full, seed=5, value_cap=20.0)
+        assert rep.passed and rep.details["n_drawn"] == 15_776
+        assert check_gradient(full, seed=5, value_cap=20.0).to_dict() == rep.to_dict()
+        assert check_proposition1(Compositor.sum_form(), full.angular).details["n_drawn"] == 2_000
+        assert "n_drawn" not in check_gradient(full, samples=np.ones((2, 3))).details
+
+
 class TestSuite:
     def test_full_battery_certifies(self):
         reports = run_suite("all", seed=0)
@@ -387,6 +466,11 @@ class TestSuite:
             reports = run_suite("gradient", seed=seed)
             assert len(reports) == 28
             assert [r.summary() for r in reports if not r.passed] == [], seed
+
+    def test_repeated_runs_give_equal_reports(self):
+        # the memoized merge screens and the sampler keep no state between runs
+        first = [r.to_dict() for r in run_suite("all", seed=3)]
+        assert [r.to_dict() for r in run_suite("all", seed=3)] == first
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -499,7 +583,7 @@ class TestArrayChecksMatchRowReference:
                             ref += [-comp.value(r, s), -min(comp.partials(r, s))]
                 diag = [comp.value(t, t) for t in _COMP_GRID[1:]]
                 ref += [a - b for a, b in zip(diag, diag[1:])]
-                states, _ = _sample_states(fn.space, 300, 4, barrier_offset=1e-3)
+                states = _sample_states(fn.space, 300, 4, barrier_offset=1e-3)[0]
                 full = CompositeLyapunovFn(comp, fn)
                 ref += [full.vdot(*row) for row in states.tolist()]
                 assert not np.isnan(ref).any()  # -inf: exp merge saturated, fine
