@@ -30,9 +30,10 @@ estimate of the first step, lets error control alone choose its steps (a
 step is cut short only at the end of the horizon) and fills the grid
 points inside each accepted step from the rule's dense output (DOP853's
 of degree 7), so the sampling interval does not bound the step size.  The
-h_min stop, the cut of the last step, the retry of a step whose stage
-leaves the domain, the reject test, the step-size update, the sampling and
-the capture test are the loop's, whichever rule took the step.
+step-floor stop, the cut of the last step, the retry at h/4 of a step whose
+stage leaves the domain (HINIT's first step too, when its probe leaves
+it), the reject test, the step-size update, the sampling and the capture
+test are the loop's, whichever rule took the step.
 
 The rule is chosen by stiffness tests, in the manner of LSODA.  Near the
 barrier lines the steering grows without bound, and the gamma mode can
@@ -53,14 +54,16 @@ first step whose estimate of h*|lambda| exceeds RK4's stability bound of
 about 2.8.
 
 The adaptive integrator reports a boundary stop when step control pushes
-the step size below h_min, which happens when the state runs into an
-excluded set (for example a barrier line approached too closely to resolve
-in double precision); the fixed-step one reports it when a stage leaves the
-controller's space or overflows.  With either integrator, a run whose
-sampled state (unwrapped, in both frames) leaves the space ends before its
-first sample outside, as a boundary stop, and keeps no remark on a step
-that starts after its last sample: the wrapped Cartesian feedback and the
-extended bounded-gamma laws do not notice such a crossing themselves.
+the step size below the step floor, 10 ulps of max(t, dt), derived as in
+dop853.f rather than set, which happens when the state runs into an
+excluded set (for example a barrier line approached too closely to
+resolve in double precision); the fixed-step one reports it when a stage
+leaves the controller's space or overflows.  With either integrator, a
+run whose sampled state (unwrapped, in both frames) leaves the space ends
+before its first sample outside, as a boundary stop, and keeps no remark
+on a step that starts after its last sample: the wrapped Cartesian
+feedback and the extended bounded-gamma laws do not notice such a
+crossing themselves.
 """
 from __future__ import annotations
 
@@ -161,10 +164,9 @@ class SimConfig:
     integrator: IntegratorKind = IntegratorKind.RK45_ADAPTIVE
     rtol: float = 1e-10
     atol: float = 1e-11
-    h_min: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_final", "capture_radius", "rtol", "atol", "h_min"):
+        for name in ("dt", "t_final", "capture_radius", "rtol", "atol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.dt <= self.t_final):
@@ -175,7 +177,7 @@ class SimConfig:
         if n > _MAX_INTERVALS:
             raise ValueError(f"the horizon holds n = {n} sampling intervals, above the cap of "
                              f"{_MAX_INTERVALS}")
-        for name in ("rtol", "atol", "h_min"):
+        for name in ("rtol", "atol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -381,8 +383,10 @@ class _BoundaryHit(Exception):
     """Internal: stepping could not continue."""
 
 
-def _below_h_min(h: float, t: float) -> _BoundaryHit:
-    return _BoundaryHit(f"step size {h:.3e} below h_min at t={t:.6g}")
+# The adaptive loop stops once h < _STEP_FLOOR*max(t, dt): 10 ulps of the
+# current time, and of one sampling interval at t = 0, where a step below it
+# no longer moves t reliably (dop853.f stops at 0.1*|h| <= uround*|t|).
+_STEP_FLOOR = 10.0 * 2.0**-52
 
 
 def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
@@ -393,27 +397,10 @@ def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
     return math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
 
 
-class _Samples:
-    """A run's samples on the grid t = i*dt, i = 0..n, as one flat list of floats.
-
-    No time is stored: sample i is taken at i*dt.  The integrators append
-    each state and test the capture box in place: in cfg.frame, a polar
-    sample is in it when rho and both |angles| are below radius (never, for
-    a radius <= 0), a Cartesian one when hypot(x, y) is and pose_captured.
-    """
-
-    def __init__(self, cfg: SimConfig, y0) -> None:
-        self.dt = cfg.dt
-        self.n = _interval_count(cfg.dt, cfg.t_final)
-        self.t_end = self.n * cfg.dt
-        self.flat = list(y0)
-        self.radius = cfg.capture_radius
-        self.polar = cfg.frame is Frame.POLAR
-
-    def pose_captured(self, x: float, y: float, theta: float) -> bool:
-        """Whether the angles of a pose's wrapped polar image are inside the box."""
-        _, delta, gamma = polar_image(x, y, theta)
-        return abs(delta) < self.radius and abs(gamma) < self.radius
+def _pose_captured(x: float, y: float, theta: float, radius: float) -> bool:
+    """Whether the angles of a pose's wrapped polar image are inside the capture box."""
+    _, delta, gamma = polar_image(x, y, theta)
+    return abs(delta) < radius and abs(gamma) < radius
 
 
 # The stiffness test of dop853.f (Hairer & Wanner, Solving ODEs II, section
@@ -448,7 +435,8 @@ def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
     explicit Euler step of h = 0.01*|y0|/|f0| probes the second derivative
     as |f(y0 + h*f0) - f0|/h, and the first step makes h^8 times the larger
     of that and |f0| equal to 0.01, at most 100*h and h_max.  A DomainError
-    in the probe quarters h, as in any stage.
+    in the probe returns the probe's h, which the step loop's retry at h/4
+    then shrinks as for any stage.
     """
     y1, y2, y3 = y0
     f1, f2, f3 = f0
@@ -457,14 +445,10 @@ def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
     dnf = (f1 / s1) ** 2 + (f2 / s2) ** 2 + (f3 / s3) ** 2
     dny = (y1 / s1) ** 2 + (y2 / s2) ** 2 + (y3 / s3) ** 2
     h = min(h_max, 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else 0.01 * math.sqrt(dny / dnf))
-    while True:
-        try:
-            g1, g2, g3 = f((y1 + h * f1, y2 + h * f2, y3 + h * f3))
-            break
-        except DomainError:
-            h *= 0.25
-            if h < cfg.h_min:
-                raise _below_h_min(h, 0.0) from None
+    try:
+        g1, g2, g3 = f((y1 + h * f1, y2 + h * f2, y3 + h * f3))
+    except DomainError:
+        return h
     der2 = math.sqrt(((g1 - f1) / s1) ** 2 + ((g2 - f2) / s2) ** 2 + ((g3 - f3) / s3) ** 2) / h
     der12 = max(der2, math.sqrt(dnf))
     h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
@@ -477,8 +461,7 @@ def _stiff_note(t_start: float, t: float, n_steps: int, n_jac: int) -> tuple[flo
                      f"{n_jac} Jacobians")
 
 
-def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
-                        jac=None) -> str:
+def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None) -> str:
     """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
     DOP853 takes the steps.  When a Jacobian is given, a positive stiffness
@@ -491,8 +474,9 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
     step is h times 0.9*err^e clamped to [0.2, 5], with e = -1/8 for DOP853
     and -1/3 for ode23s.  A stage outside the domain, or a singular W,
     retries the step at h/4.  The samples inside an accepted step come from
-    the rule's dense output.  Returns "done" or "captured", or raises
-    _BoundaryHit when the step size falls below cfg.h_min.
+    the rule's dense output and are appended to flat, each tested for
+    capture as it is.  Returns "done" or "captured", or raises _BoundaryHit
+    when the step size falls below the step floor _STEP_FLOOR*max(t, dt).
 
     DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
     is evaluated once the step is accepted, and the extra stages 14..16
@@ -504,17 +488,18 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
     rho.  In the formulas of ode23s, f0 is (f1a, f1b, f1c), k1 is (a1, a2,
     a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
     """
-    rtol, atol, h_min, sqrt, hypot = cfg.rtol, cfg.atol, cfg.h_min, math.sqrt, math.hypot
-    t_end, dt, flat, radius, polar = (samples.t_end, samples.dt, samples.flat, samples.radius,
-                                      samples.polar)
-    pose_captured, can_switch = samples.pose_captured, jac is not None
+    rtol, atol, dt, radius, sqrt, hypot = (cfg.rtol, cfg.atol, cfg.dt, cfg.capture_radius,
+                                           math.sqrt, math.hypot)
+    t_end, polar = _interval_count(dt, cfg.t_final) * dt, cfg.frame is Frame.POLAR
+    can_switch = jac is not None
     t, y, fy = 0.0, y0, f(y0)
     try:
         h = _initial_step(f, y0, fy, cfg, t_end)
     except ArithmeticError as exc:  # (f/s)**2 overflows, or an infinite |f| makes h 0
         raise _BoundaryHit(f"initial-step estimate overflowed at t=0: {exc}") from None
     i, t_sample, stiff, expo, captured, probe, n_steps = 1, dt, False, -0.125, False, False, 0
-    while h >= h_min:  # a rejected or retried step comes back with its smaller h
+    # a rejected or retried step comes back with its smaller h
+    while h >= _STEP_FLOOR * max(t, dt):
         last = t + h >= t_end
         if last:
             h = t_end - t
@@ -697,8 +682,8 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                            _D7_10 * f10c + _D7_11 * f11c + _D7_12 * f12c + _D7_13 * f13c +
                            _D7_14 * f14c + _D7_15 * f15c + _D7_16 * f16c)
         except (DomainError, ZeroDivisionError):  # a stage outside, or W singular
-            # retry with a smaller step until h_min decides this is a genuine
-            # boundary approach
+            # retry with a smaller step until the step floor decides this is a
+            # genuine boundary approach
             h *= 0.25
             continue
         n_steps += 1
@@ -722,7 +707,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
                     s3 = y3 + s * (q03 + r * (q13 + s * (q23 + r * c3)))
             flat += (s1, s2, s3)
             if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
-                    else hypot(s1, s2) < radius and pose_captured(s1, s2, s3)):
+                    else hypot(s1, s2) < radius and _pose_captured(s1, s2, s3, radius)):
                 captured = True
                 break
             i += 1
@@ -757,14 +742,15 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, samples: _Samples, notes: list,
         return "captured"
     if t == t_end:
         return "done"
-    raise _below_h_min(h, t)
+    raise _BoundaryHit(f"step size {h:.3e} below the step floor {_STEP_FLOOR * max(t, dt):.3e} "
+                       f"at t={t:.6g}")
 
 
 # RK4's stability interval on the negative real axis ends near -2.785.
 _RK4_STABLE = 2.8
 
 
-def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> str:
+def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     """Classic RK4 with step dt, recording the state after each step.
 
     The right-hand side at each new state is evaluated before the state is
@@ -772,16 +758,16 @@ def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> s
     ends the run (_BoundaryHit) on the last valid sample.  The first
     step whose estimate of h*|lambda| exceeds RK4's stability bound adds a
     note; stages 2 and 3 share t + h/2 and differ by h/2*(f2 - f1), so
-    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.  Returns "done" or
-    "captured".
+    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.  Appends each state
+    to flat and returns "done" or "captured".
     """
-    flat, radius, polar, hypot = samples.flat, samples.radius, samples.polar, math.hypot
+    radius, polar, hypot = cfg.capture_radius, cfg.frame is Frame.POLAR, math.hypot
     isfinite, t = math.isfinite, 0.0
     y1, y2, y3 = y0
     h = cfg.dt
     f1 = f(y0)
     stable = True
-    for i in range(1, samples.n + 1):
+    for i in range(1, _interval_count(cfg.dt, cfg.t_final) + 1):
         try:
             f2 = f((y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
             f3 = f((y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
@@ -806,7 +792,7 @@ def _integrate_fixed(f, y0, cfg: SimConfig, samples: _Samples, notes: list) -> s
         t = i * h
         flat += y
         if (y1 < radius and abs(y2) < radius and abs(y3) < radius if polar
-                else hypot(y1, y2) < radius and samples.pose_captured(y1, y2, y3)):
+                else hypot(y1, y2) < radius and _pose_captured(y1, y2, y3, radius)):
             return "captured"
     return "done"
 
@@ -815,21 +801,24 @@ def _run(f, y0, cfg: SimConfig, jac=None):
     """Integrate and sample in cfg.frame; returns (times, ys, status, capture_time, notes, stop).
 
     ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
-    integrators computed it.  notes are the integrator's remarks on the run
+    integrators computed it.  The integrators test each sample for capture
+    as they append it: a polar one is captured when rho and both |angles|
+    are below cfg.capture_radius (never, for a radius <= 0), a Cartesian one
+    when hypot(x, y) is and _pose_captured.  notes are the integrator's remarks on the run
     (stiff stretches, rk4 instability), each as (start of the step it names,
     text); stop is the reason for a boundary stop, else "".
     """
-    samples = _Samples(cfg, y0)
+    flat = list(y0)  # the samples on the grid t = i*dt, i = 0..n, one state after another
     notes: list[tuple[float, str]] = []
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
-            outcome = _integrate_adaptive(f, y0, cfg, samples, notes, jac)
+            outcome = _integrate_adaptive(f, y0, cfg, flat, notes, jac)
         else:
-            outcome = _integrate_fixed(f, y0, cfg, samples, notes)
+            outcome = _integrate_fixed(f, y0, cfg, flat, notes)
     except _BoundaryHit as hit:
         outcome, stop = "boundary", str(hit)
-    ys = np.array(samples.flat, dtype=float).reshape(-1, 3)
+    ys = np.array(flat, dtype=float).reshape(-1, 3)
     times = np.arange(len(ys), dtype=float) * cfg.dt
     if outcome == "captured":
         return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop

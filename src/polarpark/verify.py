@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
@@ -132,6 +132,9 @@ class CertReport:
 
 _ANGLE_CAP = 10.0  # truncation for coordinates the space leaves unbounded
 _RHO_RANGE = (1e-6, 10.0)
+# A capped draw stops with ValueError past this many candidates per row; the
+# battery's largest draw over run_suite("all", s), s = 0-9, is 3.07 per row.
+_MAX_DRAWN_PER_ROW = 1_000
 
 
 def _angle_bound(bounded: bool, barrier_offset: float) -> float:
@@ -155,7 +158,8 @@ def _sample_states(
     it are rejected, and each later round draws the shortfall at 1.25 times
     the acceptance rate seen (64 to 16*n), rows kept in draw order.  A cap
     not > 0 raises ValueError (with one > 0, V = 0 at the origin gives the
-    capped region positive measure).  The domain string records every
+    capped region positive measure), and so does a draw that passes 1,000*n
+    candidates before it has n rows.  The domain string records every
     truncation and the seed, then the cap, so reports stay self-describing.
     """
     if value_cap is not None and not value_cap > 0.0:
@@ -165,6 +169,11 @@ def _sample_states(
     g_max = _angle_bound(space.gamma_bounded, barrier_offset)
     parts, got, drawn, m = [np.empty((0, 3))], 0, 0, max(n, 64)
     while got < n:
+        if drawn > _MAX_DRAWN_PER_ROW * n:
+            raise ValueError(
+                f"value_cap {value_cap:g} admits too few samples: {got} of {n} rows after "
+                f"{drawn} candidates, past the cap of {_MAX_DRAWN_PER_ROW} per row "
+                f"(acceptance rate {got / drawn:.3g})")
         cand = np.column_stack(
             [
                 rng.uniform(rho_range[0], rho_range[1], m),
@@ -276,7 +285,6 @@ def check_clf(
     *,
     n_samples: int = 10_000,
     seed: int = 0,
-    omega_fn: Callable[[float, float, float], float] | None = None,
     value_cap: float | None = None,
 ) -> CertReport:
     """Certify strict decrease of a full-state candidate under the feedback.
@@ -291,10 +299,6 @@ def check_clf(
         spec: Controller providing the inputs (gains should match fn's).
         samples: Optional explicit (n, 3) array of (rho, delta, gamma) rows;
             overrides random sampling.
-        omega_fn: Override for the turn-rate input, signature
-            (rho, delta, gamma) -> omega on floats, called once per row.
-            Used to show the check rejects perturbed feedback; None uses
-            the designed turn rate.
         value_cap: When set, rejects samples whose angular value exceeds
             the cap.  Needed for exponential merges, whose gradient entries
             overflow the double range near barriers; the term-by-term
@@ -319,10 +323,7 @@ def check_clf(
         cos_g = np.cos(gamma)
         rho_rate = -k1 * rho * cos_g * cos_g
         slip = 0.5 * k1 * np.sin(2.0 * gamma)
-        if omega_fn is None:
-            omega = slip + omega_tilde(spec, delta, gamma)
-        else:
-            omega = np.array([omega_fn(*row) for row in samples.tolist()], dtype=float)
+        omega = slip + omega_tilde(spec, delta, gamma)
         vdot = g_rho * rho_rate + g_delta * slip + g_gamma * (slip - omega)
     worst, i = _worst(np.broadcast_to(vdot, rho.shape))
 
@@ -335,9 +336,7 @@ def check_clf(
         tolerance=0.0,
         criterion="worst_margin < 0",
         seed=seed if drawn else None,
-        details={"n_samples": int(len(samples)),
-                 "turn_rate": "designed" if omega_fn is None else "override",
-                 **({"n_drawn": n_drawn} if drawn else {})},
+        details={"n_samples": int(len(samples)), **({"n_drawn": n_drawn} if drawn else {})},
     )
 
 

@@ -252,6 +252,7 @@ class TestConfigValidation:
         ({**BASE_SIM, "sim": [0.05, 10.0]}, "sim must be an object"),
         ({**BASE_SIM, "sim": {"frame": "spherical"}}, "unknown frame 'spherical'"),
         ({**BASE_SIM, "sim": {"integrator": "euler"}}, "unknown integrator 'euler'"),
+        ({**BASE_SIM, "sim": {"h_min": 1e-9}}, "unknown sim keys: ['h_min']"),
         ({**BASE_SIM, "compositor_order": "gamma_first"},
          "compositor_order must be rho_first or vdg_first"),
     ])

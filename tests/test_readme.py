@@ -2,9 +2,11 @@
 
 import json
 import re
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
-from polarpark import cli
+from polarpark import SimConfig, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +29,13 @@ def test_simulate_config_runs_through_the_cli(tmp_path):
     out = tmp_path / "results"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "summary.json").is_file() and (out / "ic_001.csv").is_file()
+
+
+def test_simulate_config_lists_every_sim_setting_at_its_default():
+    # README says "the values above are the defaults"
+    defaults = {f.name: f.default.value if isinstance(f.default, Enum) else f.default
+                for f in fields(SimConfig)}
+    assert json.loads(code_block("json"))["sim"] == defaults
 
 
 def test_verify_command_runs_through_the_cli(tmp_path):

@@ -74,10 +74,15 @@ class TestConfig:
     def test_settings_must_be_finite(self):
         # an infinite horizon used to overflow the sample count, and a NaN
         # capture radius silently turned capture off
-        for name in ("dt", "t_final", "capture_radius", "rtol", "atol", "h_min"):
+        for name in ("dt", "t_final", "capture_radius", "rtol", "atol"):
             for bad in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     SimConfig(**{name: bad})
+
+    def test_step_floor_is_not_a_setting(self):
+        # the adaptive loop derives its floor from t and dt
+        with pytest.raises(TypeError, match="h_min"):
+            SimConfig(h_min=1e-9)
 
     def test_horizon_quotient_must_be_finite(self):
         # 1e308/0.05 overflows: the sample count used to raise OverflowError in
@@ -395,16 +400,16 @@ class TestTermination:
     @pytest.mark.parametrize("t_final, dt, n", [(60.0, 0.05, 1200), (0.3, 0.1, 3), (0.7, 0.1, 7)])
     def test_horizon_keeps_a_multiple_of_dt_whose_quotient_rounds_low(self, t_final, dt, n):
         # 0.3/0.1 = 2.9999999999999996 and 0.7/0.1 = 6.999999999999999
-        assert sim._Samples(SimConfig(dt=dt, t_final=t_final), (1.0, 0.0, 0.0)).n == n
+        assert sim._interval_count(dt, t_final) == n
 
     def test_boundary_stop_when_started_against_the_wall(self):
         # from delta = pi - 1e-13 any resolvable step crosses the barrier,
-        # so the step controller collapses below h_min and reports a stop
+        # so the step controller collapses below the step floor and reports a stop
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
         cfg = SimConfig(dt=0.05, t_final=1.0)
         traj = simulate(spec, PolarState(1.0, math.pi - 1e-13, 0.1), cfg)
         assert traj.status is SimStatus.BOUNDARY_STOP
-        assert "h_min" in traj.note
+        assert traj.note == "step size 2.625e-41 below the step floor 1.110e-16 at t=0"
         assert traj.capture_time is None
 
     def test_fixed_step_leaving_the_domain_is_boundary_stop(self):
@@ -537,22 +542,37 @@ class TestStiffFallback:
             note = simulate(spec, start, cfg).note
             assert (len(rhs_calls), note) == self.STIFF_RUNS[kind, which]
 
-    @pytest.mark.parametrize("kind", [ControllerKind.BAGAL, ControllerKind.BARFLI])
-    def test_barrier_runs_match_radau(self, kind):
+    # BARFLI's initial layer from here has |d(gamma')/d(gamma)| ~ 1.9e9, so its
+    # first steps are far below 1e-9
+    LAYER_START = PolarState(0.5, -(math.pi - 0.002), 1.0)
+    LAYER_RUN = SimConfig(t_final=5.0, capture_radius=0.0)
+
+    @pytest.mark.parametrize("kind, start, cfg, status, tol", [
+        pytest.param(ControllerKind.BAGAL, BARRIER_START, SimConfig(dt=0.05, t_final=60.0),
+                     SimStatus.HORIZON_REACHED, 1e-8, id="ControllerKind.BAGAL"),
+        pytest.param(ControllerKind.BARFLI, BARRIER_START, SimConfig(dt=0.05, t_final=60.0),
+                     SimStatus.CAPTURED, 1e-8, id="ControllerKind.BARFLI"),
+        pytest.param(ControllerKind.BARFLI, LAYER_START, LAYER_RUN, SimStatus.HORIZON_REACHED,
+                     1e-8, id="BARFLI-initial-layer"),
+        # at rtol 1e-7 the run is 6.7e-7 off the reference
+        pytest.param(ControllerKind.BARFLI, LAYER_START, dataclasses.replace(LAYER_RUN, rtol=1e-7),
+                     SimStatus.HORIZON_REACHED, 1e-6, id="BARFLI-initial-layer-rtol-1e-7"),
+    ])
+    def test_barrier_runs_match_radau(self, kind, start, cfg, status, tol):
         spec = ControllerSpec(kind, UNIT)
-        traj = simulate(spec, self.BARRIER_START, SimConfig(dt=0.05, t_final=60.0))
-        assert traj.note.startswith("stiff: ode23s")
+        traj = simulate(spec, start, cfg)
+        assert traj.status is status
+        assert re.fullmatch(r"stiff: ode23s on t in \[[^]]+\], \d+ steps, \d+ Jacobians", traj.note)
 
         def f(t, y):
             rho, delta, gamma = y
             return (-rho * math.cos(gamma) ** 2, 0.5 * math.sin(2.0 * gamma),
                     -omega_tilde(spec, delta, gamma))
 
-        start = self.BARRIER_START
         ref = solve_ivp(f, (0.0, traj.t[-1]), [start.rho, start.delta, start.gamma],
                         method="Radau", rtol=1e-12, atol=1e-13, t_eval=traj.t)
         assert ref.success
-        assert np.max(np.abs(np.stack([traj.rho, traj.delta, traj.gamma]) - ref.y)) < 1e-8
+        assert np.max(np.abs(np.stack([traj.rho, traj.delta, traj.gamma]) - ref.y)) < tol
 
     def test_fallback_hands_back_to_dop853(self):
         # BARFLI leaves the stiff region within half a second and captures
@@ -644,10 +664,10 @@ class TestStiffFallback:
             raise DomainError("wall")
         return (0.0, 1.0, -1e4 * (y[2] - y[1]))
 
-    def test_stiff_stretch_keeps_retries_and_h_min(self):
+    def test_stiff_stretch_keeps_retries_and_the_step_floor(self):
         # DOP853 goes stiff, ode23s follows the slow manifold exactly (the
         # problem is linear), and its stages at the wall shrink the step
-        # below h_min
+        # below the step floor, 10 ulps of t
         def jac(y):
             return (0.0, 0.0, 0.0, 1e4, -1e4)
 
@@ -655,7 +675,7 @@ class TestStiffFallback:
         times, ys, status, _, notes, stop = sim._run(self.toward_wall, (1.0, 0.0, 0.0), cfg,
                                                      jac=jac)
         assert status is SimStatus.BOUNDARY_STOP
-        assert stop.startswith("step size") and "below h_min at t=0.5" in stop
+        assert stop == "step size 1.054e-15 below the step floor 1.110e-15 at t=0.5"
         assert len(notes) == 1 and notes[0][1].startswith("stiff: ode23s on t in [")
         assert times[-1] == pytest.approx(0.49)
         exact = times - 1e-4 * (1.0 - np.exp(-1e4 * times))
@@ -677,7 +697,8 @@ class TestStiffFallback:
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
         _, _, status, _, notes, stop = sim._run(self.toward_wall, (1.0, 0.0, 0.0), cfg, jac=jac)
-        assert status is SimStatus.BOUNDARY_STOP and "below h_min at t=0.5" in stop
+        assert status is SimStatus.BOUNDARY_STOP
+        assert stop.endswith("below the step floor 1.110e-15 at t=0.5")
         if true_jacobian:
             ((_, note),) = notes
             n_steps, n_jac = map(int, re.fullmatch(
@@ -733,13 +754,15 @@ class TestStiffFallback:
             0.842441592352731, 3.1041559604864934, -1.5707832102078114)
 
     @pytest.mark.parametrize("delta0, stop", [
-        (0.5 - 1e-12, "step size 4.410e-10 below h_min at t=0"),
-        (0.5 - 1e-5, "step size 4.011e-10 below h_min at t=9.99988e-06"),
+        (0.5 - 1e-12, "step size 1.224e-17 below the step floor 2.220e-17 at t=9.99907e-13"),
+        (0.5 - 1e-5, "step size 8.494e-18 below the step floor 2.220e-17 at t=1e-05"),
     ])
-    def test_initial_step_probe_retries_down_to_h_min(self, delta0, stop):
+    def test_initial_step_probe_hands_its_retries_to_the_step_loop(self, delta0, stop):
         # delta' = 1 toward a wall at delta = 0.5: from 1e-12 below it HINIT's
-        # probe quarters h until h_min stops the run; from 1e-5 below it the
-        # first steps are taken and their stages at the wall end the run
+        # probe crosses the wall and the step loop starts from the probe's h;
+        # from 1e-5 below it the first steps are HINIT's.  Either way the
+        # step loop's retries at h/4 carry the run up to the wall, where the
+        # step floor (10 ulps of dt = 0.01 while t < dt) ends it
         def f(y):
             if y[1] >= 0.5:
                 raise DomainError("wall")
