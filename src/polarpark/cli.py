@@ -42,6 +42,11 @@ class _Parser(argparse.ArgumentParser):
 # config parsing (hand-validated JSON; no schema dependency)
 
 _GAIN_KEYS = ("k1", "k2", "k3", "k4")
+# simulate, compare and sweep share one schema; each reads the keys it needs
+_CONFIG_KEYS = frozenset({
+    "controller", "controllers", "gains", "gain_sets", "allow_unproven_gains",
+    "compositor", "compositor_order", "initial_conditions", "sim",
+})
 
 
 def _fail(msg: str) -> None:
@@ -58,6 +63,9 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("top level must be a JSON object")
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        _fail(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -363,7 +371,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-_SIMILARITY_TOL = 0.05
+_SIMILARITY_TOL = 0.05  # largest state discrepancy of an "essentially identical" pair
 
 
 def _compare_rows(traj_a: Trajectory, traj_b: Trajectory) -> float:
@@ -387,9 +395,6 @@ def _cmd_compare(args) -> int:
     specs = [_parse_spec(cfg, obj) for obj in kinds_obj]
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
-    sim_tol = _number(cfg.get("similarity_tol", _SIMILARITY_TOL), "similarity_tol")
-    if not (math.isfinite(sim_tol) and sim_tol > 0.0):
-        _fail(f"similarity_tol must be finite and positive, got {sim_tol}")
     out = _out_dir(args)
 
     rows = []
@@ -430,7 +435,7 @@ def _cmd_compare(args) -> int:
                     "ic_index": i,
                     "pair": [ka, kb],
                     "max_state_discrepancy": sim_val,
-                    "essentially_identical": sim_val < sim_tol,
+                    "essentially_identical": sim_val < _SIMILARITY_TOL,
                 }
             ))
 
@@ -444,7 +449,7 @@ def _cmd_compare(args) -> int:
         {
             "command": "compare",
             "controllers": [s.kind.value for s in specs],
-            "similarity_tol": sim_tol,
+            "similarity_tol": _SIMILARITY_TOL,
             "rows": rows,
             "pairs": pairs,
         },

@@ -12,11 +12,9 @@ self-describing and reproduce exactly from their recorded seed.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
@@ -53,7 +51,7 @@ class CertReport:
         worst_margin: Largest violation value found; negative means the
             property held with room to spare everywhere.
         witness: Point achieving the worst margin (layout given by the
-            check; None when the check has no sampled points).
+            check).  Every check samples at least one point.
         passed: True iff worst_margin satisfies the recorded criterion.
         tolerance: Threshold the margin is compared against.
         criterion: How margin and tolerance combine, e.g. "worst_margin < 0".
@@ -64,7 +62,7 @@ class CertReport:
     check_name: str
     domain: str
     worst_margin: float
-    witness: tuple | None
+    witness: tuple
     passed: bool
     tolerance: float
     criterion: str
@@ -76,23 +74,22 @@ class CertReport:
         return f"{self.check_name}: {verdict} (worst margin {self.worst_margin:.3e})"
 
     def to_dict(self) -> dict:
-        """JSON-ready fields.
+        """The report as strict JSON, its one serialised form.
 
-        A non-finite worst margin (inf after an overflow or NaN, -inf when
-        nothing was sampled) is written as None, with its value and the
-        reason under details["worst_margin_nonfinite"], so the dict stays
-        strict JSON; from_dict restores it.
+        A non-finite worst margin (inf or -inf after an overflow, or a NaN
+        counted as inf) is written as None, with its value and the reason
+        under details["worst_margin_nonfinite"].
         """
         worst, details = self.worst_margin, self.details
         if not math.isfinite(worst):
-            reason = "no sampled point" if worst < 0.0 else "a margin overflowed or was NaN"
-            details = {**details, _NONFINITE_KEY: {"value": repr(worst), "reason": reason}}
+            record = {"value": repr(worst), "reason": "a margin overflowed or was NaN"}
+            details = {**details, _NONFINITE_KEY: record}
             worst = None
         return {
             "check_name": self.check_name,
             "domain": self.domain,
             "worst_margin": worst,
-            "witness": list(self.witness) if self.witness is not None else None,
+            "witness": list(self.witness),
             "pass": self.passed,
             "tolerance": self.tolerance,
             "criterion": self.criterion,
@@ -100,45 +97,20 @@ class CertReport:
             "details": details,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CertReport":
-        witness = d["witness"]
-        worst, details = d["worst_margin"], d["details"]
-        if worst is None:
-            details = dict(details)
-            worst = float(details.pop(_NONFINITE_KEY)["value"])
-        return cls(
-            check_name=d["check_name"],
-            domain=d["domain"],
-            worst_margin=worst,
-            witness=tuple(witness) if witness is not None else None,
-            passed=d["pass"],
-            tolerance=d["tolerance"],
-            criterion=d["criterion"],
-            seed=d["seed"],
-            details=details,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CertReport":
-        return cls.from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # sampling helpers
 
 _ANGLE_CAP = 10.0  # truncation for coordinates the space leaves unbounded
 _RHO_RANGE = (1e-6, 10.0)
+_BARRIER_OFFSET = 1e-3  # every sampled check's distance to the angular barriers
 # A capped draw stops with ValueError past this many candidates per row; the
 # battery's largest draw over run_suite("all", s), s = 0-9, is 3.07 per row.
 _MAX_DRAWN_PER_ROW = 1_000
 
 
-def _angle_bound(bounded: bool, barrier_offset: float) -> float:
-    return math.pi - barrier_offset if bounded else _ANGLE_CAP
+def _angle_bound(bounded: bool) -> float:
+    return math.pi - _BARRIER_OFFSET if bounded else _ANGLE_CAP
 
 
 def _sample_states(
@@ -146,27 +118,30 @@ def _sample_states(
     n: int,
     seed: int,
     *,
-    barrier_offset: float,
     rho_range: tuple[float, float] = _RHO_RANGE,
     angular: LyapunovFn | None = None,
     value_cap: float | None = None,
 ) -> tuple[np.ndarray, str, int]:
-    """Draw (rho, delta, gamma) rows inside the open space from `seed`.
+    """Draw n >= 1 (rho, delta, gamma) rows inside the open space from `seed`.
 
-    Returns (rows, domain string, candidates drawn).  The first round draws
+    Returns (rows, domain string, candidates drawn).  Bounded angles stay
+    _BARRIER_OFFSET inside their barriers.  The first round draws
     max(n, 64).  With value_cap set, angle pairs whose angular.value exceeds
     it are rejected, and each later round draws the shortfall at 1.25 times
-    the acceptance rate seen (64 to 16*n), rows kept in draw order.  A cap
-    not > 0 raises ValueError (with one > 0, V = 0 at the origin gives the
-    capped region positive measure), and so does a draw that passes 1,000*n
+    the acceptance rate seen (64 to 16*n), rows kept in draw order.  An
+    n < 1 raises ValueError, as a check on no point would certify nothing;
+    so does a cap not > 0 (with one > 0, V = 0 at the origin gives the
+    capped region positive measure), and a draw that passes 1,000*n
     candidates before it has n rows.  The domain string records every
     truncation and the seed, then the cap, so reports stay self-describing.
     """
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n!r}")
     if value_cap is not None and not value_cap > 0.0:
         raise ValueError(f"value_cap must be > 0, got {value_cap!r}")
     rng = np.random.default_rng(seed)
-    d_max = _angle_bound(space.delta_bounded, barrier_offset)
-    g_max = _angle_bound(space.gamma_bounded, barrier_offset)
+    d_max = _angle_bound(space.delta_bounded)
+    g_max = _angle_bound(space.gamma_bounded)
     parts, got, drawn, m = [np.empty((0, 3))], 0, 0, max(n, 64)
     while got < n:
         if drawn > _MAX_DRAWN_PER_ROW * n:
@@ -201,71 +176,65 @@ def _sample_states(
     return rows, desc, drawn
 
 
-def _worst(margins: np.ndarray) -> tuple[float, int | None]:
-    """Largest margin and the flat index of its first occurrence.
+def _given_samples(samples, n_cols: int, space: StateSpace) -> tuple[np.ndarray, str]:
+    """Caller-supplied rows as a float array, and their domain string.
 
-    NaN counts as an outright violation (+inf).  An empty array gives
-    (-inf, None).
+    Raises:
+        ValueError: Unless the rows form a non-empty (n, n_cols) array.
+    """
+    rows = np.asarray(samples, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != n_cols:
+        raise ValueError(f"samples must be a non-empty (n, {n_cols}) array, got shape {rows.shape}")
+    return rows, f"{len(rows)} caller-supplied samples on {space.value}"
+
+
+def _worst(margins: np.ndarray) -> tuple[float, int]:
+    """Largest margin of a non-empty array and the flat index of its first occurrence.
+
+    NaN counts as an outright violation (+inf).
     """
     margins = np.ravel(margins)
-    if margins.size == 0:
-        return -math.inf, None
     margins = np.where(np.isnan(margins), math.inf, margins)
     i = int(np.argmax(margins))
     return float(margins[i]), i
 
 
-def _row(points: np.ndarray, i: int | None) -> tuple | None:
-    return None if i is None else tuple(float(v) for v in points[i])
+def _row(points: np.ndarray, i: int) -> tuple:
+    return tuple(float(v) for v in points[i])
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 _LEMMA1_K = (1.0, 1.5, 2.0, 5.0, 10.0, 100.0)
+_LEMMA1_GAMMA = np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 10_000)
 _LEMMA1_TOLERANCE = 1e-12
-_BARRIER_OFFSET = 1e-3  # every sampled check's distance to the angular barriers
 _KL_METRIC_TOL, _V_RISE_TOL = 1e-3, 1e-8  # the V rise is also the CLI's V_monotone slack
 _GRADIENT_REL_TOL = 1e-10
 
 
-def check_lemma1(
-    k_values: Sequence[float] = _LEMMA1_K,
-    gamma_grid: np.ndarray | None = None,
-) -> CertReport:
+def check_lemma1() -> CertReport:
     """Certify 1 - k*cos(g)*(1 + cos(g)) <= 2*(1 + k)*tan(g/2)^2 on a grid.
 
     The inequality is the key bound behind the bounded-turn controllers'
-    decay estimates; it is asserted for k >= 1 only, with 1e-12 of slack
-    for rounding (the default grid's worst margin is -0.88).
-
-    Raises:
-        ValueError: If any k < 1 (outside the stated hypothesis) or the
-            gamma grid reaches |gamma| >= pi (tangent blows up).
+    decay estimates, claimed for k >= 1.  It is sampled at the six k of
+    _LEMMA1_K times 10,000 gamma evenly spaced on [-(pi - 1e-3), pi - 1e-3],
+    inside (-pi, pi) where the tangent is finite, with 1e-12 of slack for
+    rounding (the worst margin is -0.88).
     """
-    k_arr = np.asarray(k_values, dtype=float)
-    if np.any(k_arr < 1.0):
-        raise ValueError("inequality is only claimed for k >= 1")
-    if gamma_grid is None:
-        gamma_grid = np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 10_000)
-    gamma = np.asarray(gamma_grid, dtype=float)
-    if np.any(np.abs(gamma) >= math.pi):
-        raise ValueError("gamma grid must stay strictly inside (-pi, pi)")
-
+    gamma = _LEMMA1_GAMMA
     cos_g = np.cos(gamma)
     tan_half_sq = np.tan(0.5 * gamma) ** 2
     worst = -math.inf
-    witness = None
-    for k in k_arr:  # one row at a time keeps the temporaries small
-        margins = (1.0 - k * cos_g * (1.0 + cos_g)) - 2.0 * (1.0 + k) * tan_half_sq
-        margin, i = _worst(margins)
-        if margin > worst:
-            worst, witness = margin, (float(k), float(gamma[i]))
+    for k in _LEMMA1_K:  # one row at a time keeps the temporaries small
+        margin, i = _worst((1.0 - k * cos_g * (1.0 + cos_g)) - 2.0 * (1.0 + k) * tan_half_sq)
+        if margin > worst:  # the margins are finite, so the first k sets the witness
+            worst, witness = margin, (k, float(gamma[i]))
 
     return CertReport(
         check_name="lemma1",
         domain=(
-            f"k in {{{', '.join(f'{k:g}' for k in k_arr)}}}; "
+            f"k in {{{', '.join(f'{k:g}' for k in _LEMMA1_K)}}}; "
             f"{gamma.size}-point gamma grid on [{gamma[0]:.4f}, {gamma[-1]:.4f}]"
         ),
         worst_margin=worst,
@@ -274,7 +243,7 @@ def check_lemma1(
         tolerance=_LEMMA1_TOLERANCE,
         criterion="worst_margin <= tolerance",
         seed=None,
-        details={"n_points": int(gamma.size * k_arr.size)},
+        details={"n_points": gamma.size * len(_LEMMA1_K)},
     )
 
 
@@ -297,22 +266,22 @@ def check_clf(
     Args:
         fn: Full-state candidate; its gradient supplies the analytic row.
         spec: Controller providing the inputs (gains should match fn's).
-        samples: Optional explicit (n, 3) array of (rho, delta, gamma) rows;
-            overrides random sampling.
+        samples: Optional explicit non-empty (n, 3) array of (rho, delta,
+            gamma) rows; overrides random sampling.
         value_cap: When set, rejects samples whose angular value exceeds
             the cap.  Needed for exponential merges, whose gradient entries
             overflow the double range near barriers; the term-by-term
             derivative here would then hit inf - inf.  Must be > 0.
+
+    Raises:
+        ValueError: If n_samples < 1, or samples is empty or not (n, 3).
     """
     drawn = samples is None
     if drawn:
         samples, domain, n_drawn = _sample_states(
-            spec.space, n_samples, seed, barrier_offset=_BARRIER_OFFSET,
-            angular=fn.angular, value_cap=value_cap,
-        )
+            spec.space, n_samples, seed, angular=fn.angular, value_cap=value_cap)
     else:
-        samples = np.asarray(samples, dtype=float)
-        domain = f"{len(samples)} caller-supplied samples on {spec.space.value}"
+        samples, domain = _given_samples(samples, 3, spec.space)
 
     k1 = spec.gains.k1
     rho, delta, gamma = samples[:, 0], samples[:, 1], samples[:, 2]
@@ -361,11 +330,10 @@ def check_proposition1(
     sampled derivative), and details["n_drawn"] the candidates drawn.
 
     Never raises on a bad merge function: a violated condition is returned
-    as a failing report with its witness.
+    as a failing report with its witness.  n_samples < 1 raises ValueError.
     """
+    states, state_domain, n_drawn = _sample_states(fn.space, n_samples, seed)
     worst, witness, failing = comp.screen(_COMP_GRID)
-    states, state_domain, n_drawn = _sample_states(
-        fn.space, n_samples, seed, barrier_offset=_BARRIER_OFFSET)
     full = CompositeLyapunovFn(comp, fn)
     with np.errstate(all="ignore"):
         vdot = full.vdot(states[:, 0], states[:, 1], states[:, 2])
@@ -491,6 +459,9 @@ def check_gradient(
     error does not grow with them.  `value_cap`, when set, additionally
     rejects samples whose angular value exceeds the cap (keeps exp of it
     finite under exponential merges); details["n_drawn"] counts candidates.
+    Caller-supplied `samples` must be a non-empty array of (delta, gamma)
+    rows for an angular function, of (rho, delta, gamma) rows for a
+    composite one; n_samples < 1 or other samples raise ValueError.
 
     V must accept complex arrays.  When it raises on them or casts them to
     real (a custom merge written with math functions, say), the report fails
@@ -502,14 +473,11 @@ def check_gradient(
 
     if samples is None:
         rows, domain, n_drawn = _sample_states(
-            space, n_samples, seed, barrier_offset=_BARRIER_OFFSET, rho_range=(0.01, 10.0),
-            angular=angular, value_cap=value_cap,
-        )
+            space, n_samples, seed, rho_range=(0.01, 10.0), angular=angular, value_cap=value_cap)
         if not composite:
             rows = rows[:, 1:]
     else:
-        rows = np.asarray(samples, dtype=float)
-        domain = f"{len(rows)} caller-supplied samples on {space.value}"
+        rows, domain = _given_samples(samples, 3 if composite else 2, space)
 
     # One column per coordinate and one complex array evaluation each.
     cols = [rows[:, j] for j in range(rows.shape[1])]
@@ -538,7 +506,7 @@ def check_gradient(
         check_name=f"gradient[{'composite ' if composite else ''}{angular.kind.value}]",
         domain=domain,
         worst_margin=worst,
-        witness=_row(rows, None if i is None else i // rows.shape[1]),
+        witness=_row(rows, i // rows.shape[1]),
         passed=worst < _GRADIENT_REL_TOL,
         tolerance=_GRADIENT_REL_TOL,
         criterion="worst_margin < tolerance",

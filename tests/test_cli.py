@@ -370,6 +370,7 @@ class TestCompare:
         assert len(lines) == 3
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["controllers"] == ["globa", "barfli"]
+        assert summary["similarity_tol"] == 0.05
         (pair,) = summary["pairs"]
         assert pair["pair"] == ["globa", "barfli"]
         assert pair["max_state_discrepancy"] > 0.0
@@ -381,30 +382,6 @@ class TestCompare:
         cfg = write_config(tmp_path, {**self.PAYLOAD, "controllers": ["globa"]})
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "at least 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "bad similarity_tol"),
-        (math.nan, "similarity_tol must be finite and positive"),
-        (math.inf, "similarity_tol must be finite and positive"),
-        (-1.0, "similarity_tol must be finite and positive"),
-        (0, "similarity_tol must be finite and positive"),
-    ])
-    def test_bad_similarity_tol_fails_before_any_run(self, tmp_path, capsys, value, message):
-        # "abc" raised a ValueError traceback; NaN ran every simulation and
-        # then left a truncated compare_summary.json; -1 was accepted
-        cfg = write_config(tmp_path, {**self.PAYLOAD, "similarity_tol": value})
-        out = tmp_path / "o"
-        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", [True, "0.1"])
-    def test_similarity_tol_must_be_a_json_number(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path, {**self.PAYLOAD, "similarity_tol": value})
-        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "bad similarity_tol: " in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     def test_outside_space_row_is_flagged_not_fatal(self, tmp_path):
         payload = {
@@ -551,8 +528,22 @@ class TestEntryPoint:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_simulate_summary_has_no_seed(self, tmp_path):
+    @pytest.mark.parametrize("command, payload, key", [
+        ("simulate", BASE_SIM, "typo_key"),
+        ("simulate", BASE_SIM, "compositer"),  # ran the sum merge when misspelt
+        ("compare", TestCompare.PAYLOAD, "similarity_tol"),  # fixed at 0.05
+        ("sweep", TestSweep.PAYLOAD, "typo_key"),
+    ])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, {**payload, key: 3})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: unknown config keys: ['{key}']\n"
+        assert not out.exists()
+
+    def test_config_seed_key_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE_SIM, "seed": 5})
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        assert "seed" not in json.loads((out / "summary.json").read_text())
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert "invalid config: unknown config keys: ['seed']" in capsys.readouterr().err
+        assert not out.exists()

@@ -46,3 +46,10 @@ def test_verify_command_runs_through_the_cli(tmp_path):
     assert len(reports) == 81
     summary = json.loads((tmp_path / "verify_summary.json").read_text(encoding="utf-8"))
     assert summary["n_checks"] == 81 and summary["n_failed"] == 0
+
+
+def test_config_docs_name_every_known_top_level_key():
+    # the CLI rejects any other top-level key, so README and validator must agree
+    text = README.read_text(encoding="utf-8")
+    assert [key for key in sorted(cli._CONFIG_KEYS) if f'"{key}"' not in text] == []
+    assert set(json.loads(code_block("json"))) <= cli._CONFIG_KEYS
