@@ -24,7 +24,7 @@ from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
-from .verify import _V_RISE_TOL, run_suite, value_increases
+from .verify import _V_RISE_TOL, SUITE_NAMES, run_suite, value_increases
 
 __all__ = ["main"]
 
@@ -42,20 +42,25 @@ class _Parser(argparse.ArgumentParser):
 # config parsing (hand-validated JSON; no schema dependency)
 
 _GAIN_KEYS = ("k1", "k2", "k3", "k4")
-# simulate, compare and sweep share one schema; each reads the keys it needs
-_CONFIG_KEYS = frozenset({
-    "controller", "controllers", "gains", "gain_sets", "allow_unproven_gains",
-    "compositor", "compositor_order", "initial_conditions", "sim",
-})
+# the top-level keys each command reads, and accepts
+_CONFIG_KEYS = {
+    "simulate": frozenset({"controller", "gains", "allow_unproven_gains", "compositor",
+                           "compositor_order", "initial_conditions", "sim"}),
+    "compare": frozenset({"controllers", "gains", "allow_unproven_gains", "initial_conditions",
+                          "sim"}),
+    "sweep": frozenset({"controller", "gain_sets", "allow_unproven_gains", "initial_conditions",
+                        "sim"}),
+}
 
 
 def _fail(msg: str) -> None:
     raise UsageError(f"invalid config: {msg}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The JSON object at args.config, holding only keys that args.command reads."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
@@ -63,9 +68,9 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("top level must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - _CONFIG_KEYS[args.command]
     if unknown:
-        _fail(f"unknown config keys: {sorted(unknown)}")
+        _fail(f"unknown {args.command} config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -283,7 +288,7 @@ def _v_monotone(traj: Trajectory, lyap: CompositeLyapunovFn) -> tuple[bool, floa
 # simulate
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec = _parse_spec(cfg, cfg.get("controller"))
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
@@ -388,7 +393,7 @@ def _compare_rows(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     kinds_obj = cfg.get("controllers")
     if not isinstance(kinds_obj, list) or len(kinds_obj) < 2:
         _fail("compare needs a controllers list with at least 2 entries")
@@ -467,7 +472,7 @@ def _cmd_compare(args) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     kind = _parse_kind(cfg.get("controller"))
     allow = _parse_allow(cfg)
     grid_obj = cfg.get("gain_sets")
@@ -534,7 +539,7 @@ def _build_parser() -> _Parser:
 
     common(sub.add_parser("simulate", help="integrate one controller from listed starts"))
     p_ver = sub.add_parser("verify", help="run the certification battery")
-    p_ver.add_argument("--suite", default="all", help="all, lemma1, clf, prop1, kl, or gradient")
+    p_ver.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
     p_ver.add_argument("--out", default=None, help="output directory (default: out)")
     p_ver.add_argument("--seed", type=int, default=0, help="battery base seed")
     common(sub.add_parser("compare", help="run several controllers from shared starts"))

@@ -161,8 +161,8 @@ class LyapunovFn:
         which the cross-term cancellation of the design makes equal to the
         chain-rule derivative.  For BOLSA and BAGAL it is the chain rule
         with analytic partials; their published decrease statements are
-        inequalities, checked separately (see bolsa_decay_bound and the
-        verification module).
+        inequalities, and acceptance criterion 03 in tests/test_acceptance.py
+        checks BOLSA's against bolsa_decay_bound.
         """
         xp = math_for(delta, gamma)
         g = self.gains
@@ -183,9 +183,9 @@ def bolsa_decay_bound(gains: Gains, delta, gamma, shift_weight: float = 1.0):
     Returns -2*k1*k2*V0 - (3/2)*k2*(delta + w*q*tan(gamma/2))^2 - 2*k1*q*V0^2
     with V0 = 4*tan(gamma/2)^2 and w = shift_weight.  The default weight 1
     is the stated certificate; weight 2 matches the combined variable
-    delta + 2*q*tan(gamma/2) that appears in the storage function itself,
-    and is the variant the grid certification reports alongside it.  delta
-    and gamma may be floats or arrays.
+    delta + 2*q*tan(gamma/2) that appears in the storage function itself.
+    Acceptance criterion 03 (tests/test_acceptance.py) evaluates both, the
+    only check that does.  delta and gamma may be floats or arrays.
     """
     q = gains.q
     t = math_for(gamma).tan(gamma / 2.0)

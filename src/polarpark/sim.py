@@ -2,9 +2,10 @@
 
 Trajectories can be integrated in either frame:
 
-    polar      integrates (rho, delta, gamma) with the cancellation
-               delta' = (k1/2)*sin(2*gamma) already applied; angles evolve
-               unwrapped on the real line.
+    polar      integrates (sigma, delta, gamma), sigma = ln(rho), with the
+               cancellation delta' = (k1/2)*sin(2*gamma) already applied;
+               sigma' = -k1*cos(gamma)^2 reads no rho, so rho = exp(sigma)
+               stays positive, and angles evolve unwrapped on the real line.
     cartesian  integrates the raw kinematics (x, y, theta) and computes
                the feedback from the wrapped polar image of the pose, the
                way an implementation on a vehicle would.
@@ -182,9 +183,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-_RHO_ROUNDING = 1e-9  # how far rounding takes rho below 0 as a run decays onto the target
-
-
 @dataclass
 class Trajectory:
     """Sampled closed-loop trajectory, stored column-wise.
@@ -229,11 +227,8 @@ class Trajectory:
         return len(self.t)
 
     def state(self, i: int) -> PolarState:
-        """Sample i as a PolarState; a rho in [-1e-9, 0) (rounding as a run decays
-        onto the target, the slack check_kl_decay allows) reads 0, a lower one raises."""
-        rho = float(self.rho[i])
-        return PolarState(0.0 if -_RHO_ROUNDING <= rho < 0.0 else rho, float(self.delta[i]),
-                          float(self.gamma[i]))
+        """Sample i as a PolarState; a negative rho raises."""
+        return PolarState(float(self.rho[i]), float(self.delta[i]), float(self.gamma[i]))
 
     def final_state(self) -> PolarState:
         return self.state(len(self.t) - 1)
@@ -247,34 +242,32 @@ class Trajectory:
 
 
 def _polar_field(k1: float, law):
-    """The closed-loop polar field as f(y) on (rho, delta, gamma) tuples, steered by
-    the float law omega_tilde = law(delta, gamma)."""
+    """The closed-loop polar field as f(y) on (sigma, delta, gamma) tuples, sigma = ln(rho),
+    steered by the float law omega_tilde = law(delta, gamma)."""
     half_k1, cos, sin = 0.5 * k1, math.cos, math.sin
 
     def f(y):
-        rho, delta, gamma = y
+        _, delta, gamma = y
         cos_g = cos(gamma)
-        return (-k1 * rho * cos_g * cos_g, half_k1 * sin(2.0 * gamma), -law(delta, gamma))
+        return (-k1 * cos_g * cos_g, half_k1 * sin(2.0 * gamma), -law(delta, gamma))
 
     return f
 
 
 def _polar_jacobian(k1: float, law):
-    """The Jacobian of _polar_field(k1, .) as jac(y) -> its nonzero entries (J00, J02, J12,
-    J21, J22), for omega_tilde = law(delta, gamma) on Python complex scalars (cmath).
+    """The Jacobian of _polar_field(k1, .) as jac(y) -> its nonzero entries (J02, J12, J21,
+    J22), for omega_tilde = law(delta, gamma) on Python complex scalars (cmath).
 
-    rho' depends on rho and gamma, delta' on gamma alone and gamma' on the
-    two angles.  The partials of omega_tilde are complex-step derivatives,
+    sigma' and delta' depend on gamma alone and gamma' on the two angles.
+    The partials of omega_tilde are complex-step derivatives,
     Im w(x + i*h*e_k)/h with h = 1e-30, from two calls of the law: free of
     cancellation, so exact to rounding.
     """
     def jac(y):
-        rho, delta, gamma = y
+        _, delta, gamma = y
         w_delta = law(delta + 1e-30j, gamma).imag * 1e30
         w_gamma = law(delta, gamma + 1e-30j).imag * 1e30
-        cos_g = math.cos(gamma)
-        return (-k1 * cos_g * cos_g, k1 * rho * math.sin(2.0 * gamma),
-                k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma)
+        return k1 * math.sin(2.0 * gamma), k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma
 
     return jac
 
@@ -286,8 +279,9 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     (k1/2)*sin(2*gamma), -omega_tilde).  Regular as rho -> 0: the angular
     rates do not involve rho.
     """
-    law = steering_law(FLOAT_MATH, spec.kind, spec.gains)
-    return _polar_field(spec.gains.k1, law)((state.rho, state.delta, state.gamma))
+    f = _polar_field(spec.gains.k1, steering_law(FLOAT_MATH, spec.kind, spec.gains))
+    sigma_rate, delta_rate, gamma_rate = f((None, state.delta, state.gamma))
+    return state.rho * sigma_rate, delta_rate, gamma_rate
 
 
 def _cartesian_field(k1: float, law):
@@ -482,14 +476,15 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
     is evaluated once the step is accepted, and the extra stages 14..16
     only when the step holds a grid time.  ode23s takes one Jacobian per
     accepted state, a rejected step keeping it, and its first is the one
-    that confirmed the switch.  jac(y) gives the nonzero entries (J00, J02,
-    J12, J21, J22), the sparsity of the polar field, and W = I - h*d*J is
-    solved in closed form: the angular (delta, gamma) block first, then
-    rho.  In the formulas of ode23s, f0 is (f1a, f1b, f1c), k1 is (a1, a2,
+    that confirmed the switch.  jac(y) gives the nonzero entries (J02, J12,
+    J21, J22), the sparsity of the polar field, and W = I - h*d*J is solved
+    in closed form: the angular (delta, gamma) block first, then sigma.  In
+    the formulas of ode23s, f0 is (f1a, f1b, f1c), k1 is (a1, a2,
     a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
     """
     rtol, atol, dt, radius, sqrt, hypot = (cfg.rtol, cfg.atol, cfg.dt, cfg.capture_radius,
                                            math.sqrt, math.hypot)
+    ln_radius = math.log(radius) if radius > 0.0 else -math.inf
     t_end, polar = _interval_count(dt, cfg.t_final) * dt, cfg.frame is Frame.POLAR
     can_switch = jac is not None
     t, y, fy = 0.0, y0, f(y0)
@@ -509,13 +504,12 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
         try:
             if stiff:
                 hd = h * _ROS_D
-                a12, a21, a22 = hd * j12, hd * j21, 1.0 - hd * j22
-                w00, w02 = 1.0 / (1.0 - hd * j00), hd * j02
+                a12, a21, a22, w02 = hd * j12, hd * j21, 1.0 - hd * j22, hd * j02
 
                 def solve(r1, r2, r3):
                     x2 = (a22 * r2 + a12 * r3) * inv_det
                     x3 = (r3 + a21 * r2) * inv_det
-                    return (r1 + w02 * x3) * w00, x2, x3
+                    return r1 + w02 * x3, x2, x3
 
                 inv_det = 1.0 / (a22 - a12 * a21)
                 a1, a2, a3 = solve(f1a, f1b, f1c)
@@ -706,7 +700,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
                     s2 = y2 + s * (q02 + r * (q12 + s * (q22 + r * c2)))
                     s3 = y3 + s * (q03 + r * (q13 + s * (q23 + r * c3)))
             flat += (s1, s2, s3)
-            if (s1 < radius and abs(s2) < radius and abs(s3) < radius if polar
+            if (s1 < ln_radius and abs(s2) < radius and abs(s3) < radius if polar
                     else hypot(s1, s2) < radius and _pose_captured(s1, s2, s3, radius)):
                 captured = True
                 break
@@ -727,11 +721,10 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
             probe = h_step * h_step * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
                 (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2)
         if stiff or probe:
-            j00, j02, j12, j21, j22 = jac(y)
-            # spectral radius: J00, and the roots of l^2 - J22*l - J12*J21
+            j02, j12, j21, j22 = jac(y)
+            # spectral radius: the roots of l^2 - J22*l - J12*J21 (the third eigenvalue is 0)
             disc = j22 * j22 + 4.0 * j12 * j21
-            spectral = max(abs(j00), (abs(j22) + sqrt(disc)) / 2.0 if disc >= 0.0
-                           else sqrt(abs(j12 * j21)))
+            spectral = (abs(j22) + sqrt(disc)) / 2.0 if disc >= 0.0 else sqrt(abs(j12 * j21))
             if stiff:
                 n_jac += 1
             elif h_step * h_step * (spectral * spectral) > _STIFF_RATIO_SQ:  # stiff: J is reused
@@ -762,6 +755,7 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     to flat and returns "done" or "captured".
     """
     radius, polar, hypot = cfg.capture_radius, cfg.frame is Frame.POLAR, math.hypot
+    ln_radius = math.log(radius) if radius > 0.0 else -math.inf
     isfinite, t = math.isfinite, 0.0
     y1, y2, y3 = y0
     h = cfg.dt
@@ -791,7 +785,7 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
         flat += y
-        if (y1 < radius and abs(y2) < radius and abs(y3) < radius if polar
+        if (y1 < ln_radius and abs(y2) < radius and abs(y3) < radius if polar
                 else hypot(y1, y2) < radius and _pose_captured(y1, y2, y3, radius)):
             return "captured"
     return "done"
@@ -802,11 +796,12 @@ def _run(f, y0, cfg: SimConfig, jac=None):
 
     ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
     integrators computed it.  The integrators test each sample for capture
-    as they append it: a polar one is captured when rho and both |angles|
-    are below cfg.capture_radius (never, for a radius <= 0), a Cartesian one
-    when hypot(x, y) is and _pose_captured.  notes are the integrator's remarks on the run
-    (stiff stretches, rk4 instability), each as (start of the step it names,
-    text); stop is the reason for a boundary stop, else "".
+    as they append it: a polar one is captured when sigma is below
+    ln(cfg.capture_radius) and both |angles| below the radius (never, for a
+    radius <= 0), a Cartesian one when hypot(x, y) is and _pose_captured.
+    notes are the integrator's remarks on the run (stiff stretches, rk4
+    instability), each as (start of the step it names, text); stop is the
+    reason for a boundary stop, else "".
     """
     flat = list(y0)  # the samples on the grid t = i*dt, i = 0..n, one state after another
     notes: list[tuple[float, str]] = []
@@ -896,14 +891,15 @@ def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law,
         raise DomainError(f"initial state outside the open space {space.value} of {name}")
 
     if cfg.frame is Frame.POLAR:
-        y0 = (polar0.rho, polar0.delta, polar0.gamma)
+        y0 = (math.log(polar0.rho), polar0.delta, polar0.gamma)
         f, jac = _polar_field(k1, law(FLOAT_MATH)), _polar_jacobian(k1, law(COMPLEX_MATH))
     else:
         cart0 = x0 if isinstance(x0, CartesianState) else polar_to_cart(x0)
         y0 = (cart0.x, cart0.y, cart0.theta)
         f, jac = _cartesian_field(k1, law(FLOAT_MATH)), None
     times, ys, status, capture_time, notes, stop = _run(f, y0, cfg, jac)
-    rho, delta, gamma = ys.T if cfg.frame is Frame.POLAR else _reconstruct_cartesian(ys, polar0)
+    rho, delta, gamma = ((np.exp(ys[:, 0]), ys[:, 1], ys[:, 2]) if cfg.frame is Frame.POLAR
+                         else _reconstruct_cartesian(ys, polar0))
 
     inside = space.contains_angles(delta, gamma)
     if not np.all(inside):
@@ -915,8 +911,6 @@ def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law,
         times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
 
     if cfg.frame is Frame.POLAR:
-        # rounding as a run decays onto the target; written as 0, the rule of state()
-        rho = np.where((rho < 0.0) & (rho >= -_RHO_ROUNDING), 0.0, rho)
         theta = delta - gamma
         x = -rho * np.cos(delta)
         y_pos = -rho * np.sin(delta)

@@ -22,7 +22,7 @@ from numpy.exceptions import ComplexWarning
 from .controllers import ControllerKind, ControllerSpec, Gains, omega_tilde
 from .geometry import DomainError, PolarState, StateSpace, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
-from .sim import _RHO_ROUNDING, SimConfig, Trajectory, simulate
+from .sim import SimConfig, Trajectory, simulate
 
 __all__ = [
     "CertReport",
@@ -385,7 +385,7 @@ def check_kl_decay(
         ValueError: If the trajectory is empty or carries no function
             samples.
         DomainError: If any recorded state lies outside the open space
-            (angular barriers crossed, or distance significantly negative).
+            (angular barriers crossed, or distance negative).
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -396,7 +396,7 @@ def check_kl_decay(
     inside = space.contains_angles(
         np.asarray(traj.delta, dtype=float), np.asarray(traj.gamma, dtype=float)
     )
-    left = (rho < -_RHO_ROUNDING) | np.logical_not(inside)
+    left = (rho < 0.0) | np.logical_not(inside)
     if left.any():
         i = int(np.argmax(left))
         raise DomainError(

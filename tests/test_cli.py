@@ -161,6 +161,18 @@ class TestSimulate:
         assert distances[0] == pytest.approx(0.05, abs=1e-12)
         assert distances[1] is None
 
+    def test_run_decayed_to_1e_100_writes_a_positive_distance(self, tmp_path):
+        # integrated as rho itself, this capture ended with final_state.rho = -6.61e-9
+        payload = {"controller": "globa", "gains": [9.131091197638991, 0.20999528827318054,
+                                                     0.04023654929931615, 0.14293948552702837],
+                   "initial_conditions": [{"rho": 3.0, "delta": 2.0, "gamma": -1.5}],
+                   "sim": {"capture_radius": 2e-4}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        entry = json.loads((out / "summary.json").read_text())["results"][0]
+        assert entry["status"] == "captured" and 0.0 < entry["final_state"]["rho"] < 1e-100
+
     def test_non_finite_summary_values_are_null_with_a_reason(self):
         entry = cli._null_nonfinite({"a": math.inf, "b": 1.0, "c": math.nan}, {"a": "overflow"})
         assert entry["a"] is None and entry["b"] == 1.0 and entry["c"] is None
@@ -528,22 +540,27 @@ class TestEntryPoint:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, payload, key", [
-        ("simulate", BASE_SIM, "typo_key"),
-        ("simulate", BASE_SIM, "compositer"),  # ran the sum merge when misspelt
-        ("compare", TestCompare.PAYLOAD, "similarity_tol"),  # fixed at 0.05
-        ("sweep", TestSweep.PAYLOAD, "typo_key"),
+    @pytest.mark.parametrize("command, payload, key, value", [
+        ("simulate", BASE_SIM, "typo_key", 3),
+        ("simulate", BASE_SIM, "compositer", 3),  # ran the sum merge when misspelt
+        ("compare", TestCompare.PAYLOAD, "similarity_tol", 3),  # fixed at 0.05
+        ("sweep", TestSweep.PAYLOAD, "typo_key", 3),
+        # another command's key, which this one would ignore unvalidated
+        ("compare", TestCompare.PAYLOAD, "compositor", "no_such_merge"),
+        ("sweep", TestSweep.PAYLOAD, "gains", "not gains"),
+        ("simulate", BASE_SIM, "gain_sets", "junk"),
     ])
-    def test_unknown_config_key_exits_1(self, tmp_path, capsys, command, payload, key):
-        cfg = write_config(tmp_path, {**payload, key: 3})
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, command, payload, key, value):
+        cfg = write_config(tmp_path, {**payload, key: value})
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: invalid config: unknown config keys: ['{key}']\n"
+        assert capsys.readouterr().err == (
+            f"error: invalid config: unknown {command} config keys: ['{key}']\n")
         assert not out.exists()
 
     def test_config_seed_key_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE_SIM, "seed": 5})
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-        assert "invalid config: unknown config keys: ['seed']" in capsys.readouterr().err
+        assert "invalid config: unknown simulate config keys: ['seed']" in capsys.readouterr().err
         assert not out.exists()
