@@ -408,6 +408,37 @@ class TestCompare:
         flags = {r["controller"]: r["flag"] for r in rows}
         assert flags["globa"] == "" and flags["barfli"] == "outside-space"
 
+    def test_rows_run_by_start_then_controller(self, tmp_path):
+        # the second start is beyond BARFLI's delta barrier and inside the
+        # spaces of GLOBA and BOLSA: its BARFLI row keeps its place, flagged,
+        # and that start has one pair, of the two runs that completed
+        payload = {**self.PAYLOAD, "controllers": ["globa", "barfli", "bolsa"],
+                   "initial_conditions": [{"rho": 1.5, "delta": 1.0, "gamma": -0.5},
+                                          {"rho": 1.0, "delta": 3.5, "gamma": 0.0}],
+                   "sim": {"dt": 0.05, "t_final": 2.0}}
+        out = tmp_path / "o"
+        assert main(["compare", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        order = [("0", "globa", ""), ("0", "barfli", ""), ("0", "bolsa", ""),
+                 ("1", "globa", ""), ("1", "barfli", "outside-space"), ("1", "bolsa", "")]
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert [(row[0], row[1], row[-1]) for row in (ln.split(",") for ln in lines[1:])] == order
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert [(str(r["ic_index"]), r["controller"], r["flag"]) for r in summary["rows"]] == order
+        assert ["status" in r for r in summary["rows"]] == [True] * 4 + [False, True]
+        assert summary["rows"][4]["error"] == "initial state outside the open space S1 of barfli"
+        assert [(p["ic_index"], p["pair"]) for p in summary["pairs"]] == [
+            (0, ["globa", "barfli"]), (0, ["globa", "bolsa"]), (0, ["barfli", "bolsa"]),
+            (1, ["globa", "bolsa"])]
+
+    def test_outputs_are_byte_stable(self, tmp_path):
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["compare", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(b)]) == 0
+        for name in ("compare.csv", "compare_summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestSweep:
     PAYLOAD = {
@@ -462,6 +493,34 @@ class TestSweep:
                             "initial state outside the open space S1 of barfli")
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["n_runs"] == 2 and summary["n_completed"] == 1
+
+    def test_rows_run_by_gain_set_then_start(self, tmp_path):
+        # the middle start is beyond BARFLI's delta barrier: under each gain
+        # set its error row stays between the rows of the other two starts
+        payload = {"controller": "barfli", "gain_sets": [[1, 1, 1, 1], [2, 1, 1, 1]],
+                   "initial_conditions": [{"rho": 1, "delta": 0.5, "gamma": 0.2},
+                                          {"rho": 1, "delta": 3.5, "gamma": 0},
+                                          {"rho": 2, "delta": -1, "gamma": 0.5}],
+                   "sim": {"t_final": 2}}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[1]) for row in rows] == [
+            ("0", "0"), ("0", "1"), ("0", "2"), ("1", "0"), ("1", "1"), ("1", "2")]
+        error = "initial state outside the open space S1 of barfli"
+        assert [row[11] for row in rows] == ["", error, "", "", error, ""]
+        assert [row[6] != "" for row in rows] == [True, False, True, True, False, True]
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["n_runs"] == 6 and summary["n_completed"] == 4
+
+    def test_outputs_are_byte_stable(self, tmp_path):
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bad_gain_set_rejected(self, tmp_path, capsys):
         payload = {**self.PAYLOAD, "controller": "bagal",
