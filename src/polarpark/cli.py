@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import ControllerKind, ControllerSpec, Gains
-from .geometry import CartesianState, DomainError, PolarState, StateSpace, metric
+from .geometry import CartesianState, DomainError, PolarState, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
 from .verify import _V_RISE_TOL, SUITE_NAMES, run_suite, value_increases
@@ -43,13 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 _GAIN_KEYS = ("k1", "k2", "k3", "k4")
 # the top-level keys each command reads, and accepts
+_RUN_KEYS = frozenset({"allow_unproven_gains", "initial_conditions", "sim"})
 _CONFIG_KEYS = {
-    "simulate": frozenset({"controller", "gains", "allow_unproven_gains", "compositor",
-                           "compositor_order", "initial_conditions", "sim"}),
-    "compare": frozenset({"controllers", "gains", "allow_unproven_gains", "initial_conditions",
-                          "sim"}),
-    "sweep": frozenset({"controller", "gain_sets", "allow_unproven_gains", "initial_conditions",
-                        "sim"}),
+    "simulate": _RUN_KEYS | {"controller", "gains", "compositor", "compositor_order"},
+    "compare": _RUN_KEYS | {"controllers", "gains"},
+    "sweep": _RUN_KEYS | {"controller", "gain_sets"},
 }
 
 
@@ -64,7 +62,7 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4300 digits
+    except (ValueError, RecursionError) as exc:  # also an int past 4300 digits, or deep nesting
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("top level must be a JSON object")
@@ -114,14 +112,17 @@ def _parse_allow(cfg: dict) -> bool:
     return allow
 
 
-def _parse_spec(cfg: dict, kind_obj) -> ControllerSpec:
-    kind = _parse_kind(kind_obj)
-    gains = _parse_gains(cfg.get("gains", [1.0, 1.0, 1.0, 1.0]))
-    allow = _parse_allow(cfg)
+def _spec(kind: ControllerKind, gains: Gains, allow: bool, where: str = "") -> ControllerSpec:
+    """ControllerSpec(kind, gains); a gain-check error exits 1, prefixed with `where`."""
     try:
         return ControllerSpec(kind, gains, allow_unproven_gains=allow)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(f"{where}{exc}")
+
+
+def _parse_spec(cfg: dict, kind_obj) -> ControllerSpec:
+    return _spec(_parse_kind(kind_obj), _parse_gains(cfg.get("gains", [1.0, 1.0, 1.0, 1.0])),
+                 _parse_allow(cfg))
 
 
 def _parse_ic(obj, index: int) -> PolarState | CartesianState:
@@ -230,22 +231,6 @@ def _write_json(path: Path, payload: dict) -> None:
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _path_length(traj: Trajectory) -> float:
-    if len(traj) < 2:
-        return 0.0
-    return float(_trapezoid(np.abs(traj.v), traj.t))
-
-
-def _barrier_distance(space: StateSpace, traj: Trajectory) -> float | None:
-    """Smallest recorded distance to an excluded angular set; None if none."""
-    dists = []
-    if space.delta_bounded:
-        dists.append(math.pi - float(np.abs(traj.delta).max()))
-    if space.gamma_bounded:
-        dists.append(math.pi - float(np.abs(traj.gamma).max()))
-    return min(dists) if dists else None
-
-
 def _final_state(traj: Trajectory) -> dict:
     return {
         "rho": float(traj.rho[-1]),
@@ -257,20 +242,56 @@ def _final_state(traj: Trajectory) -> dict:
     }
 
 
-def _run_one(spec: ControllerSpec, ic, sim_cfg: SimConfig, lyapunov=None):
-    """(trajectory, None) for one start, or (None, the error) for a start outside the space."""
-    try:
-        return simulate(spec, ic, sim_cfg, lyapunov=lyapunov), None
-    except DomainError as exc:
-        return None, str(exc)
+def _outcome(spec: ControllerSpec, traj: Trajectory) -> dict:
+    """The row entries that simulate, compare and sweep all report for a completed run.
+
+    min_barrier_distance is the smallest recorded distance to an excluded
+    angular set of the spec's space, None if it has none.
+    """
+    dists = []
+    if spec.space.delta_bounded:
+        dists.append(math.pi - float(np.abs(traj.delta).max()))
+    if spec.space.gamma_bounded:
+        dists.append(math.pi - float(np.abs(traj.gamma).max()))
+    return {
+        "status": traj.status.value,
+        "capture_time": traj.capture_time,
+        "path_length": float(_trapezoid(np.abs(traj.v), traj.t)),  # 0.0 for one sample
+        "min_barrier_distance": min(dists) if dists else None,
+    }
 
 
-def _exit_code(statuses: list[SimStatus], no_run_message: str) -> int:
-    """0, or 1 when no run completed, or 3 when every run stopped on a barrier."""
+def _runs(specs: list[ControllerSpec], ics: list, sim_cfg: SimConfig, lyapunov=None):
+    """Run every spec from every start: start by start, and spec by spec within a start.
+
+    Yields (spec index, start index, trajectory, None), or (spec index,
+    start index, None, the error) for a start outside the spec's space.
+    """
+    for i, ic in enumerate(ics):
+        for j, spec in enumerate(specs):
+            try:
+                yield j, i, simulate(spec, ic, sim_cfg, lyapunov=lyapunov), None
+            except DomainError as exc:
+                yield j, i, None, str(exc)
+
+
+def _finish(args, out: Path, rows: list[dict], summary_name: str, summary: dict,
+            line: str | None = None, no_run_message: str = "no run completed") -> int:
+    """Write the summary, print the completion line and return the exit code.
+
+    The rows of completed runs are those with a "status"; the line
+    defaults to how many of the rows they are.  The exit code is 0, or 1
+    when no run completed, or 3 when every run stopped on a barrier.
+    """
+    _write_json(out / summary_name, {"command": args.command, **summary})
+    statuses = [row["status"] for row in rows if "status" in row]
+    if line is None:
+        line = f"{len(statuses)}/{len(rows)} runs completed"
+    print(f"{args.command}: {line}, outputs in {out}")
     if not statuses:
         print(f"error: {no_run_message}", file=sys.stderr)
         return 1
-    if all(s is SimStatus.BOUNDARY_STOP for s in statuses):
+    if all(s == SimStatus.BOUNDARY_STOP.value for s in statuses):
         print("error: every run stopped on a barrier", file=sys.stderr)
         return 3
     return 0
@@ -296,44 +317,36 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
 
     entries = []
-    statuses = []
-    for i, ic in enumerate(ics):
-        traj, err = _run_one(spec, ic, sim_cfg, lyap)
+    for _, i, traj, err in _runs([spec], ics, sim_cfg, lyap):
         if err is not None:
             entries.append({"ic_index": i, "error": err})
             continue
         csv_path = out / f"ic_{i:03d}.csv"
         traj.to_csv(csv_path)
         monotone, max_rise = _v_monotone(traj, lyap)
-        statuses.append(traj.status)
         n_bad = int(np.count_nonzero(~np.isfinite(traj.lyapunov)))
         entries.append(_null_nonfinite(
             {
                 "ic_index": i,
                 "file": csv_path.name,
-                "status": traj.status.value,
-                "capture_time": traj.capture_time,
-                "path_length": _path_length(traj),
+                **_outcome(spec, traj),
                 "final_state": _final_state(traj),
                 "V_monotone": monotone,
                 "max_V_increase": max_rise,
-                "min_barrier_distance": _barrier_distance(spec.space, traj),
                 "note": traj.note,
             },
             {"max_V_increase": f"V is not finite on {n_bad} of {len(traj)} rows"},
         ))
 
     summary = {
-        "command": "simulate",
         "controller": spec.kind.value,
         "gains": [spec.gains.k1, spec.gains.k2, spec.gains.k3, spec.gains.k4],
         "frame": sim_cfg.frame.value,
         "integrator": sim_cfg.integrator.value,
         "results": entries,
     }
-    _write_json(out / "summary.json", summary)
-    print(f"simulate: {len(statuses)}/{len(ics)} runs completed, outputs in {out}")
-    return _exit_code(statuses, "no initial condition could be run")
+    return _finish(args, out, entries, "summary.json", summary,
+                   no_run_message="no initial condition could be run")
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +393,8 @@ _SIMILARITY_TOL = 0.05  # largest state discrepancy of an "essentially identical
 
 
 def _compare_rows(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """Largest pointwise state discrepancy over the common time prefix."""
+    """Largest pointwise state discrepancy over the common time prefix (at least t = 0)."""
     n = min(len(traj_a), len(traj_b))
-    if n == 0:
-        return math.inf
     d = (
         np.abs(traj_a.rho[:n] - traj_b.rho[:n])
         + np.abs(traj_a.delta[:n] - traj_b.delta[:n])
@@ -404,32 +415,19 @@ def _cmd_compare(args) -> int:
 
     rows = []
     pairs = []
-    statuses = []
-    for i, ic in enumerate(ics):
-        done = []
-        for spec in specs:
-            traj, err = _run_one(spec, ic, sim_cfg)
+    for i, runs in itertools.groupby(_runs(specs, ics, sim_cfg), key=lambda run: run[1]):
+        done = []  # this start's trajectories, by controller
+        for j, _, traj, err in runs:
+            row = {"ic_index": i, "controller": specs[j].kind.value}
             if err is not None:
-                rows.append(
-                    {
-                        "ic_index": i,
-                        "controller": spec.kind.value,
-                        "flag": "outside-space",
-                        "error": err,
-                    }
-                )
+                rows.append({**row, "flag": "outside-space", "error": err})
                 continue
-            done.append((spec.kind.value, traj))
-            statuses.append(traj.status)
+            done.append((row["controller"], traj))
             rows.append(_null_nonfinite(
                 {
-                    "ic_index": i,
-                    "controller": spec.kind.value,
-                    "status": traj.status.value,
-                    "capture_time": traj.capture_time,
-                    "path_length": _path_length(traj),
+                    **row,
+                    **_outcome(specs[j], traj),
                     "max_abs_omega": float(np.abs(traj.omega).max()),
-                    "min_barrier_distance": _barrier_distance(spec.space, traj),
                     "flag": "",
                 }
             ))
@@ -449,23 +447,17 @@ def _cmd_compare(args) -> int:
         "max_abs_omega", "min_barrier_distance", "flag",
     )
     write_csv(out / "compare.csv", cols, ([row.get(c) for c in cols] for row in rows))
-    _write_json(
-        out / "compare_summary.json",
-        {
-            "command": "compare",
-            "controllers": [s.kind.value for s in specs],
-            "similarity_tol": _SIMILARITY_TOL,
-            "rows": rows,
-            "pairs": pairs,
-        },
-    )
+    summary = {
+        "controllers": [s.kind.value for s in specs],
+        "similarity_tol": _SIMILARITY_TOL,
+        "rows": rows,
+        "pairs": pairs,
+    }
     flagged = sum(1 for r in rows if r.get("flag"))
-    print(
-        f"compare: {len(rows)} rows ({flagged} flagged), "
-        f"{sum(p['essentially_identical'] for p in pairs)}/{len(pairs)} pairs "
-        f"essentially identical, outputs in {out}"
-    )
-    return _exit_code(statuses, "no run completed")
+    return _finish(args, out, rows, "compare_summary.json", summary, (
+        f"{len(rows)} rows ({flagged} flagged), "
+        f"{sum(p['essentially_identical'] for p in pairs)}/{len(pairs)} pairs essentially identical"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -478,45 +470,33 @@ def _cmd_sweep(args) -> int:
     grid_obj = cfg.get("gain_sets")
     if not isinstance(grid_obj, list) or not grid_obj:
         _fail("sweep needs a non-empty gain_sets list")
-    specs = []
-    for j, gobj in enumerate(grid_obj):
-        try:
-            specs.append(ControllerSpec(kind, _parse_gains(gobj), allow_unproven_gains=allow))
-        except ValueError as exc:
-            _fail(f"gain set #{j}: {exc}")
+    specs = [_spec(kind, _parse_gains(gobj), allow, f"gain set #{j}: ")
+             for j, gobj in enumerate(grid_obj)]
     ics = _parse_ics(cfg)
     sim_cfg = _parse_sim(cfg, args.frame)
     out = _out_dir(args)
 
     rows = []
-    statuses = []
-    for j, spec in enumerate(specs):
-        g = spec.gains
-        for i, ic in enumerate(ics):
-            traj, err = _run_one(spec, ic, sim_cfg)
-            if err is not None:
-                rows.append((j, i, g.k1, g.k2, g.k3, g.k4, None, None, None, None, None, err))
-                continue
-            statuses.append(traj.status)
-            rows.append((j, i, g.k1, g.k2, g.k3, g.k4, traj.status.value, traj.capture_time,
-                         _path_length(traj), metric(spec.space, traj.final_state()),
-                         _barrier_distance(spec.space, traj), None))
-    write_csv(out / "sweep.csv", (
-        "gain_set", "ic_index", "k1", "k2", "k3", "k4", "status", "capture_time", "path_length",
-        "final_metric", "min_barrier_distance", "error"), rows)
-    _write_json(
-        out / "sweep_summary.json",
-        {
-            "command": "sweep",
-            "controller": kind.value,
-            "n_gain_sets": len(specs),
-            "n_ics": len(ics),
-            "n_runs": len(rows),
-            "n_completed": len(statuses),
-        },
-    )
-    print(f"sweep: {len(statuses)}/{len(rows)} runs completed, outputs in {out}")
-    return _exit_code(statuses, "no run completed")
+    for j, i, traj, err in _runs(specs, ics, sim_cfg):
+        g = specs[j].gains
+        row = {"gain_set": j, "ic_index": i, "k1": g.k1, "k2": g.k2, "k3": g.k3, "k4": g.k4}
+        if err is not None:
+            rows.append({**row, "error": err})
+            continue
+        rows.append({**row, **_outcome(specs[j], traj),
+                     "final_metric": metric(specs[j].space, traj.final_state())})
+    rows.sort(key=lambda row: (row["gain_set"], row["ic_index"]))  # _runs goes start by start
+    cols = ("gain_set", "ic_index", *_GAIN_KEYS, "status", "capture_time", "path_length",
+            "final_metric", "min_barrier_distance", "error")
+    write_csv(out / "sweep.csv", cols, ([row.get(c) for c in cols] for row in rows))
+    summary = {
+        "controller": kind.value,
+        "n_gain_sets": len(specs),
+        "n_ics": len(ics),
+        "n_runs": len(rows),
+        "n_completed": sum("status" in row for row in rows),
+    }
+    return _finish(args, out, rows, "sweep_summary.json", summary)
 
 
 # ---------------------------------------------------------------------------

@@ -747,12 +747,12 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     """Classic RK4 with step dt, recording the state after each step.
 
     The right-hand side at each new state is evaluated before the state is
-    recorded, so a step that leaves the domain, or whose state overflows,
-    ends the run (_BoundaryHit) on the last valid sample.  The first
-    step whose estimate of h*|lambda| exceeds RK4's stability bound adds a
-    note; stages 2 and 3 share t + h/2 and differ by h/2*(f2 - f1), so
-    h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| / |f2 - f1|.  Appends each state
-    to flat and returns "done" or "captured".
+    recorded, so a step that leaves the domain, or whose state or
+    right-hand side overflows, ends the run (_BoundaryHit) on the last
+    valid sample.  The first step whose estimate of h*|lambda| exceeds
+    RK4's stability bound adds a note; stages 2 and 3 share t + h/2 and
+    differ by h/2*(f2 - f1), so h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| /
+    |f2 - f1|.  Appends each state to flat and returns "done" or "captured".
     """
     radius, polar, hypot = cfg.capture_radius, cfg.frame is Frame.POLAR, math.hypot
     ln_radius = math.log(radius) if radius > 0.0 else -math.inf
@@ -781,6 +781,8 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
             f1 = f(y)
             if not (isfinite(y1) and isfinite(y2) and isfinite(y3)):
                 raise OverflowError("the state overflowed")
+            if not (isfinite(f1[0]) and isfinite(f1[1]) and isfinite(f1[2])):
+                raise OverflowError("the right-hand side overflowed")
         except (ValueError, OverflowError) as exc:  # DomainError, or overflow to inf or NaN
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h

@@ -130,6 +130,27 @@ class TestSimulate:
         assert entry["status"] == "boundary_stop"
         assert entry["note"].endswith("; rk4 step from t=269 left the domain: math domain error")
 
+    def test_rk4_run_ends_before_its_right_hand_side_overflows(self, tmp_path, capsys):
+        # the last recorded state's omega was -inf, written as such into the
+        # CSV; V overflows from t = 0.55 on, as gamma^2 does
+        payload = {"controller": "barfli", "allow_unproven_gains": True,
+                   "gains": [0.10008226356522723, 0.02703482465600493, 8404.537482992293,
+                             273825.05495120096],
+                   "initial_conditions": [{"rho": 26.370841583502738, "delta": -0.2914723648490436,
+                                           "gamma": -3.1414849946599013}],
+                   "sim": {"t_final": 5.0, "integrator": "rk4"}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+        assert "stopped on a barrier" in capsys.readouterr().err
+        entry = json.loads((out / "summary.json").read_text(),
+                           parse_constant=_reject_constant)["results"][0]
+        assert entry["status"] == "boundary_stop"
+        assert entry["note"].endswith("left the domain: the right-hand side overflowed")
+        header, *rows = (line.split(",") for line in (out / "ic_000.csv").read_text().splitlines())
+        omega = [float(row[header.index("omega")]) for row in rows]
+        assert len(rows) == 20 and all(map(math.isfinite, omega))
+
     def test_initial_step_overflow_exits_3_with_the_note(self, tmp_path, capsys):
         # k4 = 1e150 overflows HINIT's norm of f(y0): an OverflowError traceback
         payload = {**BASE_SIM, "gains": [1.0, 1.0, 1.0, 1e150],
@@ -206,9 +227,13 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "o")]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[" * 100000 + "]" * 100000,  # json.load raised RecursionError, which escaped main
+    ])
+    def test_invalid_json(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text(text)
         assert main(["simulate", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 

@@ -465,6 +465,22 @@ class TestTermination:
         assert traj.note == "state left the domain S3 at t=0.05"
         assert list(traj.t) == [0.0]
 
+    def test_fixed_step_run_stops_before_its_right_hand_side_overflows(self):
+        # gamma is -4.4e288 at t = 0.95; the next state, gamma = -6.4e303,
+        # is finite but its float right-hand side is not; recorded, it put
+        # -inf into omega, with an overflow RuntimeWarning from the array law
+        gains = Gains(0.10008226356522723, 0.02703482465600493, 8404.537482992293,
+                      273825.05495120096)
+        spec = ControllerSpec(ControllerKind.BARFLI, gains, allow_unproven_gains=True)
+        cfg = SimConfig(t_final=5.0, integrator=IntegratorKind.RK4_FIXED)
+        start = PolarState(26.370841583502738, -0.2914723648490436, -3.1414849946599013)
+        traj = simulate(spec, start, cfg)
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert traj.note.endswith(
+            "; rk4 step from t=0.95 left the domain: the right-hand side overflowed")
+        assert len(traj) == 20 and traj.gamma[-1] == pytest.approx(-4.38e288, rel=1e-3)
+        assert np.isfinite(traj.omega).all()
+
     def test_initial_state_outside_space_rejected(self):
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)
         with pytest.raises(DomainError, match="outside the open space"):
