@@ -227,15 +227,13 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "o")]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "{not json",
-        "[" * 100000 + "]" * 100000,  # json.load raised RecursionError, which escaped main
-    ])
-    def test_invalid_json(self, tmp_path, capsys, text):
+    def test_invalid_json(self, tmp_path, capsys):
+        # nested 100,000 deep, json.load raised RecursionError, which escaped main
         path = tmp_path / "bad.json"
-        path.write_text(text)
-        assert main(["simulate", "--config", str(path)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        for text in ("{not json", "[" * 100000 + "]" * 100000):
+            path.write_text(text)
+            assert main(["simulate", "--config", str(path)]) == 1
+            assert "not valid JSON" in capsys.readouterr().err
 
     def test_integer_past_the_conversion_limit(self, tmp_path, capsys):
         # json.load raises a plain ValueError here, which escaped as a traceback
