@@ -24,17 +24,19 @@ step rules, the Dormand-Prince 8(5,3) method DOP853 (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.10), whose order 8 suits the default
 rtol of 1e-10, and for stiff stretches the linearly implicit Rosenbrock
 pair ode23s of Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1997).  Both
-integrators append each sample on the uniform grid k*dt to one flat
-buffer of floats and test it for capture in place; its time is k*dt,
-rebuilt from the index k.  The adaptive loop starts from dop853.f's HINIT
-estimate of the first step, lets error control alone choose its steps (a
-step is cut short only at the end of the horizon) and fills the grid
-points inside each accepted step from the rule's dense output (DOP853's
-of degree 7), so the sampling interval does not bound the step size.  The
+integrators sample the uniform grid k*dt, its time rebuilt from the index
+k, and end a run on its first sample inside the capture box.  The adaptive
+loop starts from dop853.f's HINIT estimate of the first step, lets error
+control alone choose its steps (a step is cut short only at the end of the
+horizon) and fills the grid points inside each accepted step from the
+rule's dense output (DOP853's of degree 7), so the sampling interval does
+not bound the step size.  It evaluates them at once on a horizon too short
+to pay for an array pass and where a bound on the dense output cannot keep
+them out of the box, else in one array pass per rule after the run.  The
 step-floor stop, the cut of the last step, the retry at h/4 of a step whose
-stage leaves the domain (HINIT's first step too, when its probe leaves
-it), the reject test, the step-size update, the sampling and the capture
-test are the loop's, whichever rule took the step.
+stage leaves the domain (HINIT's first step too, when its probe leaves it),
+the reject test, the step-size update and this capture screen are the
+loop's, whichever rule took the step.
 
 The rule is chosen by stiffness tests, in the manner of LSODA.  Near the
 barrier lines the steering grows without bound, and the gamma mode can
@@ -69,6 +71,7 @@ crossing themselves.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,8 +135,8 @@ class SimStatus(Enum):
     BOUNDARY_STOP = "boundary_stop"
 
 
-# The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig); a
-# run keeps n + 1 samples of about 200 bytes each, so n is capped at 10**7 (about 2 GB).
+# The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig); a run peaks
+# at 170 (polar) to 193 (Cartesian) bytes per sample, so n is capped at 10**7 (about 2 GB).
 _HORIZON_SLACK = 1.0 + 1e-12
 _MAX_INTERVALS = 10**7
 
@@ -391,6 +394,15 @@ def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
     return math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
 
 
+def _outside(y, z, lo, hi, t1, t2, t3=0.0, t4=0.0, t5=0.0, t6=0.0) -> bool:
+    """Whether a coordinate that goes from y to z, its interpolant within w = (|t1| + ... +
+    |t6|)/4 of that range, has no float sample in (lo, hi); the margin covers the samples'
+    rounding (below 1e-14 of |y| + |z| + w) and underflow, and a NaN proves nothing."""
+    w = 0.25 * (abs(t1) + abs(t2) + abs(t3) + abs(t4) + abs(t5) + abs(t6))
+    w += 1e-12 * (abs(y) + abs(z) + w) + 1e-300
+    return min(y, z) - w > hi or max(y, z) + w < lo
+
+
 def _pose_captured(x: float, y: float, theta: float, radius: float) -> bool:
     """Whether the angles of a pose's wrapped polar image are inside the capture box."""
     _, delta, gamma = polar_image(x, y, theta)
@@ -420,6 +432,9 @@ _ROS_E32 = 6.0 + math.sqrt(2.0)
 # Back to DOP853 once h*rho(J) < 1, inside its stability region with room to
 # spare, on this many accepted steps in a row.
 _NONSTIFF_AFTER = 6
+# A horizon of fewer intervals samples every step in the loop: the array pass of _grid_samples
+# costs about 0.1 ms a run, so it pays only past about 200 samples (unpinned in 200..300).
+_ARRAY_PASS_MIN = 256
 
 
 def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
@@ -455,7 +470,8 @@ def _stiff_note(t_start: float, t: float, n_steps: int, n_jac: int) -> tuple[flo
                      f"{n_jac} Jacobians")
 
 
-def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None) -> str:
+def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, ros: bytearray,
+                        notes: list, jac=None) -> str:
     """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
     DOP853 takes the steps.  When a Jacobian is given, a positive stiffness
@@ -467,10 +483,17 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
     whose error norm err is above 1 (or NaN) is rejected, and the next trial
     step is h times 0.9*err^e clamped to [0.2, 5], with e = -1/8 for DOP853
     and -1/3 for ode23s.  A stage outside the domain, or a singular W,
-    retries the step at h/4.  The samples inside an accepted step come from
-    the rule's dense output and are appended to flat, each tested for
-    capture as it is.  Returns "done" or "captured", or raises _BoundaryHit
-    when the step size falls below the step floor _STEP_FLOOR*max(t, dt).
+    retries the step at h/4.  The grid times t_i < t of a step have computed
+    s = (t_i - t_step)/h in (0, 1]: t_i < t_step + h when t = RN(t_step + h),
+    and h = RN(t - t_step) on the last step.  So a coordinate's DOP853 sample,
+    whose terms past s*q0 are s*r <= 1/4 times factors <= 1, stays within
+    (|q1| + ... + |q6|)/4 of its range from y to z, and its ode23s one within
+    scale*(|a|/4 + |b|/2).  When the horizon has _ARRAY_PASS_MIN intervals or
+    more, a step with a coordinate _outside the capture box (any step, at a
+    radius <= 0) appends its record to dop or ros for _grid_samples, and z at
+    t to flat; any other step appends each sample to flat and tests it.
+    Returns "done" or "captured", or raises _BoundaryHit when the step size
+    falls below the step floor _STEP_FLOOR*max(t, dt).
 
     DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
     is evaluated once the step is accepted, and the extra stages 14..16
@@ -485,7 +508,11 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
     rtol, atol, dt, radius, sqrt, hypot = (cfg.rtol, cfg.atol, cfg.dt, cfg.capture_radius,
                                            math.sqrt, math.hypot)
     ln_radius = math.log(radius) if radius > 0.0 else -math.inf
-    t_end, polar = _interval_count(dt, cfg.t_final) * dt, cfg.frame is Frame.POLAR
+    n = _interval_count(dt, cfg.t_final)
+    t_end, polar, screen = n * dt, cfg.frame is Frame.POLAR, n >= _ARRAY_PASS_MIN
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = (  # coordinate N of a captured sample is in (loN, hiN)
+        ((-math.inf, ln_radius), (-radius, radius), (-radius, radius)) if polar
+        else ((-radius, radius), (-radius, radius), (-math.inf, math.inf)))
     can_switch = jac is not None
     t, y, fy = 0.0, y0, f(y0)
     try:
@@ -505,23 +532,21 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
             if stiff:
                 hd = h * _ROS_D
                 a12, a21, a22, w02 = hd * j12, hd * j21, 1.0 - hd * j22, hd * j02
-
-                def solve(r1, r2, r3):
-                    x2 = (a22 * r2 + a12 * r3) * inv_det
-                    x3 = (r3 + a21 * r2) * inv_det
-                    return r1 + w02 * x3, x2, x3
-
                 inv_det = 1.0 / (a22 - a12 * a21)
-                a1, a2, a3 = solve(f1a, f1b, f1c)
+                # W^-1 r = (r1 + w02*x3, (a22*r2 + a12*r3)*inv_det, x3 = (r3 + a21*r2)*inv_det)
+                a2, a3 = (a22 * f1b + a12 * f1c) * inv_det, (f1c + a21 * f1b) * inv_det
+                a1 = f1a + w02 * a3
                 g1, g2, g3 = f((y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3))
-                b1, b2, b3 = solve(g1 - a1, g2 - a2, g3 - a3)
-                b1, b2, b3 = b1 + a1, b2 + a2, b3 + a3
+                r1, r2, r3 = g1 - a1, g2 - a2, g3 - a3
+                b2, b3 = (a22 * r2 + a12 * r3) * inv_det, (r3 + a21 * r2) * inv_det
+                b1, b2, b3 = r1 + w02 * b3 + a1, b2 + a2, b3 + a3
                 z1, z2, z3 = z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
                 fz = f(z)
-                c1, c2, c3 = solve(
-                    fz[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f1a),
-                    fz[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f1b),
-                    fz[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c))
+                r1 = fz[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f1a)
+                r2 = fz[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f1b)
+                r3 = fz[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c)
+                c2, c3 = (a22 * r2 + a12 * r3) * inv_det, (r3 + a21 * r2) * inv_det
+                c1 = r1 + w02 * c3
                 err = _error_norm(h / 6.0 * (a1 - 2.0 * b1 + c1), h / 6.0 * (a2 - 2.0 * b2 + c2),
                                   h / 6.0 * (a3 - 2.0 * b3 + c3), y, z, rtol, atol)
                 scale = h / (1.0 - 2.0 * _ROS_D)
@@ -682,8 +707,26 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, notes: list, jac=None
             continue
         n_steps += 1
         t_step, t = t, t_new
-        # the samples in (t_step, t]: z at t, the dense output before
-        while t_sample <= t:
+        if screen and t_sample <= t and (radius <= 0.0 or (
+                _outside(y1, z1, lo1, hi1, scale * a1, 2.0 * scale * b1)
+                or _outside(y2, z2, lo2, hi2, scale * a2, 2.0 * scale * b2)
+                or _outside(y3, z3, lo3, hi3, scale * a3, 2.0 * scale * b3) if stiff else
+                _outside(y1, z1, lo1, hi1, q11, q21, q31, q41, q51, q61)
+                or _outside(y2, z2, lo2, hi2, q12, q22, q32, q42, q52, q62)
+                or _outside(y3, z3, lo3, hi3, q13, q23, q33, q43, q53, q63))):
+            # no grid time i..k in (t_step, t] can be in the box: z at t, the rest in a record
+            k = int(t / dt)  # one off at most from the last index with k*dt <= t
+            k += ((k + 1) * dt <= t) - (k * dt > t)
+            end = k if k * dt == t else k + 1
+            if stiff:
+                ros += struct.pack("14d", i, end, t_step, h, scale, *y, a1, a2, a3, b1, b2, b3)
+            else:
+                dop += struct.pack("28d", i, end, t_step, h, *y, q01, q02, q03, q11, q12, q13, q21,
+                                   q22, q23, q31, q32, q33, q41, q42, q43, q51, q52, q53, q61, q62,
+                                   q63)
+            flat += (z1, z2, z3) if end == k else ()
+            i, t_sample = k + 1, (k + 1) * dt
+        while t_sample <= t:  # a screened-in step: each sample as it comes, tested for capture
             if t_sample == t:
                 s1, s2, s3 = z1, z2, z3
             else:
@@ -793,29 +836,65 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     return "done"
 
 
+def _grid_samples(dt: float, flat: list, dop: bytearray, ros: bytearray) -> np.ndarray:
+    """A run's samples as an (n, 3) array: those the loop took, in order in flat, and samples
+    i..end-1 of each record (i, end, t_step, h, y, q0..q6) of DOP853 and (i, end, t_step, h,
+    scale, y, a, b) of ode23s, in one array pass per rule with the loop's operations in its
+    order.  Each field is repeated for its samples when the pass reads it, so that a run
+    holds a few floats a sample, not a copy of its record."""
+    taken = np.array(flat, dtype=float).reshape(-1, 3)
+    if not (dop or ros):
+        return taken
+    parts = []  # (indices, samples as columns)
+    for record, width in ((dop, 28), (ros, 14)):
+        if record:
+            record = np.frombuffer(record).reshape(-1, width).T  # a row per field
+            count = (record[1] - record[0]).astype(np.intp)
+            each = lambda a, b: record[a:b].repeat(count, axis=1)
+            i = each(0, 1)[0] - (count.cumsum() - count).repeat(count)
+            i += np.arange(len(i))
+            s = (i * dt - each(2, 3)[0]) / each(3, 4)[0]
+            if width == 14:  # ode23s: y + p*a + q*b, p = scale*s*(1 - s), q = scale*s*(s - 2d)
+                sample = (each(5, 8) + each(4, 5) * s * (1.0 - s) * each(8, 11)
+                          + each(4, 5) * s * (s - 2.0 * _ROS_D) * each(11, 14))
+            else:  # DOP853 from q6 out, y + s*(q0 + r*(... + s*q6)): y at k = -1
+                r, sample = 1.0 - s, each(25, 28)
+                for k in range(5, -2, -1):
+                    sample *= s if k % 2 else r
+                    sample += each(7 + 3 * k, 10 + 3 * k)
+            parts.append((i.astype(np.intp), sample))
+    ys = np.empty((3, len(taken) + sum(len(i) for i, _ in parts)))
+    loop = np.ones(ys.shape[1], dtype=bool)
+    for i, sample in parts:
+        ys[:, i], loop[i] = sample, False
+    ys[:, loop] = taken.T  # the loop's samples fill the indices left over
+    return ys.T
+
+
 def _run(f, y0, cfg: SimConfig, jac=None):
     """Integrate and sample in cfg.frame; returns (times, ys, status, capture_time, notes, stop).
 
     ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
-    integrators computed it.  The integrators test each sample for capture
-    as they append it: a polar one is captured when sigma is below
+    integrators computed it.  A run ends on its first sample inside the
+    capture box: a polar one is captured when sigma is below
     ln(cfg.capture_radius) and both |angles| below the radius (never, for a
     radius <= 0), a Cartesian one when hypot(x, y) is and _pose_captured.
     notes are the integrator's remarks on the run (stiff stretches, rk4
     instability), each as (start of the step it names, text); stop is the
     reason for a boundary stop, else "".
     """
-    flat = list(y0)  # the samples on the grid t = i*dt, i = 0..n, one state after another
+    flat = list(y0)  # the samples the integrator took, one state after another
+    dop, ros = bytearray(), bytearray()  # the adaptive loop's records of deferred samples
     notes: list[tuple[float, str]] = []
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
-            outcome = _integrate_adaptive(f, y0, cfg, flat, notes, jac)
+            outcome = _integrate_adaptive(f, y0, cfg, flat, dop, ros, notes, jac)
         else:
             outcome = _integrate_fixed(f, y0, cfg, flat, notes)
     except _BoundaryHit as hit:
         outcome, stop = "boundary", str(hit)
-    ys = np.array(flat, dtype=float).reshape(-1, 3)
+    ys = _grid_samples(cfg.dt, flat, dop, ros)
     times = np.arange(len(ys), dtype=float) * cfg.dt
     if outcome == "captured":
         return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop

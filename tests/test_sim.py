@@ -1,9 +1,11 @@
 """Closed-loop integration: fields, integrators, capture, and CSV output."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -962,6 +964,152 @@ class TestSampling:
         assert len(traj) == (2 if captured else 1201)
 
 
+class TestGoldenBytes:
+    """A fixed set of runs, pinned to the bytes of every column and to (status, capture_time,
+    note): a change to how the grid is filled or how capture is found must leave every
+    sample as it is."""
+
+    @staticmethod
+    def runs():
+        """(label, simulate's arguments) for each pinned run."""
+        from test_acceptance import CONVERGENCE_GRIDS, REFERENCE_GAINS
+
+        cfg = SimConfig(dt=0.05, t_final=60.0, capture_radius=1e-3)
+        for kind, pairs in CONVERGENCE_GRIDS.items():  # 16 of criterion 05's 64 runs
+            spec = ControllerSpec(kind, REFERENCE_GAINS, allow_unproven_gains=True)
+            fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn(kind, REFERENCE_GAINS))
+            for rho0, (d0, g0) in itertools.product((1.0, 3.0), pairs[::4]):
+                yield (f"c05 {kind.value} {rho0:g} {d0:g} {g0:g}",
+                       (spec, PolarState(rho0, d0, g0), cfg, fn))
+        # large boxes, where many steps hold a sample that may be inside
+        for kind, frame, radius in itertools.product(ControllerKind, Frame, (0.05, 0.3)):
+            cfg = SimConfig(dt=0.05, t_final=30.0, capture_radius=radius, frame=frame)
+            yield (f"box {kind.value} {frame.value} {radius:g}",
+                   (ControllerSpec(kind, UNIT), PolarState(2.0, -1.0, 1.5), cfg, None))
+        # ode23s stretches on horizons of 100 intervals (the loop) and 1,200 (the array pass)
+        for kind, sign, t_final in itertools.product(
+                (ControllerKind.BARFLI, ControllerKind.BAGAL), (1.0, -1.0), (5.0, 60.0)):
+            yield (f"barrier {kind.value} {sign:+g} {t_final:g}",
+                   (ControllerSpec(kind, UNIT), PolarState(1.0, sign * (math.pi - 0.05), 0.0),
+                    SimConfig(dt=0.05, t_final=t_final), None))
+        # long runs, whose array pass repeats each record field over many samples
+        yield ("long", (ControllerSpec(ControllerKind.GLOBA, UNIT), PolarState(2.0, -1.0, 1.5),
+                        SimConfig(dt=1e-3, t_final=30.0, capture_radius=0.0), None))
+        yield ("long stiff", (ControllerSpec(ControllerKind.BAGAL, UNIT),
+                              PolarState(1.0, math.pi - 0.05, 0.0), SimConfig(dt=1e-4, t_final=5.0),
+                              None))
+        yield ("rk4", (ControllerSpec(ControllerKind.GLOBA, UNIT), PolarState(1.0, 0.5, -0.5),
+                       SimConfig(t_final=10.0, integrator=IntegratorKind.RK4_FIXED), None))
+        gains = Gains(5992.653776155453, 0.0002963808691158772, 2.9524640951391516,
+                      0.37161171514410996)
+        yield ("step floor", (ControllerSpec(ControllerKind.BAGAL, gains, allow_unproven_gains=True),
+                              PolarState(5.3406728158623346e-05, -0.9506030673019916,
+                                         3.1414907719653318), SimConfig(t_final=5.0), None))
+
+    @staticmethod
+    def digest(traj) -> str:
+        h = hashlib.sha256()
+        for name in ("t",) + Trajectory._columns:
+            h.update(getattr(traj, name).tobytes())
+        h.update(repr((traj.status.value, traj.capture_time, traj.note)).encode())
+        return h.hexdigest()
+
+    DIGESTS = {
+        "c05 globa 1 -2 -2":
+            "7e0e390389101516878063ff7eba7ccf0865644e2efb8f3ca695d878d9ee6778",
+        "c05 globa 1 0.5 -2":
+            "f8f4f4c9e613313b28c317a29e67cc0850ba29bc18b235747c6c0ad6ee61db82",
+        "c05 globa 3 -2 -2":
+            "c30f5648ed8e3beeb9f11bcb4f019aa6cb99ec4fd8cbb81b58bf0b1075716bc0",
+        "c05 globa 3 0.5 -2":
+            "18ea438e659e40a30db0f4f1ab171c5a18abb5c2afbfecdbda8ae11ad84f5734",
+        "c05 barfli 1 -2.5 -2":
+            "0b13a77f9e70cae3218b71986f7d041fbdbd4349fcf179be4f411934623a3679",
+        "c05 barfli 1 1 -2":
+            "6b4af455205de5cb47faa39dbda365023053854af071cea0bda7f3fbdc16f00b",
+        "c05 barfli 3 -2.5 -2":
+            "e20c356a2c96184ec6d3f9bb53db626eb95a6a8f8123c0b5afcb58852655ec22",
+        "c05 barfli 3 1 -2":
+            "d3876fcfd8e3c54788730ef3e8cd1facefe5f110af1de1b9a9a18a19cfe89778",
+        "c05 bolsa 1 -0.5 1":
+            "f210d8a2973734cf6ea0e095a33465bd7a37c3a24ffa604dbcdf19300c65a78f",
+        "c05 bolsa 1 0.5 -1":
+            "91242d3678f6641f35b65aa331d006693bd369b0923d05f57003ff22e89c08dc",
+        "c05 bolsa 3 -0.5 1":
+            "f2bc6e94d1f4df9ead319b63fdf864fd6e7fbd38b0af38b561b0c631dd6a2dde",
+        "c05 bolsa 3 0.5 -1":
+            "439dc2cfbde3c7e52a782601387596206aee8990618fbcac32119d9b718e9271",
+        "c05 bagal 1 -0.5 1":
+            "c5efdb33f5df9262febf193eef4fecb75d6244d5255bbfa2abb34fde0c19eb84",
+        "c05 bagal 1 0.5 -1":
+            "f3714f53aad6ba8675902e46cfdc0d050784a7a71ecf737eb698eef3c7dea217",
+        "c05 bagal 3 -0.5 1":
+            "e95c9f8b0e22d63ddd56433c03f7d0fee7abf1e3d98bcb2d7bdca4de940ae0d2",
+        "c05 bagal 3 0.5 -1":
+            "969f012060fd91f4bd3160ed6cb9aa4585b16a70ccda6a28d3978ab63e4a82ec",
+        "box globa polar 0.05":
+            "b494180dcce75103bb1abe15707b8ce2013880111177bb0ca62915043a6b190e",
+        "box globa polar 0.3":
+            "5dd24bce2eed52e2460a76f331307ad5113434d1bff6625da2e7aeb9c87dd366",
+        "box globa cartesian 0.05":
+            "88a1ba6dc6155235a2ff3d0c26c7a509dc576580adfeb1ad3529b0b1b6c88995",
+        "box globa cartesian 0.3":
+            "6c81002a6447e68bb70c075b3d44b1e3dcb150422f3a6c2dc5c1457138e62c3c",
+        "box barfli polar 0.05":
+            "ed59096f02628980fc638015d35c71cd94906ab599010ede1d42fe4c14cbd555",
+        "box barfli polar 0.3":
+            "6e7f0ffa878b94db98fe886fa0481487265fb38478e084898eb5e822a33b6bf2",
+        "box barfli cartesian 0.05":
+            "902660402e57678ad1779f4d5aa68b92b940052b6fe8c2600340a796a879cc07",
+        "box barfli cartesian 0.3":
+            "699b70c3d1e6aef82fe4f865b2099c959814f8ee2acc9857a6c01d24ad72d88d",
+        "box bolsa polar 0.05":
+            "f6400081211a711ed5dda1d8bf42675739d5bcb2732499ba203a6490de97fd22",
+        "box bolsa polar 0.3":
+            "2d35dfa7e5e8f62fba1263715dd2d79dddb14ecc19794fac6dba42b25ef164ed",
+        "box bolsa cartesian 0.05":
+            "46c88b175484760e21a9e17c63568474a5bf5955db1e51a57ad7da56fe9d4b82",
+        "box bolsa cartesian 0.3":
+            "027c679be88afcbe63004119c3d09addd4ab075bdca9159b2df23d8a15e4d99c",
+        "box bagal polar 0.05":
+            "a7e374c25ef5ea3b1a97074eba4e2457e68a35002b381f62dba2c76c074086da",
+        "box bagal polar 0.3":
+            "0ae1e2e1eac1c97cd06fd4555b8c19c890525a737d5badd0dc545ace6d09b765",
+        "box bagal cartesian 0.05":
+            "1fd000d4623a8485687e13b8a77ae967d22c93aef9fd2233975d7b5653c2f476",
+        "box bagal cartesian 0.3":
+            "ef576b593b64a3c7905ad15b6368d8b9b074381b3cc20f58e00d34f5764ae38f",
+        "barrier barfli +1 5":
+            "787020a751284c191c802080067c0420b75b40c90d8357237fd0a8c340cfae13",
+        "barrier barfli +1 60":
+            "783bdd4d1912f582bd7304f2bd5b5c66224699f2c971ffdf5bc7b8de3f144472",
+        "barrier barfli -1 5":
+            "05c1858b17792f97d975a22732733efcd348a0ce7b7a4256559c54c15c581675",
+        "barrier barfli -1 60":
+            "16211cb0c98bfd8ed4431fad2b34144e76589a2d590f355196a48fa84b5f1273",
+        "barrier bagal +1 5":
+            "90107cfede4ecf052ce87f9366afaca76eeec0c3f4d75a2696152aafd39312f1",
+        "barrier bagal +1 60":
+            "00fba538653ad3aeaf8093a406e8722ea077b15b51c33ce31023eb988719fa7b",
+        "barrier bagal -1 5":
+            "3b9eda2628fd3b96affc5d96318bfc60286714724302cb2f492ce8a49a220c95",
+        "barrier bagal -1 60":
+            "e3bcb10426c47b88d3d034e7810056d98735f295f9e9b534d71d499ace4cf071",
+        "long":
+            "b32bdf0dd9a30c6b0b05f3e5c504810976530b0aa5f624a2ab76ec67c415c545",
+        "long stiff":
+            "dcc4e8eeead09f53199aa57fce8ad361d5c46c474839e49a5df889b045b3b87d",
+        "rk4":
+            "c437b752bbef1fde3b83a884c987232c8026a7839fcda2feece0a060b9ca0a83",
+        "step floor":
+            "8f7b93983d9485ab73ca6c338740092820c1663514d2e04777cdc6984e44db32",
+    }
+
+    def test_runs_are_bit_identical(self):
+        got = {label: self.digest(simulate(*args)) for label, args in self.runs()}
+        assert got == self.DIGESTS
+
+
 def _angles(bounded):
     if bounded:
         return st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
@@ -990,6 +1138,61 @@ def test_runs_from_inside_the_space_stay_inside(kind, frame, integrator):
 
 def _log_uniform(low, high):
     return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+def _magnitudes():
+    """Floats from subnormal to 1e300 in size, of either sign, and zero."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-320, 300))
+
+
+class TestCaptureScreen:
+    """The step loop defers a step's samples only when sim._outside proves, for one
+    coordinate, that none can lie in the box's interval for it: (-inf, ln r) for sigma,
+    (-r, r) for delta, gamma, x and y.  Each sample here is evaluated by
+    sim._grid_samples itself, from one record of three coordinates and s in (0, 1]."""
+
+    @staticmethod
+    def intervals(v, radius):
+        """Open intervals that hold v: three tight about it, and the box's that hold it."""
+        below, above = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+        box = [(-math.inf, math.log(radius)), (-radius, radius)]
+        return [(below, above), (below, math.inf), (-math.inf, above)] + [
+            (lo, hi) for lo, hi in box if lo < v < hi]
+
+    def check(self, samples, ends, terms, radius):
+        for v, (y, z), spread in zip(samples, ends, terms):
+            if math.isfinite(v):
+                for lo, hi in self.intervals(v, radius):
+                    assert not sim._outside(y, z, lo, hi, *spread), (v, y, z, spread, lo, hi)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(s=st.floats(0.0, 1.0, exclude_min=True), y=st.tuples(*[_magnitudes()] * 3),
+           z=st.tuples(*[_magnitudes()] * 3), q=st.tuples(*[_magnitudes()] * 18),
+           radius=_log_uniform(1e-12, 10.0))
+    def test_dop853_samples_stay_inside_the_screen(self, s, y, z, q, radius):
+        # one deferred step from t_step = 0 with h = 1: its sample 1, at t = dt = s
+        q = [z[c] - y[c] for c in range(3)] + list(q)  # q0 = z - y, then q1..q6
+        record = struct.pack("28d", 1, 2, 0.0, 1.0, *y, *q)
+        sample = sim._grid_samples(s, [0.0, 0.0, 0.0], bytearray(record), bytearray())[1]
+        self.check(sample, zip(y, z), [q[3 + c::3] for c in range(3)], radius)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(s=st.floats(0.0, 1.0, exclude_min=True), h=_log_uniform(1e-12, 10.0),
+           y=st.tuples(*[_magnitudes()] * 3), a=st.tuples(*[_magnitudes()] * 3),
+           b=st.tuples(*[_magnitudes()] * 3), radius=_log_uniform(1e-12, 10.0))
+    def test_ode23s_samples_stay_inside_the_screen(self, s, h, y, a, b, radius):
+        scale = h / (1.0 - 2.0 * sim._ROS_D)
+        record = struct.pack("14d", 1, 2, 0.0, 1.0, scale, *y, *a, *b)
+        sample = sim._grid_samples(s, [0.0, 0.0, 0.0], bytearray(), bytearray(record))[1]
+        ends = [(y[c], y[c] + h * b[c]) for c in range(3)]
+        self.check(sample, ends, [(scale * a[c], 2.0 * scale * b[c]) for c in range(3)], radius)
+
+    def test_a_coordinate_clear_of_the_interval_is_outside(self):
+        assert sim._outside(1.0, 2.0, -0.5, 0.5, 0.4, 0.0)  # w = 0.1
+        assert sim._outside(-2.0, -1.0, -0.5, 0.5, 0.4, -0.4)  # w = 0.2
+        assert not sim._outside(1.0, 2.0, -0.5, 0.5, 2.4, 0.0)  # w = 0.6
+        assert not sim._outside(1.0, 2.0, -math.inf, math.inf, 0.4, 0.0)
+        assert not sim._outside(1.0, math.nan, -0.5, 0.5, 0.4, 0.0)
 
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
