@@ -233,6 +233,10 @@ class Compositor:
     dfn_ds: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
+        for name, kind in (("form", CompositorForm), ("order", ArgumentOrder)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
         if self.form is CompositorForm.CUSTOM:
             if not (self.fn and self.dfn_dr and self.dfn_ds):
                 raise ValueError("custom compositor needs fn, dfn_dr, dfn_ds")

@@ -30,13 +30,13 @@ loop starts from dop853.f's HINIT estimate of the first step, lets error
 control alone choose its steps (a step is cut short only at the end of the
 horizon) and fills the grid points inside each accepted step from the
 rule's dense output (DOP853's of degree 7), so the sampling interval does
-not bound the step size.  It evaluates them at once on a horizon too short
-to pay for an array pass and where a bound on the dense output cannot keep
-them out of the box, else in one array pass per rule after the run.  The
-step-floor stop, the cut of the last step, the retry at h/4 of a step whose
-stage leaves the domain (HINIT's first step too, when its probe leaves it),
-the reject test, the step-size update and this capture screen are the
-loop's, whichever rule took the step.
+not bound the step size.  It evaluates them at once on an ode23s step, on
+a horizon too short to pay for an array pass, and where a bound on
+DOP853's dense output cannot keep them out of the box, else in one array
+pass after the run.  The step-floor stop, the cut of the last step, the
+retry at h/4 of a step whose stage leaves the domain (HINIT's first step
+too, when its probe leaves it), the reject test and the step-size update
+are the loop's, whichever rule took the step.
 
 The rule is chosen by stiffness tests, in the manner of LSODA.  Near the
 barrier lines the steering grows without bound, and the gamma mode can
@@ -136,7 +136,7 @@ class SimStatus(Enum):
 
 
 # The horizon is n*dt with n = floor((t_final/dt)*_HORIZON_SLACK) (see SimConfig); a run peaks
-# at 170 (polar) to 193 (Cartesian) bytes per sample, so n is capped at 10**7 (about 2 GB).
+# at 176 (polar) to 193 (Cartesian) bytes per sample, so n is capped at 10**7 (about 2 GB).
 _HORIZON_SLACK = 1.0 + 1e-12
 _MAX_INTERVALS = 10**7
 
@@ -170,6 +170,10 @@ class SimConfig:
     atol: float = 1e-11
 
     def __post_init__(self) -> None:
+        for name, kind in (("frame", Frame), ("integrator", IntegratorKind)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
         for name in ("dt", "t_final", "capture_radius", "rtol", "atol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -470,8 +474,8 @@ def _stiff_note(t_start: float, t: float, n_steps: int, n_jac: int) -> tuple[flo
                      f"{n_jac} Jacobians")
 
 
-def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, ros: bytearray,
-                        notes: list, jac=None) -> str:
+def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes: list,
+                        jac=None) -> str:
     """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
     DOP853 takes the steps.  When a Jacobian is given, a positive stiffness
@@ -487,11 +491,11 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, ros: 
     s = (t_i - t_step)/h in (0, 1]: t_i < t_step + h when t = RN(t_step + h),
     and h = RN(t - t_step) on the last step.  So a coordinate's DOP853 sample,
     whose terms past s*q0 are s*r <= 1/4 times factors <= 1, stays within
-    (|q1| + ... + |q6|)/4 of its range from y to z, and its ode23s one within
-    scale*(|a|/4 + |b|/2).  When the horizon has _ARRAY_PASS_MIN intervals or
-    more, a step with a coordinate _outside the capture box (any step, at a
-    radius <= 0) appends its record to dop or ros for _grid_samples, and z at
-    t to flat; any other step appends each sample to flat and tests it.
+    (|q1| + ... + |q6|)/4 of its range from y to z.  When the horizon has
+    _ARRAY_PASS_MIN intervals or more, a DOP853 step with a coordinate
+    _outside the capture box (any DOP853 step, at a radius <= 0) appends its
+    record to dop for _grid_samples, and z at t to flat; any other step, each
+    ode23s one among them, appends each sample to flat and tests it.
     Returns "done" or "captured", or raises _BoundaryHit when the step size
     falls below the step floor _STEP_FLOOR*max(t, dt).
 
@@ -707,23 +711,16 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, ros: 
             continue
         n_steps += 1
         t_step, t = t, t_new
-        if screen and t_sample <= t and (radius <= 0.0 or (
-                _outside(y1, z1, lo1, hi1, scale * a1, 2.0 * scale * b1)
-                or _outside(y2, z2, lo2, hi2, scale * a2, 2.0 * scale * b2)
-                or _outside(y3, z3, lo3, hi3, scale * a3, 2.0 * scale * b3) if stiff else
-                _outside(y1, z1, lo1, hi1, q11, q21, q31, q41, q51, q61)
+        if screen and not stiff and t_sample <= t and (
+                radius <= 0.0 or _outside(y1, z1, lo1, hi1, q11, q21, q31, q41, q51, q61)
                 or _outside(y2, z2, lo2, hi2, q12, q22, q32, q42, q52, q62)
-                or _outside(y3, z3, lo3, hi3, q13, q23, q33, q43, q53, q63))):
+                or _outside(y3, z3, lo3, hi3, q13, q23, q33, q43, q53, q63)):
             # no grid time i..k in (t_step, t] can be in the box: z at t, the rest in a record
             k = int(t / dt)  # one off at most from the last index with k*dt <= t
             k += ((k + 1) * dt <= t) - (k * dt > t)
             end = k if k * dt == t else k + 1
-            if stiff:
-                ros += struct.pack("14d", i, end, t_step, h, scale, *y, a1, a2, a3, b1, b2, b3)
-            else:
-                dop += struct.pack("28d", i, end, t_step, h, *y, q01, q02, q03, q11, q12, q13, q21,
-                                   q22, q23, q31, q32, q33, q41, q42, q43, q51, q52, q53, q61, q62,
-                                   q63)
+            dop += struct.pack("28d", i, end, t_step, h, *y, q01, q02, q03, q11, q12, q13, q21, q22,
+                               q23, q31, q32, q33, q41, q42, q43, q51, q52, q53, q61, q62, q63)
             flat += (z1, z2, z3) if end == k else ()
             i, t_sample = k + 1, (k + 1) * dt
         while t_sample <= t:  # a screened-in step: each sample as it comes, tested for capture
@@ -836,37 +833,28 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     return "done"
 
 
-def _grid_samples(dt: float, flat: list, dop: bytearray, ros: bytearray) -> np.ndarray:
+def _grid_samples(dt: float, flat: list, dop: bytearray) -> np.ndarray:
     """A run's samples as an (n, 3) array: those the loop took, in order in flat, and samples
-    i..end-1 of each record (i, end, t_step, h, y, q0..q6) of DOP853 and (i, end, t_step, h,
-    scale, y, a, b) of ode23s, in one array pass per rule with the loop's operations in its
-    order.  Each field is repeated for its samples when the pass reads it, so that a run
-    holds a few floats a sample, not a copy of its record."""
+    i..end-1 of each DOP853 record (i, end, t_step, h, y, q0..q6), in one array pass with the
+    loop's operations in its order.  Each field is repeated for its samples when the pass reads
+    it, so that a run holds a few floats a sample, not a copy of its record."""
     taken = np.array(flat, dtype=float).reshape(-1, 3)
-    if not (dop or ros):
+    if not dop:
         return taken
-    parts = []  # (indices, samples as columns)
-    for record, width in ((dop, 28), (ros, 14)):
-        if record:
-            record = np.frombuffer(record).reshape(-1, width).T  # a row per field
-            count = (record[1] - record[0]).astype(np.intp)
-            each = lambda a, b: record[a:b].repeat(count, axis=1)
-            i = each(0, 1)[0] - (count.cumsum() - count).repeat(count)
-            i += np.arange(len(i))
-            s = (i * dt - each(2, 3)[0]) / each(3, 4)[0]
-            if width == 14:  # ode23s: y + p*a + q*b, p = scale*s*(1 - s), q = scale*s*(s - 2d)
-                sample = (each(5, 8) + each(4, 5) * s * (1.0 - s) * each(8, 11)
-                          + each(4, 5) * s * (s - 2.0 * _ROS_D) * each(11, 14))
-            else:  # DOP853 from q6 out, y + s*(q0 + r*(... + s*q6)): y at k = -1
-                r, sample = 1.0 - s, each(25, 28)
-                for k in range(5, -2, -1):
-                    sample *= s if k % 2 else r
-                    sample += each(7 + 3 * k, 10 + 3 * k)
-            parts.append((i.astype(np.intp), sample))
-    ys = np.empty((3, len(taken) + sum(len(i) for i, _ in parts)))
+    record = np.frombuffer(dop).reshape(-1, 28).T  # a row per field
+    count = (record[1] - record[0]).astype(np.intp)
+    each = lambda a, b: record[a:b].repeat(count, axis=1)
+    i = each(0, 1)[0] - (count.cumsum() - count).repeat(count)
+    i += np.arange(len(i))
+    s = (i * dt - each(2, 3)[0]) / each(3, 4)[0]
+    r, sample = 1.0 - s, each(25, 28)  # from q6 out, y + s*(q0 + r*(... + s*q6)): y at k = -1
+    for k in range(5, -2, -1):
+        sample *= s if k % 2 else r
+        sample += each(7 + 3 * k, 10 + 3 * k)
+    ys = np.empty((3, len(taken) + len(i)))
     loop = np.ones(ys.shape[1], dtype=bool)
-    for i, sample in parts:
-        ys[:, i], loop[i] = sample, False
+    i = i.astype(np.intp)
+    ys[:, i], loop[i] = sample, False
     ys[:, loop] = taken.T  # the loop's samples fill the indices left over
     return ys.T
 
@@ -884,17 +872,17 @@ def _run(f, y0, cfg: SimConfig, jac=None):
     reason for a boundary stop, else "".
     """
     flat = list(y0)  # the samples the integrator took, one state after another
-    dop, ros = bytearray(), bytearray()  # the adaptive loop's records of deferred samples
+    dop = bytearray()  # the adaptive loop's records of deferred samples
     notes: list[tuple[float, str]] = []
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
-            outcome = _integrate_adaptive(f, y0, cfg, flat, dop, ros, notes, jac)
+            outcome = _integrate_adaptive(f, y0, cfg, flat, dop, notes, jac)
         else:
             outcome = _integrate_fixed(f, y0, cfg, flat, notes)
     except _BoundaryHit as hit:
         outcome, stop = "boundary", str(hit)
-    ys = _grid_samples(cfg.dt, flat, dop, ros)
+    ys = _grid_samples(cfg.dt, flat, dop)
     times = np.arange(len(ys), dtype=float) * cfg.dt
     if outcome == "captured":
         return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop
@@ -956,8 +944,8 @@ def simulate_unsteered(k1: float, x0: PolarState, cfg: SimConfig = SimConfig()) 
     space S, steered by omega_tilde = -(k1/2)*sin(2*gamma), in either frame
     (stiff fallback in the polar one); a start with rho = 0 raises DomainError.
     """
-    if k1 <= 0.0:
-        raise ValueError("k1 must be positive")
+    if not (math.isfinite(k1) and k1 > 0.0):
+        raise ValueError(f"gain k1={k1} must be finite and positive")
     return _simulate(x0, cfg, StateSpace.S, "the unsteered loop", k1,
                      lambda xp: lambda delta, gamma: -0.5 * k1 * xp.sin(2.0 * gamma))
 

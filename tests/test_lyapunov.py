@@ -171,6 +171,14 @@ class TestCompositors:
         with pytest.raises(ValueError, match="custom compositor"):
             Compositor(CompositorForm.CUSTOM, fn=lambda r, s: r + s)
 
+    def test_form_and_order_must_be_their_enums(self):
+        # a string order used to compose as VDG_FIRST, and a string form to
+        # fail only when evaluated
+        with pytest.raises(ValueError, match="order must be a member of ArgumentOrder"):
+            Compositor(CompositorForm.LOG_SUM, order="rho_first")
+        with pytest.raises(ValueError, match="form must be a member of CompositorForm"):
+            Compositor("sum")
+
     def test_builtin_rejects_callables(self):
         with pytest.raises(ValueError, match="only accepted with the CUSTOM form"):
             Compositor(CompositorForm.SUM, fn=lambda r, s: r + s)
