@@ -22,7 +22,7 @@ import numpy as np
 
 from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, metric
-from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, LyapunovFn
+from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
 from .verify import _V_RISE_TOL, SUITE_NAMES, run_suite, value_increases
 
@@ -97,12 +97,14 @@ def _parse_gains(obj) -> Gains:
         _fail(f"bad gains: {exc}")
 
 
-def _parse_kind(obj) -> ControllerKind:
-    try:
-        return ControllerKind(str(obj).lower())
-    except ValueError:
-        names = ", ".join(k.value for k in ControllerKind)
-        _fail(f"unknown controller '{obj}'; choose one of {names}")
+def _choice(kind, value, key: str, members=None):
+    """The member of the Enum `kind`, or of its subset `members`, whose value is
+    str(value).lower(); any other value exits 1, listing the choices in enum order."""
+    members = list(kind) if members is None else members
+    for member in members:
+        if member.value == str(value).lower():
+            return member
+    _fail(f"unknown {key} '{value}'; choose one of {', '.join(m.value for m in members)}")
 
 
 def _parse_allow(cfg: dict) -> bool:
@@ -121,8 +123,8 @@ def _spec(kind: ControllerKind, gains: Gains, allow: bool, where: str = "") -> C
 
 
 def _parse_spec(cfg: dict, kind_obj) -> ControllerSpec:
-    return _spec(_parse_kind(kind_obj), _parse_gains(cfg.get("gains", [1.0, 1.0, 1.0, 1.0])),
-                 _parse_allow(cfg))
+    return _spec(_choice(ControllerKind, kind_obj, "controller"),
+                 _parse_gains(cfg.get("gains", [1.0, 1.0, 1.0, 1.0])), _parse_allow(cfg))
 
 
 def _parse_ic(obj, index: int) -> PolarState | CartesianState:
@@ -157,16 +159,9 @@ def _parse_sim(cfg: dict, frame_flag: str | None) -> SimConfig:
     unknown = set(sim) - {f.name for f in fields(SimConfig)}
     if unknown:
         _fail(f"unknown sim keys: {sorted(unknown)}")
-    frame_name = frame_flag or sim.get("frame", SimConfig.frame.value)
-    try:
-        frame = Frame(str(frame_name).lower())
-    except ValueError:
-        _fail(f"unknown frame '{frame_name}'; choose polar or cartesian")
-    integ_name = sim.get("integrator", SimConfig.integrator.value)
-    try:
-        integrator = IntegratorKind(str(integ_name).lower())
-    except ValueError:
-        _fail(f"unknown integrator '{integ_name}'; choose rk45 or rk4")
+    frame = _choice(Frame, frame_flag or sim.get("frame", SimConfig.frame.value), "frame")
+    integrator = _choice(IntegratorKind, sim.get("integrator", SimConfig.integrator.value),
+                         "integrator")
     try:
         numbers = {k: _number(v, f"sim.{k}") for k, v in sim.items()
                    if k not in ("frame", "integrator")}
@@ -175,23 +170,11 @@ def _parse_sim(cfg: dict, frame_flag: str | None) -> SimConfig:
         _fail(f"bad sim settings: {exc}")
 
 
-_FORMS = {
-    "sum": Compositor.sum_form,
-    "log_sum": Compositor.log_sum,
-    "exp_product": Compositor.exp_product,
-}
-
-
 def _parse_compositor(cfg: dict) -> Compositor:
-    name = str(cfg.get("compositor", "sum")).lower()
-    order_name = str(cfg.get("compositor_order", "rho_first")).lower()
-    if name not in _FORMS:
-        _fail(f"unknown compositor '{name}'; choose one of {', '.join(_FORMS)}")
-    try:
-        order = ArgumentOrder(order_name)
-    except ValueError:
-        _fail("compositor_order must be rho_first or vdg_first")
-    return _FORMS[name](order)
+    built_in = [form for form in CompositorForm if form is not CompositorForm.CUSTOM]
+    return Compositor(
+        _choice(CompositorForm, cfg.get("compositor", "sum"), "compositor", built_in),
+        _choice(ArgumentOrder, cfg.get("compositor_order", "rho_first"), "compositor_order"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +346,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(str(exc)) from exc
     out = _out_dir(args)
 
+    n_fail = sum(not r.passed for r in reports)
     width = max(len(r.check_name) for r in reports)
     lines = []
     for rep in reports:
@@ -376,12 +360,11 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "seed": args.seed,
             "n_checks": len(reports),
-            "n_failed": sum(not r.passed for r in reports),
+            "n_failed": n_fail,
             "reports": [r.to_dict() for r in reports],
         },
     )
     print("\n".join(lines))
-    n_fail = sum(not r.passed for r in reports)
     print(f"verify: {len(reports) - n_fail}/{len(reports)} checks passed, reports in {out}")
     return 2 if n_fail else 0
 
@@ -465,7 +448,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    kind = _parse_kind(cfg.get("controller"))
+    kind = _choice(ControllerKind, cfg.get("controller"), "controller")
     allow = _parse_allow(cfg)
     grid_obj = cfg.get("gain_sets")
     if not isinstance(grid_obj, list) or not grid_obj:

@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ARRAY_MATH, DomainError, StateSpace, math_for
+from .geometry import ARRAY_MATH, DomainError, StateSpace, _require_members, math_for
 
 __all__ = [
     "ControllerKind",
@@ -130,6 +130,7 @@ class ControllerSpec:
     allow_unproven_gains: bool = False
 
     def __post_init__(self) -> None:
+        _require_members(self, kind=ControllerKind)
         if (
             self.kind.needs_gain_coupling
             and not self.allow_unproven_gains

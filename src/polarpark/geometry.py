@@ -33,6 +33,14 @@ class DomainError(ValueError):
     """State left the domain where the requested quantity is defined."""
 
 
+def _require_members(obj, **kinds) -> None:
+    """Raise ValueError unless, for each keyword name=Enum, obj.name is a member of Enum."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
+
+
 def _exp_or_inf(x: float) -> float:
     # Barrier storage values can exceed the exp overflow threshold (~709);
     # saturating to inf keeps downstream comparisons meaningful.

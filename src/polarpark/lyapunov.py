@@ -32,7 +32,7 @@ from .controllers import (
     math_for,
     steering_law,
 )
-from .geometry import DomainError, StateSpace
+from .geometry import DomainError, StateSpace, _require_members
 
 _BOLSA, _BAGAL = ControllerKind.BOLSA, ControllerKind.BAGAL
 
@@ -58,6 +58,9 @@ class LyapunovFn:
 
     kind: ControllerKind
     gains: Gains
+
+    def __post_init__(self) -> None:
+        _require_members(self, kind=ControllerKind)
 
     @classmethod
     def for_controller(cls, spec: ControllerSpec) -> "LyapunovFn":
@@ -233,10 +236,7 @@ class Compositor:
     dfn_ds: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        for name, kind in (("form", CompositorForm), ("order", ArgumentOrder)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
+        _require_members(self, form=CompositorForm, order=ArgumentOrder)
         if self.form is CompositorForm.CUSTOM:
             if not (self.fn and self.dfn_dr and self.dfn_ds):
                 raise ValueError("custom compositor needs fn, dfn_dr, dfn_ds")

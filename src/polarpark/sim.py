@@ -86,6 +86,7 @@ from .geometry import (
     DomainError,
     PolarState,
     StateSpace,
+    _require_members,
     cart_to_polar,
     polar_image,
     polar_to_cart,
@@ -170,10 +171,7 @@ class SimConfig:
     atol: float = 1e-11
 
     def __post_init__(self) -> None:
-        for name, kind in (("frame", Frame), ("integrator", IntegratorKind)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
+        _require_members(self, frame=Frame, integrator=IntegratorKind)
         for name in ("dt", "t_final", "capture_radius", "rtol", "atol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -223,6 +221,7 @@ class Trajectory:
     _columns = ("rho", "delta", "gamma", "x", "y", "theta", "v", "omega", "omega_tilde", "lyapunov")
 
     def __post_init__(self) -> None:
+        _require_members(self, status=SimStatus, frame=Frame)
         n = len(self.t)
         for name in self._columns:
             if len(getattr(self, name)) != n:
@@ -398,7 +397,7 @@ def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
     return math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
 
 
-def _outside(y, z, lo, hi, t1, t2, t3=0.0, t4=0.0, t5=0.0, t6=0.0) -> bool:
+def _outside(y, z, lo, hi, t1, t2, t3, t4, t5, t6) -> bool:
     """Whether a coordinate that goes from y to z, its interpolant within w = (|t1| + ... +
     |t6|)/4 of that range, has no float sample in (lo, hi); the margin covers the samples'
     rounding (below 1e-14 of |y| + |z| + w) and underflow, and a NaN proves nothing."""

@@ -289,7 +289,7 @@ class TestConfigValidation:
         ({**BASE_SIM, "sim": {"integrator": "euler"}}, "unknown integrator 'euler'"),
         ({**BASE_SIM, "sim": {"h_min": 1e-9}}, "unknown sim keys: ['h_min']"),
         ({**BASE_SIM, "compositor_order": "gamma_first"},
-         "compositor_order must be rho_first or vdg_first"),
+         "unknown compositor_order 'gamma_first'; choose one of rho_first, vdg_first"),
     ])
     def test_rejected_config(self, tmp_path, capsys, payload, message):
         code, err = self.exit_code(tmp_path, payload, capsys)

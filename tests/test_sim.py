@@ -1185,11 +1185,11 @@ class TestCaptureScreen:
         self.check(sample, zip(y, z), [q[3 + c::3] for c in range(3)], radius)
 
     def test_a_coordinate_clear_of_the_interval_is_outside(self):
-        assert sim._outside(1.0, 2.0, -0.5, 0.5, 0.4, 0.0)  # w = 0.1
-        assert sim._outside(-2.0, -1.0, -0.5, 0.5, 0.4, -0.4)  # w = 0.2
-        assert not sim._outside(1.0, 2.0, -0.5, 0.5, 2.4, 0.0)  # w = 0.6
-        assert not sim._outside(1.0, 2.0, -math.inf, math.inf, 0.4, 0.0)
-        assert not sim._outside(1.0, math.nan, -0.5, 0.5, 0.4, 0.0)
+        assert sim._outside(1.0, 2.0, -0.5, 0.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0)  # w = 0.1
+        assert sim._outside(-2.0, -1.0, -0.5, 0.5, 0.4, -0.4, 0.0, 0.0, 0.0, 0.0)  # w = 0.2
+        assert not sim._outside(1.0, 2.0, -0.5, 0.5, 0.4, 0.4, 0.4, 0.4, 0.4, -0.4)  # w = 0.6
+        assert not sim._outside(1.0, 2.0, -math.inf, math.inf, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert not sim._outside(1.0, math.nan, -0.5, 0.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
