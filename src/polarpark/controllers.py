@@ -22,16 +22,17 @@ The controllers differ only in the steering correction omega_tilde:
     BAGAL   combines the delta barrier with the gamma barrier.
 
 BOLSA and BAGAL need the gain coupling k1*k3 >= k2^2 for their decrease
-certificates; construction rejects gains that violate it unless the
-caller explicitly opts out.
+certificates, BAGAL's also k3 <= max(k1/h*, 4*k2/h*^2), h* = 0.0567 being the
+maximum of (x - 1)/(x*(1 + x)^2) over x > 0 (this package's bound, not the
+paper's); construction rejects other gains unless the caller explicitly opts out.
 
 steering_law(xp, kind, gains) binds one law for a numeric namespace: two
 kernels, one per family.  The bounded kernel (BOLSA, BAGAL) serves every
 namespace; the backstepping kernel (GLOBA, BARFLI) serves the scalar ones
 (floats for the simulator's right-hand sides, complex scalars for its
-complex-step Jacobian) and calls no helper.  Arrays, and lyapunov.py,
-compose backstepping_terms and _psi instead: the reference the kernel is
-tested to equal bit for bit.
+complex-step Jacobian) and calls no helper.  Arrays compose
+backstepping_terms and _psi instead (lyapunov.py uses the first alone): the
+reference the kernel is tested to equal bit for bit.
 """
 from __future__ import annotations
 
@@ -77,6 +78,9 @@ class ControllerKind(Enum):
 # Python-level Enum hash, cost more than the arithmetic of a scalar call.
 _GLOBA, _BARFLI, _BOLSA, _BAGAL = ControllerKind
 
+_X_STAR = (3.0 + math.sqrt(17.0)) / 4.0  # where h* of BAGAL's k3 bound (above) is attained
+_H_STAR = (_X_STAR - 1.0) / (_X_STAR * (1.0 + _X_STAR) ** 2)
+
 _SPACES = {
     ControllerKind.GLOBA: StateSpace.S,
     ControllerKind.BARFLI: StateSpace.S1,
@@ -119,8 +123,8 @@ class Gains:
 class ControllerSpec:
     """A controller kind with its gains.
 
-    For BOLSA and BAGAL the coupling k1*k3 >= k2^2 is enforced at
-    construction.  Pass allow_unproven_gains=True to run such a controller
+    For BOLSA and BAGAL the gain bounds of the module docstring are enforced
+    at construction.  Pass allow_unproven_gains=True to run such a controller
     with gains outside the certified region (the reference experiments do
     this; convergence is then checked empirically, not guaranteed).
     """
@@ -131,16 +135,15 @@ class ControllerSpec:
 
     def __post_init__(self) -> None:
         _require_members(self, kind=ControllerKind)
-        if (
-            self.kind.needs_gain_coupling
-            and not self.allow_unproven_gains
-            and self.gains.coupling_margin < 0.0
-        ):
-            raise ValueError(
-                f"{self.kind.value} requires k1*k3 >= k2^2 "
-                f"(margin {self.gains.coupling_margin:.6g}); "
-                "pass allow_unproven_gains=True to override"
-            )
+        if not self.kind.needs_gain_coupling or self.allow_unproven_gains:
+            return
+        g, opt_out = self.gains, "pass allow_unproven_gains=True to override"
+        if g.coupling_margin < 0.0:
+            raise ValueError(f"{self.kind.value} requires k1*k3 >= k2^2 "
+                             f"(margin {g.coupling_margin:.6g}); {opt_out}")
+        if self.kind is _BAGAL and g.k3 > max(g.k1 / _H_STAR, 4.0 * g.k2 / _H_STAR**2):
+            raise ValueError(f"bagal requires k3 <= max(k1/h*, 4*k2/h*^2) with h* = {_H_STAR:.6g} "
+                             f"(k3 = {g.k3:.6g}); {opt_out}")
 
     @property
     def space(self) -> StateSpace:
@@ -247,8 +250,8 @@ def steering_law(xp, kind: ControllerKind, gains: Gains):
     namespace.  For the scalar namespaces (FLOAT_MATH, COMPLEX_MATH) the
     backstepping kernel (GLOBA; BARFLI shapes the angle) is fused: a call
     runs no helper, and it repeats, operation for operation, the
-    composition of backstepping_terms and _psi that arrays (and
-    lyapunov.py) use, its tested reference: they agree bit for bit.
+    composition of backstepping_terms and _psi that arrays use, its
+    tested reference: they agree bit for bit.
     """
     k1, k2, k3, k4 = gains.k1, gains.k2, gains.k3, gains.k4
     sin, cos, tan, atan, sqrt, any_ = xp.sin, xp.cos, xp.tan, xp.atan, xp.sqrt, xp.any

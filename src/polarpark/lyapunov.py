@@ -8,6 +8,17 @@ zero only at the angular origin and decreases along the closed-loop flow
 Barriered controllers have storage functions that blow up at the excluded
 lines, which is what makes their sublevel sets invariant.
 
+The bounded designs share one storage function.  With t = tan(gamma/2),
+q = sqrt(k1/k3), and a = delta, b = 2*q*t for BOLSA, a = tan(delta/2),
+b = q*t for BAGAL, V = P(u) + (a + b)^2 with u = a^2 + b^2 and P per kind.
+As k1 = q^2*k3, the terms of V' from delta' and from the delta part of
+gamma' cancel exactly, leaving, with a' = da/ddelta and w = k3 (BOLSA) or
+2*k3 (BAGAL) the weight of delta in omega_tilde,
+
+    V' = -k2*sin(gamma)*dV/dgamma + 2*q*w*a'*cos(gamma)*(b^2 - a^2)/(1 + t^2),
+
+for BAGAL negative near the delta barrier only under ControllerSpec's k3 bound.
+
 A compositor then combines rho^2 with the angular value into a Lyapunov
 function for the full state, V(rho, delta, gamma) = C(rho^2, V_dg) or
 C(V_dg, rho^2).  Any C that vanishes only at (0, 0), grows unboundedly,
@@ -30,7 +41,6 @@ from .controllers import (
     Gains,
     backstepping_terms,
     math_for,
-    steering_law,
 )
 from .geometry import DomainError, StateSpace, _require_members
 
@@ -80,11 +90,6 @@ class LyapunovFn:
         return self.gains.k1 / self.gains.k3
 
     @cached_property
-    def _bolsa_slopes(self) -> tuple[float, float]:
-        g = self.gains
-        return g.k3 * (1.0 + self._q / g.k2), g.k3 / (2.0 * self._q * g.k2)
-
-    @cached_property
     def _bagal_amp(self) -> float:
         g, q = self.gains, self._q
         return max(g.k1 * q, 2.0 * math.sqrt(g.k1 * g.k2)) / (3.0 * g.k2 * q * q)
@@ -93,17 +98,24 @@ class LyapunovFn:
         if not xp.all(self.space.contains_angles(delta, gamma)):
             raise DomainError(f"barrier blow-up outside the open space {self.space.value}")
 
-    def _bolsa_terms(self, xp, delta, gamma):
-        q = self._q
-        t = xp.tan(gamma / 2.0)
-        u = delta * delta + 4.0 * q * q * t * t
-        return t, u, delta + 2.0 * q * t
-
-    def _bagal_terms(self, xp, delta, gamma):
-        q = self._q
+    def _bounded_terms(self, xp, delta, gamma):
+        # (a, b, u, t) of the module docstring; u keeps V's float expression.
+        q, t = self._q, xp.tan(gamma / 2.0)
+        if self.kind is _BOLSA:
+            return delta, 2.0 * q * t, delta * delta + 4.0 * q * q * t * t, t
         d = xp.tan(delta / 2.0)
-        t = xp.tan(gamma / 2.0)
-        return d, t, d * d + q * q * t * t, d + q * t
+        return d, q * t, d * d + q * q * t * t, t
+
+    def _bounded_grad(self, a, b, u, t):
+        # (dV/ddelta, dV/dgamma, a'): value needs no P'(u), a', b', so only this forms them.
+        g, q, s = self.gains, self._q, a + b
+        if self.kind is _BOLSA:
+            slope = g.k3 * (1.0 + q / g.k2) + g.k3 / (q * g.k2) * u
+            a1, b1 = 1.0, q * (1.0 + t * t)
+        else:
+            slope = 3.0 * self._bagal_amp * (1.0 + u) ** 2
+            a1, b1 = (1.0 + a * a) / 2.0, q * (1.0 + t * t) / 2.0
+        return (2.0 * slope * a + 2.0 * s) * a1, (2.0 * slope * b + 2.0 * s) * b1, a1
 
     def value(self, delta, gamma):
         """V(delta, gamma) >= 0, zero only at the angular origin.
@@ -115,13 +127,12 @@ class LyapunovFn:
         xp = math_for(delta, gamma)
         self._require_inside(xp, delta, gamma)
         g = self.gains
-        if self.kind is _BOLSA:
-            q = self._q
-            _, u, shifted = self._bolsa_terms(xp, delta, gamma)
-            return g.k3 * (1.0 + (2.0 * q * q + u) / (2.0 * q * g.k2)) * u + shifted * shifted
-        if self.kind is _BAGAL:
-            _, _, u, shifted = self._bagal_terms(xp, delta, gamma)
-            return self._bagal_amp * ((1.0 + u) ** 3 - 1.0) + shifted * shifted
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            a, b, u, _ = self._bounded_terms(xp, delta, gamma)
+            q, s = self._q, a + b
+            storage = (g.k3 * (1.0 + (2.0 * q * q + u) / (2.0 * q * g.k2)) * u
+                       if self.kind is _BOLSA else self._bagal_amp * ((1.0 + u) ** 3 - 1.0))
+            return storage + s * s
         Delta, _, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
         return Delta**2 + self._q_sq * z**2
 
@@ -130,22 +141,8 @@ class LyapunovFn:
         xp = math_for(delta, gamma)
         self._require_inside(xp, delta, gamma)
         g = self.gains
-        if self.kind is _BOLSA:
-            q = self._q
-            t, u, shifted = self._bolsa_terms(xp, delta, gamma)
-            sec_sq = 1.0 + t * t
-            c1, c2 = self._bolsa_slopes
-            outer = c1 + 2.0 * c2 * u
-            d_delta = outer * 2.0 * delta + 2.0 * shifted
-            d_gamma = outer * 4.0 * q * q * t * sec_sq + 2.0 * shifted * q * sec_sq
-            return d_delta, d_gamma
-        if self.kind is _BAGAL:
-            q = self._q
-            d, t, u, shifted = self._bagal_terms(xp, delta, gamma)
-            outer = 3.0 * self._bagal_amp * (1.0 + u) ** 2
-            d_delta = (outer * 2.0 * d + 2.0 * shifted) * (1.0 + d * d) / 2.0
-            d_gamma = (outer * 2.0 * q * q * t + 2.0 * shifted * q) * (1.0 + t * t) / 2.0
-            return d_delta, d_gamma
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            return self._bounded_grad(*self._bounded_terms(xp, delta, gamma))[:2]
         Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
         q_sq = self._q_sq
         dz_ddelta = g.k2 * dDelta / (1.0 + 4.0 * g.k2**2 * Delta**2)
@@ -154,27 +151,28 @@ class LyapunovFn:
         return d_delta, d_gamma
 
     def vdot(self, delta, gamma):
-        """Exact derivative of V along the matched closed loop.
+        """Exact derivative of V along the matched closed loop, in closed form.
 
-        For the backstepping kinds this is the closed-form expression
+        For the backstepping kinds this is
 
             -2*k1*k2*Delta^2/sqrt(1 + 4*k2^2*Delta^2) * dDelta/ddelta
             - 2*k4*(k1/k3)*z^2,
 
         which the cross-term cancellation of the design makes equal to the
-        chain-rule derivative.  For BOLSA and BAGAL it is the chain rule
-        with analytic partials; their published decrease statements are
-        inequalities, and acceptance criterion 03 in tests/test_acceptance.py
-        checks BOLSA's against bolsa_decay_bound.
+        chain-rule derivative.  For BOLSA and BAGAL it is the module docstring's
+        V', free of the chain-rule terms that cancel (they reach 1e20 near BAGAL's
+        delta barrier); their published decrease statements are inequalities, and
+        criterion 03 in tests/test_acceptance.py checks BOLSA's against bolsa_decay_bound.
         """
         xp = math_for(delta, gamma)
+        self._require_inside(xp, delta, gamma)
         g = self.gains
         if self.kind is _BOLSA or self.kind is _BAGAL:
-            d_delta, d_gamma = self.grad(delta, gamma)
-            delta_rate = 0.5 * g.k1 * xp.sin(2.0 * gamma)
-            gamma_rate = -steering_law(xp, self.kind, g)(delta, gamma)
-            return d_delta * delta_rate + d_gamma * gamma_rate
-        self._require_inside(xp, delta, gamma)
+            terms = a, b, _, t = self._bounded_terms(xp, delta, gamma)
+            _, d_gamma, a1 = self._bounded_grad(*terms)
+            w = g.k3 if self.kind is _BOLSA else 2.0 * g.k3
+            return (-g.k2 * xp.sin(gamma) * d_gamma
+                    + 2.0 * self._q * w * a1 * xp.cos(gamma) * (b * b - a * a) / (1.0 + t * t))
         Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
         root = xp.sqrt(1.0 + 4.0 * g.k2**2 * Delta**2)
         return -2.0 * g.k1 * g.k2 * Delta**2 / root * dDelta - 2.0 * g.k4 * self._q_sq * z**2

@@ -327,7 +327,9 @@ def check_proposition1(
     function must have a strictly negative derivative along the matched
     closed loop at off-origin samples.  details["failing_condition"] names
     the worst condition of a failing report (closed-loop-decrease for the
-    sampled derivative), and details["n_drawn"] the candidates drawn.
+    sampled derivative), details["n_drawn"] the candidates drawn, and
+    details["decrease_margin"] (None if not finite) and ["decrease_witness"]
+    the worst sampled derivative and its sample (the screen's -1e-12 hides it).
 
     Never raises on a bad merge function: a violated condition is returned
     as a failing report with its witness.  n_samples < 1 raises ValueError.
@@ -353,7 +355,9 @@ def check_proposition1(
         tolerance=0.0,
         criterion="worst_margin < 0",
         seed=seed,
-        details={"failing_condition": failing if worst >= 0.0 else None, "n_drawn": n_drawn},
+        details={"failing_condition": failing if worst >= 0.0 else None, "n_drawn": n_drawn,
+                 "decrease_margin": margin if math.isfinite(margin) else None,
+                 "decrease_witness": _row(states, i)},
     )
 
 

@@ -545,12 +545,16 @@ class TestSweep:
         for name in ("sweep.csv", "sweep_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_bad_gain_set_rejected(self, tmp_path, capsys):
-        payload = {**self.PAYLOAD, "controller": "bagal",
-                   "gain_sets": [[1.0, 2.0, 1.0, 1.0]]}
+    @pytest.mark.parametrize("gains, rule", [
+        ([1.0, 2.0, 1.0, 1.0], "k1*k3 >= k2^2"),
+        ([1.0, 1.0, 1300.0, 1.0], "k3 <= max(k1/h*, 4*k2/h*^2)"),
+    ], ids=["coupling", "bagal_k3_bound"])
+    def test_bad_gain_set_rejected(self, tmp_path, capsys, gains, rule):
+        payload = {**self.PAYLOAD, "controller": "bagal", "gain_sets": [gains]}
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "gain set #0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gain set #0" in err and rule in err
 
     def test_allow_unproven_gains_must_be_a_json_boolean(self, tmp_path, capsys):
         payload = {**self.PAYLOAD, "controller": "bagal", "allow_unproven_gains": "false",

@@ -50,6 +50,16 @@ class TestControllerSpec:
             # explicit opt-out for running uncertified gains
             ControllerSpec(kind, Gains(1.0, 1.0, 0.1, 1.0), allow_unproven_gains=True)
 
+    def test_bagal_k3_bound(self):
+        # past k3 = max(17.64*k1, 1,244*k2), BAGAL's V' turns positive near |delta| = pi
+        too_steep = Gains(1.0, 1.0, 1300.0, 1.0)
+        with pytest.raises(ValueError, match=r"bagal requires k3 <= max\(k1/h\*, 4\*k2/h\*\^2\)"):
+            ControllerSpec(ControllerKind.BAGAL, too_steep)
+        ControllerSpec(ControllerKind.BAGAL, too_steep, allow_unproven_gains=True)
+        ControllerSpec(ControllerKind.BOLSA, too_steep)
+        ControllerSpec(ControllerKind.BAGAL, Gains(1.0, 1.0, 1200.0, 1.0))
+        ControllerSpec(ControllerKind.BAGAL, Gains(100.0, 1.0, 1300.0, 1.0))
+
     def test_coupling_holds_with_equality(self):
         ControllerSpec(ControllerKind.BOLSA, Gains(1.0, 1.0, 1.0, 1.0))
 

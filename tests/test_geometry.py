@@ -50,7 +50,8 @@ class TestWrapAngle:
         rng = np.random.default_rng(8)
         angles = np.concatenate([
             rng.uniform(-50.0, 50.0, 2000),
-            [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, 1e-300],
+            [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, 1e-300,
+             53.40707511102649],  # wraps to just above pi, so the branch back to -pi
         ])
         before = angles.copy()
         wrapped = wrap_angle(angles)

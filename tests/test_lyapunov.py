@@ -96,6 +96,17 @@ class TestAngularDerivatives:
         fn = LyapunovFn(ControllerKind.BAGAL, UNIT)
         assert fn.vdot(0.8, 0.5) == pytest.approx(-0.97043086512790764664, rel=1e-13)
 
+    @pytest.mark.parametrize("gains, point, exact", [
+        ((1.0, 1.0, 1300.0, 1.0), (math.pi - 1e-4, -1.86), 2.5339432709885448e16),
+        ((1.0, 1.0, 1e4, 1.0), (-2.24, -1.99), 279.16157621388198),
+        ((1.0, 1.0, 1.0, 1.0), (-3.1339, 1.6871), -22606488977.344707),
+    ])
+    def test_bagal_vdot_near_the_delta_barrier(self, gains, point, exact):
+        # 60-digit references near the barrier, where the chain-rule terms reach
+        # 1e20 and cancel; the first is a true increase (k3 > 1,244*k2)
+        fn = LyapunovFn(ControllerKind.BAGAL, Gains(*gains))
+        assert fn.vdot(*point) == pytest.approx(exact, rel=1e-13)
+
     def test_vdot_is_chain_rule_along_closed_loop(self):
         # vdot must equal grad . (delta', gamma') with delta' = (k1/2)sin(2g),
         # gamma' = -omega_tilde; this ties the three formula families together

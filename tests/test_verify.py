@@ -190,6 +190,14 @@ class TestProposition1Check:
         with pytest.raises(ValueError, match="positive-partials"):
             composite(comp, fn)
 
+    def test_infinite_decrease_margin_is_written_as_null(self):
+        # a partial of -inf makes the sampled derivative +inf
+        comp = Compositor.custom(
+            fn=lambda r, s: r + s, dfn_dr=lambda r, s: 1.0, dfn_ds=lambda r, s: -math.inf)
+        rep = check_proposition1(comp, LyapunovFn(ControllerKind.GLOBA, UNIT), n_samples=50)
+        assert rep.worst_margin == math.inf and rep.details["decrease_margin"] is None
+        json.dumps(rep.to_dict(), allow_nan=False)
+
 
 class TestKlDecayCheck:
     def run_captured(self):
@@ -595,6 +603,12 @@ class TestArrayChecksMatchRowReference:
                 ref += [full.vdot(*row) for row in states.tolist()]
                 assert not np.isnan(ref).any()  # -inf: exp merge saturated, fine
                 assert relative_gap(rep.worst_margin, max(ref)) < 1e-10
+                # the sampled decrease margin, which the -1e-12 origin slack hides
+                with np.errstate(all="ignore"):
+                    vdot = full.vdot(*states.T)
+                i = int(np.argmax(vdot))
+                assert rep.details["decrease_margin"] == vdot[i] < 0.0
+                assert rep.details["decrease_witness"] == tuple(states[i])
 
     def test_gradient(self):
         # per-row complex-step reference: each partial from 1-element
