@@ -97,8 +97,11 @@ def math_for(a, b=None):
 
 
 def wrap_float(angle: float) -> float:
-    """wrap_angle for one float, with no type test: the Cartesian field of
-    sim.py calls it twice per right-hand side."""
+    """wrap_angle for one float, with no type test (the Cartesian field's gamma wrap).
+    An angle in (-pi, pi] comes back as is, the formula's result there bit for bit (a - 0.0
+    is a, -0.0 included); NaN and +-inf fall through and raise in round()."""
+    if -math.pi < angle <= math.pi:
+        return angle
     wrapped = angle - TWO_PI * round(angle / TWO_PI)
     if wrapped <= -math.pi:
         return wrapped + TWO_PI

@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, and exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -54,6 +55,25 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "ic_000.csv").read_bytes() == (b / "ic_000.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    def test_cartesian_outputs_are_pinned(self, tmp_path):
+        # Two 60 s Cartesian BOLSA runs with capture off: the field steers from the wrapped
+        # polar image of each pose, and each CSV holds 1,201 rows of floats.
+        cfg = write_config(tmp_path, {
+            "controller": "bolsa", "gains": [1.0, 1.0, 1.0, 1.0],
+            "initial_conditions": [{"rho": 1.0, "delta": 0.5, "gamma": -0.5},
+                                   {"x": -2.0, "y": 0.3, "theta": 0.4}],
+            "sim": {"dt": 0.05, "t_final": 60.0, "capture_radius": 0.0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--frame", "cartesian"]) == 0
+        files = sorted(out.iterdir())
+        assert [p.name for p in files] == ["ic_000.csv", "ic_001.csv", "summary.json"]
+        assert [len(p.read_text().splitlines()) for p in files[:2]] == [1202, 1202]
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "61d8b924fcf64ff3a03b3d1924642f0821c1d50d9f5e0843da7ab5664e0c759b")
 
     def test_frame_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, BASE_SIM)

@@ -16,7 +16,7 @@ from polarpark import (
     polar_to_cart,
     wrap_angle,
 )
-from polarpark.geometry import polar_image
+from polarpark.geometry import polar_image, wrap_float
 
 
 class TestWrapAngle:
@@ -52,12 +52,22 @@ class TestWrapAngle:
             rng.uniform(-50.0, 50.0, 2000),
             [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, 1e-300,
              53.40707511102649],  # wraps to just above pi, so the branch back to -pi
+            # the float neighbours of +-pi, either side of the in-range test, and tiny angles
+            [math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+             math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0), -1e-300, 5e-324],
         ])
         before = angles.copy()
         wrapped = wrap_angle(angles)
         reference = np.array([wrap_angle(float(a)) for a in angles])
         assert np.array_equal(wrapped.view(np.int64), reference.view(np.int64))
         assert np.array_equal(angles, before)
+
+    def test_non_finite_floats_raise(self):
+        with pytest.raises(ValueError):
+            wrap_float(math.nan)
+        for a in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                wrap_float(a)
 
 
 class TestStates:

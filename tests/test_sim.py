@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1310,6 +1311,39 @@ class TestCsv:
         self.run().to_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # No Lyapunov function, so V is nan; delta0 = 0 puts y = -rho*sin(0) = -0.0 in row 1.
+        traj = simulate(ControllerSpec(ControllerKind.GLOBA, UNIT), PolarState(1.0, 0.0, 0.5),
+                        SimConfig(dt=0.01, t_final=100.0, capture_radius=0.0))
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        data = path.read_bytes()
+        assert len(traj) == 10001
+        assert len(traj) > sim._CSV_BLOCK and len(traj) % sim._CSV_BLOCK  # ends in a part block
+        assert data.split(b"\n")[1] == (
+            b"0.0,-1.0,-0.0,-0.5,1.0,0.0,0.5,0.8775825618903728,1.3414709848078965,nan")
+        assert hashlib.sha256(data).hexdigest() == (
+            "ab97d1bd57a567ac1f2ad5205c91295bf5a0b4b88d747e91f47a0e53e26c6e04")
+
+    @staticmethod
+    def csv_peak_bytes(path, n):
+        """tracemalloc's peak while to_csv writes an n-row trajectory built from arrays."""
+        column = np.arange(n, dtype=float)
+        traj = Trajectory(column, *([column] * 10), status=SimStatus.HORIZON_REACHED,
+                          frame=Frame.POLAR)
+        tracemalloc.start()
+        try:
+            traj.to_csv(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # Four times the rows; a writer that holds every cell peaks at about 320 B a row.
+        # (tracemalloc traces each float and each repr, so larger files make a slow test.)
+        small = self.csv_peak_bytes(tmp_path / "small.csv", 5_001)
+        large = self.csv_peak_bytes(tmp_path / "large.csv", 20_001)
+        assert large < 1.5 * small, (small, large)
 
     def test_writer_frozen_bytes(self, tmp_path):
         path = tmp_path / "row.csv"
