@@ -39,10 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import ARRAY_MATH, DomainError, StateSpace, _require_members, math_for
+from .geometry import ARRAY_MATH, FLOAT_MATH, DomainError, StateSpace, _require_members, math_for
 
 __all__ = [
     "ControllerKind",
@@ -148,6 +149,13 @@ class ControllerSpec:
     @property
     def space(self) -> StateSpace:
         return self.kind.space
+
+    @cached_property
+    def _float_law(self):  # omega_tilde's law on floats, bound on its first call
+        return steering_law(FLOAT_MATH, self.kind, self.gains)
+
+    def __getstate__(self) -> dict:  # the law is a closure, which pickle cannot hold
+        return {name: v for name, v in self.__dict__.items() if name != "_float_law"}
 
 
 _DELTA_BARRIER = "steering undefined at |delta| >= pi"
@@ -330,4 +338,6 @@ def omega_tilde(spec: ControllerSpec, delta, gamma):
             the controller's space in a direction the formula cannot be
             extended through.
     """
-    return steering_law(math_for(delta, gamma), spec.kind, spec.gains)(delta, gamma)
+    xp = math_for(delta, gamma)
+    law = spec._float_law if xp is FLOAT_MATH else steering_law(xp, spec.kind, spec.gains)
+    return law(delta, gamma)

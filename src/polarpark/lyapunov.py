@@ -35,6 +35,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .controllers import (
     ControllerKind,
     ControllerSpec,
@@ -42,7 +44,7 @@ from .controllers import (
     backstepping_terms,
     math_for,
 )
-from .geometry import DomainError, StateSpace, _require_members
+from .geometry import ARRAY_MATH, DomainError, StateSpace, _require_members
 
 _BOLSA, _BAGAL = ControllerKind.BOLSA, ControllerKind.BAGAL
 
@@ -94,17 +96,27 @@ class LyapunovFn:
         g, q = self.gains, self._q
         return max(g.k1 * q, 2.0 * math.sqrt(g.k1 * g.k2)) / (3.0 * g.k2 * q * q)
 
-    def _require_inside(self, xp, delta, gamma) -> None:
-        if not xp.all(self.space.contains_angles(delta, gamma)):
-            raise DomainError(f"barrier blow-up outside the open space {self.space.value}")
+    @cached_property
+    def _barriers(self) -> tuple[bool, bool]:
+        return self.space.delta_bounded, self.space.gamma_bounded
 
-    def _bounded_terms(self, xp, delta, gamma):
-        # (a, b, u, t) of the module docstring; u keeps V's float expression.
+    def _terms(self, delta, gamma):
+        # (xp, gamma, terms): the arguments of _value, _grad and _vdot, after contains_angles' test
+        xp, (on_delta, on_gamma), pi = math_for(delta, gamma), self._barriers, math.pi
+        if xp is ARRAY_MATH:  # np.abs also takes a float; any(), unlike max(), sees past a NaN
+            outside = (on_delta and (np.abs(delta) >= pi).any()
+                       or on_gamma and (np.abs(gamma) >= pi).any())
+        else:
+            outside = on_delta and abs(delta) >= pi or on_gamma and abs(gamma) >= pi
+        if outside:
+            raise DomainError(f"barrier blow-up outside the open space {self.space.value}")
+        if self.kind is not _BOLSA and self.kind is not _BAGAL:
+            return xp, gamma, backstepping_terms(xp, self.kind, self.gains.k2, delta, gamma)
         q, t = self._q, xp.tan(gamma / 2.0)
         if self.kind is _BOLSA:
-            return delta, 2.0 * q * t, delta * delta + 4.0 * q * q * t * t, t
+            return xp, gamma, (delta, 2.0 * q * t, delta * delta + 4.0 * q * q * t * t, t)
         d = xp.tan(delta / 2.0)
-        return d, q * t, d * d + q * q * t * t, t
+        return xp, gamma, (d, q * t, d * d + q * q * t * t, t)
 
     def _bounded_grad(self, a, b, u, t):
         # (dV/ddelta, dV/dgamma, a'): value needs no P'(u), a', b', so only this forms them.
@@ -117,6 +129,35 @@ class LyapunovFn:
             a1, b1 = (1.0 + a * a) / 2.0, q * (1.0 + t * t) / 2.0
         return (2.0 * slope * a + 2.0 * s) * a1, (2.0 * slope * b + 2.0 * s) * b1, a1
 
+    def _value(self, xp, gamma, terms):
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            a, b, u, _ = terms
+            g, q, s = self.gains, self._q, a + b
+            storage = (g.k3 * (1.0 + (2.0 * q * q + u) / (2.0 * q * g.k2)) * u
+                       if self.kind is _BOLSA else self._bagal_amp * ((1.0 + u) ** 3 - 1.0))
+            return storage + s * s
+        Delta, _, z = terms
+        return Delta**2 + self._q_sq * z**2
+
+    def _grad(self, xp, gamma, terms):
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            return self._bounded_grad(*terms)[:2]
+        (Delta, dDelta, z), k2 = terms, self.gains.k2
+        dz_ddelta = k2 * dDelta / (1.0 + 4.0 * k2**2 * Delta**2)
+        return 2.0 * Delta * dDelta + 2.0 * self._q_sq * z * dz_ddelta, 2.0 * self._q_sq * z
+
+    def _vdot(self, xp, gamma, terms):
+        g = self.gains
+        if self.kind is _BOLSA or self.kind is _BAGAL:
+            a, b, _, t = terms
+            _, d_gamma, a1 = self._bounded_grad(*terms)
+            w = g.k3 if self.kind is _BOLSA else 2.0 * g.k3
+            return (-g.k2 * xp.sin(gamma) * d_gamma
+                    + 2.0 * self._q * w * a1 * xp.cos(gamma) * (b * b - a * a) / (1.0 + t * t))
+        Delta, dDelta, z = terms
+        root = xp.sqrt(1.0 + 4.0 * g.k2**2 * Delta**2)
+        return -2.0 * g.k1 * g.k2 * Delta**2 / root * dDelta - 2.0 * g.k4 * self._q_sq * z**2
+
     def value(self, delta, gamma):
         """V(delta, gamma) >= 0, zero only at the angular origin.
 
@@ -124,31 +165,11 @@ class LyapunovFn:
             DomainError: On or outside a barriered line, where the
                 storage function is infinite (for arrays: at any element).
         """
-        xp = math_for(delta, gamma)
-        self._require_inside(xp, delta, gamma)
-        g = self.gains
-        if self.kind is _BOLSA or self.kind is _BAGAL:
-            a, b, u, _ = self._bounded_terms(xp, delta, gamma)
-            q, s = self._q, a + b
-            storage = (g.k3 * (1.0 + (2.0 * q * q + u) / (2.0 * q * g.k2)) * u
-                       if self.kind is _BOLSA else self._bagal_amp * ((1.0 + u) ** 3 - 1.0))
-            return storage + s * s
-        Delta, _, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
-        return Delta**2 + self._q_sq * z**2
+        return self._value(*self._terms(delta, gamma))
 
     def grad(self, delta, gamma):
         """Analytic gradient (dV/ddelta, dV/dgamma)."""
-        xp = math_for(delta, gamma)
-        self._require_inside(xp, delta, gamma)
-        g = self.gains
-        if self.kind is _BOLSA or self.kind is _BAGAL:
-            return self._bounded_grad(*self._bounded_terms(xp, delta, gamma))[:2]
-        Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
-        q_sq = self._q_sq
-        dz_ddelta = g.k2 * dDelta / (1.0 + 4.0 * g.k2**2 * Delta**2)
-        d_delta = 2.0 * Delta * dDelta + 2.0 * q_sq * z * dz_ddelta
-        d_gamma = 2.0 * q_sq * z
-        return d_delta, d_gamma
+        return self._grad(*self._terms(delta, gamma))
 
     def vdot(self, delta, gamma):
         """Exact derivative of V along the matched closed loop, in closed form.
@@ -164,18 +185,7 @@ class LyapunovFn:
         delta barrier); their published decrease statements are inequalities, and
         criterion 03 in tests/test_acceptance.py checks BOLSA's against bolsa_decay_bound.
         """
-        xp = math_for(delta, gamma)
-        self._require_inside(xp, delta, gamma)
-        g = self.gains
-        if self.kind is _BOLSA or self.kind is _BAGAL:
-            terms = a, b, _, t = self._bounded_terms(xp, delta, gamma)
-            _, d_gamma, a1 = self._bounded_grad(*terms)
-            w = g.k3 if self.kind is _BOLSA else 2.0 * g.k3
-            return (-g.k2 * xp.sin(gamma) * d_gamma
-                    + 2.0 * self._q * w * a1 * xp.cos(gamma) * (b * b - a * a) / (1.0 + t * t))
-        Delta, dDelta, z = backstepping_terms(xp, self.kind, g.k2, delta, gamma)
-        root = xp.sqrt(1.0 + 4.0 * g.k2**2 * Delta**2)
-        return -2.0 * g.k1 * g.k2 * Delta**2 / root * dDelta - 2.0 * g.k4 * self._q_sq * z**2
+        return self._vdot(*self._terms(delta, gamma))
 
 
 def bolsa_decay_bound(gains: Gains, delta, gamma, shift_weight: float = 1.0):
@@ -337,37 +347,32 @@ class CompositeLyapunovFn:
     compositor: Compositor
     angular: LyapunovFn
 
-    def _arguments(self, rho, delta, gamma):
+    def _arguments(self, rho, angular):
         # (r, s) of the compositor: (rho^2, V_dg), or (V_dg, rho^2) with VDG_FIRST.
-        angular, rho_sq = self.angular.value(delta, gamma), rho * rho
-        if self.compositor.order is ArgumentOrder.RHO_FIRST:
-            return rho_sq, angular
-        return angular, rho_sq
+        rho_first = self.compositor.order is ArgumentOrder.RHO_FIRST
+        return (rho * rho, angular) if rho_first else (angular, rho * rho)
 
-    def _partials(self, rho, delta, gamma):
-        # (dC/d(rho^2), dC/dV_dg) at the state, whichever argument order.
-        partials = self.compositor.partials(*self._arguments(rho, delta, gamma))
+    def _partials(self, rho, at):
+        # (dC/d(rho^2), dC/dV_dg) at the state whose angular terms are `at`, whichever order.
+        partials = self.compositor.partials(*self._arguments(rho, self.angular._value(*at)))
         return partials if self.compositor.order is ArgumentOrder.RHO_FIRST else partials[::-1]
 
     def value(self, rho, delta, gamma):
-        return self.compositor.value(*self._arguments(rho, delta, gamma))
+        return self.compositor.value(*self._arguments(rho, self.angular.value(delta, gamma)))
 
     def log1p_value(self, rho, delta, gamma):
         """log(1 + V), ordered as V; for exp_product log1p(r) + s, finite where V overflows."""
         if self.compositor.form is not CompositorForm.EXP_PRODUCT:
             return math_for(rho, delta).log1p(self.value(rho, delta, gamma))
-        r, s = self._arguments(rho, delta, gamma)
+        r, s = self._arguments(rho, self.angular.value(delta, gamma))
         return math_for(r).log1p(r) + s
 
     def gradient(self, rho, delta, gamma):
         """Analytic gradient (dV/drho, dV/ddelta, dV/dgamma)."""
-        p_rho_sq, p_angular = self._partials(rho, delta, gamma)
-        dv_ddelta, dv_dgamma = self.angular.grad(delta, gamma)
-        return (
-            p_rho_sq * 2.0 * rho,
-            p_angular * dv_ddelta,
-            p_angular * dv_dgamma,
-        )
+        at = self.angular._terms(delta, gamma)  # one domain test and one term evaluation
+        p_rho_sq, p_angular = self._partials(rho, at)
+        dv_ddelta, dv_dgamma = self.angular._grad(*at)
+        return p_rho_sq * 2.0 * rho, p_angular * dv_ddelta, p_angular * dv_dgamma
 
     def vdot(self, rho, delta, gamma):
         """Exact derivative along the matched closed loop.
@@ -376,11 +381,11 @@ class CompositeLyapunovFn:
         dC/d(rho^2) * (-2*k1*rho^2*cos(gamma)^2) and the angular argument
         contributes dC/dV_dg * V_dg'.
         """
-        p_rho_sq, p_angular = self._partials(rho, delta, gamma)
-        k1 = self.angular.gains.k1
+        at = self.angular._terms(delta, gamma)  # one domain test and one term evaluation
+        p_rho_sq, p_angular = self._partials(rho, at)
         cos_g = math_for(gamma).cos(gamma)
-        rho_sq_rate = -2.0 * k1 * rho * rho * cos_g * cos_g
-        return p_rho_sq * rho_sq_rate + p_angular * self.angular.vdot(delta, gamma)
+        rho_sq_rate = -2.0 * self.angular.gains.k1 * rho * rho * cos_g * cos_g
+        return p_rho_sq * rho_sq_rate + p_angular * self.angular._vdot(*at)
 
 
 _SCREEN_GRID = [0.0] + [10.0 ** e for e in range(-6, 5)]

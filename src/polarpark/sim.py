@@ -91,6 +91,7 @@ from .geometry import (
     cart_to_polar,
     polar_image,
     polar_to_cart,
+    wrap_angle,
     wrap_float,
 )
 from .lyapunov import CompositeLyapunovFn
@@ -395,6 +396,8 @@ class _BoundaryHit(Exception):
     """Internal: stepping could not continue."""
 
 
+# sys.float_info.min: a Cartesian step to hypot(x, y) below it ends the run (atan2 has no bits left)
+_MIN_NORMAL, _SUBNORMAL_NOTE = 2.0**-1022, "the position fell below the smallest normal float"
 # The adaptive loop stops once h < _STEP_FLOOR*max(t, dt): 10 ulps of the
 # current time, and of one sampling interval at t = 0, where a step below it
 # no longer moves t reliably (dop853.f stops at 0.1*|h| <= uround*|t|).
@@ -507,8 +510,8 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
     _outside the capture box (any DOP853 step, at a radius <= 0) appends its
     record to dop for _grid_samples, and z at t to flat; any other step, each
     ode23s one among them, appends each sample to flat and tests it.
-    Returns "done" or "captured", or raises _BoundaryHit when the step size
-    falls below the step floor _STEP_FLOOR*max(t, dt).
+    Returns "done" or "captured", or raises _BoundaryHit when the step size falls
+    below the step floor _STEP_FLOOR*max(t, dt) or a Cartesian step below _MIN_NORMAL.
 
     DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
     is evaluated once the step is accepted, and the extra stages 14..16
@@ -650,6 +653,8 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                 h *= max(0.2, 0.9 * err**expo)
                 probe = can_switch  # a step held by stability: test the next accepted one
                 continue
+            if not polar and hypot(z1, z2) < _MIN_NORMAL:
+                raise _BoundaryHit(f"step from t={t:.6g} left the domain: {_SUBNORMAL_NOTE}")
             if not stiff:
                 z = (z1, z2, z3)
                 f13a, f13b, f13c = fz = f(z)
@@ -829,6 +834,8 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
                 y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
                 y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
             )
+            if not polar and hypot(y1, y2) < _MIN_NORMAL:
+                raise DomainError(_SUBNORMAL_NOTE)
             f1 = f(y)
             if not (isfinite(y1) and isfinite(y2) and isfinite(y3)):
                 raise OverflowError("the state overflowed")
@@ -902,15 +909,15 @@ def _run(f, y0, cfg: SimConfig, jac=None):
 
 
 def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):
-    """Unwrapped (rho, delta, gamma) of Cartesian samples, continuous from the start's angles."""
+    """Cartesian samples' (rho, delta, gamma), unwrapped from the start's, and wrapped delta."""
     x, y, theta = ys[:, 0], ys[:, 1], ys[:, 2]
-    delta = np.unwrap(np.arctan2(y, x) + math.pi)
+    delta = np.unwrap(angle := np.arctan2(y, x) + math.pi)
     delta += 2.0 * math.pi * round((start.delta - delta[0]) / (2.0 * math.pi))
     gamma = delta - theta
     turns = round((start.gamma - gamma[0]) / (2.0 * math.pi))
     if turns:  # a Cartesian start whose heading is not delta - gamma itself
         gamma += 2.0 * math.pi * turns
-    return np.hypot(x, y), delta, gamma
+    return np.hypot(x, y), delta, gamma, wrap_angle(angle)
 
 
 def simulate(
@@ -978,8 +985,9 @@ def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law,
         y0 = (cart0.x, cart0.y, cart0.theta)
         f, jac = _cartesian_field(k1, law(FLOAT_MATH)), None
     times, ys, status, capture_time, notes, stop = _run(f, y0, cfg, jac)
-    rho, delta, gamma = ((np.exp(ys[:, 0]), ys[:, 1], ys[:, 2]) if cfg.frame is Frame.POLAR
-                         else _reconstruct_cartesian(ys, polar0))
+    rho, delta, gamma, delta_fb = (
+        (np.exp(ys[:, 0]), ys[:, 1], ys[:, 2], ys[:, 1]) if cfg.frame is Frame.POLAR
+        else _reconstruct_cartesian(ys, polar0))
 
     inside = space.contains_angles(delta, gamma)
     if not np.all(inside):
@@ -988,22 +996,20 @@ def _simulate(x0, cfg: SimConfig, space: StateSpace, name: str, k1: float, law,
         # a remark on a step after the last kept sample names a cut-off part of the run
         notes = [note for note in notes if note[0] <= times[n - 1]]
         status, capture_time = SimStatus.BOUNDARY_STOP, None
-        times, ys, rho, delta, gamma = times[:n], ys[:n], rho[:n], delta[:n], gamma[:n]
+        times, ys, rho, delta, gamma, delta_fb = (
+            a[:n] for a in (times, ys, rho, delta, gamma, delta_fb))
 
     if cfg.frame is Frame.POLAR:
-        theta = delta - gamma
-        x = -rho * np.cos(delta)
-        y_pos = -rho * np.sin(delta)
-        rho_fb, delta_fb, gamma_fb = rho, delta, gamma
+        theta, x, y_pos, gamma_fb = delta - gamma, -rho * np.cos(delta), -rho * np.sin(delta), gamma
     else:
         x, y_pos, theta = ys[:, 0], ys[:, 1], ys[:, 2]
         # Feedback as computed during integration: from the wrapped image.
-        rho_fb, delta_fb, gamma_fb = polar_image(x, y_pos, theta)
-        if not rho_fb.all():
+        gamma_fb = wrap_angle(delta_fb - theta)
+        if not rho.all():
             raise DomainError("polar chart undefined at rho=0")
 
     tilde = law(ARRAY_MATH)(delta_fb, gamma_fb)
-    v = k1 * rho_fb * np.cos(gamma_fb)
+    v = k1 * rho * np.cos(gamma_fb)
     omega = 0.5 * k1 * np.sin(2.0 * gamma_fb) + tilde
     if lyapunov is None:
         values = np.full(len(times), np.nan)

@@ -125,15 +125,16 @@ def _sample_states(
     """Draw n >= 1 (rho, delta, gamma) rows inside the open space from `seed`.
 
     Returns (rows, domain string, candidates drawn).  Bounded angles stay
-    _BARRIER_OFFSET inside their barriers.  The first round draws
-    max(n, 64).  With value_cap set, angle pairs whose angular.value exceeds
-    it are rejected, and each later round draws the shortfall at 1.25 times
-    the acceptance rate seen (64 to 16*n), rows kept in draw order.  An
-    n < 1 raises ValueError, as a check on no point would certify nothing;
-    so does a cap not > 0 (with one > 0, V = 0 at the origin gives the
-    capped region positive measure), and a draw that passes 1,000*n
-    candidates before it has n rows.  The domain string records every
-    truncation and the seed, then the cap, so reports stay self-describing.
+    _BARRIER_OFFSET inside their barriers.  A round draws rho, delta, then gamma
+    as lo + (hi - lo)*U, U from Generator.random in place: Generator.uniform's
+    formula.  The first round draws max(n, 64).  With value_cap set, angle pairs
+    whose angular.value exceeds it are rejected, and each later round draws the
+    shortfall at 1.25 times the acceptance rate seen (64 to 16*n), rows kept in
+    draw order.  An n < 1 raises ValueError, as a check on no point would
+    certify nothing; so does a cap not > 0 (with one > 0, V = 0 at the origin
+    gives the capped region positive measure), and a draw that passes 1,000*n
+    candidates before it has n rows.  The domain string records every truncation
+    and the seed, then the cap, so reports stay self-describing.
     """
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n!r}")
@@ -142,28 +143,26 @@ def _sample_states(
     rng = np.random.default_rng(seed)
     d_max = _angle_bound(space.delta_bounded)
     g_max = _angle_bound(space.gamma_bounded)
-    parts, got, drawn, m = [np.empty((0, 3))], 0, 0, max(n, 64)
+    parts, got, drawn, m = [], 0, 0, max(n, 64)
     while got < n:
         if drawn > _MAX_DRAWN_PER_ROW * n:
             raise ValueError(
                 f"value_cap {value_cap:g} admits too few samples: {got} of {n} rows after "
                 f"{drawn} candidates, past the cap of {_MAX_DRAWN_PER_ROW} per row "
                 f"(acceptance rate {got / drawn:.3g})")
-        cand = np.column_stack(
-            [
-                rng.uniform(rho_range[0], rho_range[1], m),
-                rng.uniform(-d_max, d_max, m),
-                rng.uniform(-g_max, g_max, m),
-            ]
-        )
+        cand = np.empty((3, m))  # a coordinate per row, drawn in place in its turn
+        for row, lo, hi in zip(cand, (rho_range[0], -d_max, -g_max), (rho_range[1], d_max, g_max)):
+            rng.random(out=row)
+            row *= hi - lo
+            row += lo
         drawn += m
         if value_cap is not None:
             with np.errstate(all="ignore"):
-                cand = cand[angular.value(cand[:, 1], cand[:, 2]) <= value_cap]
+                cand = cand[:, angular.value(cand[1], cand[2]) <= value_cap]
         parts.append(cand)
-        got += len(cand)
+        got += cand.shape[1]
         m = 16 * n if got == 0 else min(max(math.ceil(1.25 * (n - got) * drawn / got), 64), 16 * n)
-    rows = np.concatenate(parts)[:n]
+    rows = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))[:, :n].T
     desc = (
         f"{n} samples on {space.value}: rho in [{rho_range[0]:g}, {rho_range[1]:g}], "
         f"|delta| <= {d_max:.4f}, |gamma| <= {g_max:.4f}"

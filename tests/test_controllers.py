@@ -1,6 +1,8 @@
 """Steering laws: values against frozen references, structure, domains."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +180,18 @@ class TestOmegaTilde:
     def test_steering_vanishes_at_angular_origin(self):
         for kind in ControllerKind:
             assert omega_tilde(spec_of(kind), 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_a_used_spec_compares_hashes_and_pickles_by_its_fields(self, kind):
+        # a float call binds the spec's law once and keeps it, outside the fields
+        used, fresh = spec_of(kind), spec_of(kind)
+        first = omega_tilde(used, 0.3, -0.4)
+        assert first == steering_law(FLOAT_MATH, kind, UNIT)(0.3, -0.4)
+        assert omega_tilde(used, 0.3, -0.4) == first
+        assert used == fresh and hash(used) == hash(fresh)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert omega_tilde(clone, 0.3, -0.4) == first
 
     def test_odd_symmetry(self):
         # all four laws are odd under (delta, gamma) -> (-delta, -gamma)

@@ -451,3 +451,66 @@ class TestArrayInputs:
             LyapunovFn(ControllerKind.BOLSA, UNIT).grad(zeros, -inside_then_out)
         with pytest.raises(DomainError, match="steering undefined"):
             omega_tilde(ControllerSpec(ControllerKind.BAGAL, UNIT), inside_then_out, zeros)
+
+
+class TestDomainTest:
+    """Every evaluation raises DomainError exactly where contains_angles is False for some
+    element, on real arrays and on complex-step ones."""
+
+    NAN = math.nan
+    CASES = [  # (delta, gamma)
+        ([0.1, NAN], [0.2, 0.3]),  # NaN alone is inside
+        ([0.1, 0.2], [NAN, -0.3]),
+        ([NAN, 4.0], [0.1, 0.1]),  # an outside delta next to a NaN
+        ([0.1, 0.2], [-4.0, NAN]),
+        ([NAN, NAN], [NAN, NAN]),
+        ([], []),  # an empty array passes
+        ([0.5, -3.0], [3.0, 0.5]),
+        ([-math.pi, 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [0.0, math.pi]),
+    ]
+
+    @staticmethod
+    def evaluations(kind):
+        fn = LyapunovFn(kind, UNIT)
+        full = CompositeLyapunovFn(Compositor.sum_form(), fn)
+        return [fn.value, fn.grad, fn.vdot,
+                lambda d, g: full.value(np.ones(len(g)), d, g),
+                lambda d, g: full.gradient(np.ones(len(g)), d, g),
+                lambda d, g: full.vdot(np.ones(len(g)), d, g)]
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    @pytest.mark.parametrize("probe", [0.0, 1e-30j], ids=["real", "complex-step"])
+    @pytest.mark.parametrize("delta, gamma", CASES)
+    def test_raises_exactly_outside(self, kind, probe, delta, gamma):
+        delta, gamma = np.array(delta), np.array(gamma)
+        outside = not np.all(kind.space.contains_angles(delta, gamma))
+        for evaluate in self.evaluations(kind):
+            # a complex NaN warns in division on its way through, as the checks' errstate allows
+            with np.errstate(invalid="ignore"):
+                if outside:
+                    with pytest.raises(DomainError, match="barrier blow-up"):
+                        evaluate(delta + probe, gamma)
+                else:
+                    evaluate(delta + probe, gamma)
+
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    def test_a_float_next_to_an_array(self, kind):
+        fn, pair = LyapunovFn(kind, UNIT), np.array([0.1, -0.4])
+        for evaluate in (fn.value, fn.grad, fn.vdot):
+            for args in ((pair, 0.3), (0.3, pair)):
+                full = [np.broadcast_to(a, pair.shape) for a in args]
+                np.testing.assert_allclose(evaluate(*args), evaluate(*full), rtol=1e-14, atol=0)
+            for args, barrier in (((4.0, pair), kind.space.delta_bounded),
+                                  ((pair, -4.0), kind.space.gamma_bounded)):
+                if barrier:
+                    with pytest.raises(DomainError, match="barrier blow-up"):
+                        evaluate(*args)
+
+    @pytest.mark.parametrize("probe", [0.0, 1e-30j], ids=["real", "complex-step"])
+    def test_nan_next_to_an_outside_delta_raises_for_the_delta_barriers(self, probe):
+        delta, gamma = np.array([math.nan, 4.0]) + probe, np.array([0.1, 0.1])
+        for kind in (ControllerKind.BARFLI, ControllerKind.BAGAL):
+            for evaluate in self.evaluations(kind):
+                with pytest.raises(DomainError, match="barrier blow-up"):
+                    evaluate(delta, gamma)

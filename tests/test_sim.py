@@ -6,6 +6,8 @@ import itertools
 import math
 import re
 import struct
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -491,6 +493,25 @@ class TestTermination:
             "; rk4 step from t=0.95 left the domain: the right-hand side overflowed")
         assert len(traj) == 20 and traj.gamma[-1] == pytest.approx(-4.38e288, rel=1e-3)
         assert np.isfinite(traj.omega).all()
+
+    @pytest.mark.parametrize("integrator, note", [
+        (IntegratorKind.RK45_ADAPTIVE, "step from t=35.5434 left the domain"),
+        (IntegratorKind.RK4_FIXED, "rk4 step from t=36.15 left the domain"),
+    ])
+    def test_cartesian_run_stops_when_its_position_turns_subnormal(self, integrator, note,
+                                                                   rhs_calls):
+        # The pose decays into subnormals near t = 35.6, where atan2 of it keeps a few bits:
+        # DOP853 then rejected steps at h ~ 3e-5 and took 3,934,099 law calls (22.5 s) to 38 s.
+        spec = ControllerSpec(ControllerKind.BOLSA, Gains(20.0, 1.0, 20.0, 1.0))
+        cfg = SimConfig(t_final=38.0, capture_radius=0.0, frame=Frame.CARTESIAN,
+                        integrator=integrator)
+        start = time.monotonic()
+        traj = simulate(spec, PolarState(1.0, 0.5, 0.3), cfg)
+        assert time.monotonic() - start < 1.0 and len(rhs_calls) <= 40_000
+        assert traj.status is SimStatus.BOUNDARY_STOP
+        assert traj.note.endswith(f"{note}: the position fell below the smallest normal float")
+        assert np.all(np.hypot(traj.x, traj.y) >= sys.float_info.min)
+        assert 35.0 < traj.t[-1] < 36.5
 
     def test_initial_state_outside_space_rejected(self):
         spec = ControllerSpec(ControllerKind.BARFLI, UNIT)

@@ -1,5 +1,6 @@
 """Certification checks: reports, sensitivity to broken inputs, battery."""
 
+import hashlib
 import json
 import math
 import re
@@ -466,6 +467,18 @@ class TestSuite:
         # the memoized merge screens and the sampler keep no state between runs
         first = [r.to_dict() for r in run_suite("all", seed=3)]
         assert [r.to_dict() for r in run_suite("all", seed=3)] == first
+
+    # sha256 of repr([r.to_dict() for r in run_suite("all", seed=s)]): a change to how the
+    # battery samples or evaluates must leave every byte of every report as it is
+    BATTERY_DIGESTS = {
+        0: "af3db59916fe5c13a34ae8d83ad40eafa90255e1a9d3df19996f594d73116eaf",
+        1: "291c37d62cbcddb0b4504a71fb805c6389051cd37407fa48d799d3fd45323e75",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BATTERY_DIGESTS))
+    def test_battery_bytes_are_pinned(self, seed):
+        reports = repr([r.to_dict() for r in run_suite("all", seed=seed)])
+        assert hashlib.sha256(reports.encode()).hexdigest() == self.BATTERY_DIGESTS[seed]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
