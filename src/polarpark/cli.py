@@ -24,7 +24,7 @@ from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
 from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
-from .verify import _V_RISE_TOL, SUITE_NAMES, run_suite, value_increases
+from .verify import _V_RISE_TOL, SUITE_NAMES, _null_nonfinite, run_suite, value_increases
 
 __all__ = ["main"]
 
@@ -187,22 +187,6 @@ def _out_dir(args) -> Path:
     except OSError as exc:  # a file in the way, or no permission
         raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     return out
-
-
-def _null_nonfinite(entry: dict, reasons: dict | None = None) -> dict:
-    """Write the non-finite float values of `entry` as None, so it stays strict JSON.
-
-    Each such value is kept, with the reason it is not finite (from
-    `reasons`, by key), under entry["nonfinite"].
-    """
-    bad = {k: v for k, v in entry.items() if isinstance(v, float) and not math.isfinite(v)}
-    if bad:
-        entry["nonfinite"] = {
-            k: {"value": repr(v), "reason": (reasons or {}).get(k, "overflow or NaN in the run")}
-            for k, v in bad.items()
-        }
-        entry.update(dict.fromkeys(bad))
-    return entry
 
 
 def _write_json(path: Path, payload: dict) -> None:

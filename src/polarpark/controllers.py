@@ -151,7 +151,7 @@ class ControllerSpec:
         return self.kind.space
 
     @cached_property
-    def _float_law(self):  # omega_tilde's law on floats, bound on its first call
+    def _float_law(self):  # the float law of omega_tilde and rhs_polar, bound on first use
         return steering_law(FLOAT_MATH, self.kind, self.gains)
 
     def __getstate__(self) -> dict:  # the law is a closure, which pickle cannot hold

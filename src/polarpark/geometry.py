@@ -71,17 +71,17 @@ def _namespace(name: str, **functions) -> ModuleType:
 # COMPLEX_MATH the steering laws on Python complex scalars with cmath.  The
 # complex-step Jacobian of sim.py uses COMPLEX_MATH: its two partials as two
 # scalar calls cost a third to a ninth of one numpy call on two-element
-# arrays, whose per-call overhead dwarfs the arithmetic.  `any`/`all` reduce
-# a domain test to one answer.
+# arrays, whose per-call overhead dwarfs the arithmetic.  `any` reduces a
+# domain test to one answer.
 FLOAT_MATH = _namespace(
     "float_math", sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt,
     log1p=math.log1p, exp=_exp_or_inf, atan2=math.atan2, hypot=math.hypot,
-    any=bool, all=bool,
+    any=bool,
 )
 ARRAY_MATH = _namespace(
     "array_math", sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt,
     log1p=np.log1p, exp=_exp_saturating, atan2=np.arctan2, hypot=np.hypot,
-    any=np.any, all=np.all,
+    any=np.any,
 )
 COMPLEX_MATH = _namespace(
     "complex_math", sin=cmath.sin, cos=cmath.cos, tan=cmath.tan, atan=cmath.atan, sqrt=cmath.sqrt,

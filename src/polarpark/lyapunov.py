@@ -42,9 +42,8 @@ from .controllers import (
     ControllerSpec,
     Gains,
     backstepping_terms,
-    math_for,
 )
-from .geometry import ARRAY_MATH, DomainError, StateSpace, _require_members
+from .geometry import ARRAY_MATH, DomainError, StateSpace, _require_members, math_for
 
 _BOLSA, _BAGAL = ControllerKind.BOLSA, ControllerKind.BAGAL
 
@@ -383,7 +382,7 @@ class CompositeLyapunovFn:
         """
         at = self.angular._terms(delta, gamma)  # one domain test and one term evaluation
         p_rho_sq, p_angular = self._partials(rho, at)
-        cos_g = math_for(gamma).cos(gamma)
+        cos_g = at[0].cos(gamma)  # at[0] is the namespace _terms chose
         rho_sq_rate = -2.0 * self.angular.gains.k1 * rho * rho * cos_g * cos_g
         return p_rho_sq * rho_sq_rate + p_angular * self.angular._vdot(*at)
 

@@ -18,8 +18,8 @@ post-processing on the sample arrays.  simulate steers by steering_law,
 and simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma), which
 cancels the turn rate: both run one pipeline, in either frame.
 
-Integrators: a fixed-step classic Runge-Kutta scheme for bit-reproducible
-baselines, and for accuracy an adaptive one: a single step loop with two
+Integrators: a fixed-step classic Runge-Kutta scheme taking steps of dt,
+and for accuracy an adaptive one: a single step loop with two
 step rules, the Dormand-Prince 8(5,3) method DOP853 (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.10), whose order 8 suits the default
 rtol of 1e-10, and for stiff stretches the linearly implicit Rosenbrock
@@ -295,7 +295,7 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     (k1/2)*sin(2*gamma), -omega_tilde).  Regular as rho -> 0: the angular
     rates do not involve rho.
     """
-    f = _polar_field(spec.gains.k1, steering_law(FLOAT_MATH, spec.kind, spec.gains))
+    f = _polar_field(spec.gains.k1, spec._float_law)
     sigma_rate, delta_rate, gamma_rate = f((None, state.delta, state.gamma))
     return state.rho * sigma_rate, delta_rate, gamma_rate
 
@@ -489,7 +489,7 @@ def _stiff_note(t_start: float, t: float, n_steps: int, n_jac: int) -> tuple[flo
 
 
 def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes: list,
-                        jac=None) -> str:
+                        jac=None) -> SimStatus:
     """Advance y' = f(y) and record its samples at t = i*dt, in one step loop with two step rules.
 
     DOP853 takes the steps.  When a Jacobian is given, a positive stiffness
@@ -510,7 +510,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
     _outside the capture box (any DOP853 step, at a radius <= 0) appends its
     record to dop for _grid_samples, and z at t to flat; any other step, each
     ode23s one among them, appends each sample to flat and tests it.
-    Returns "done" or "captured", or raises _BoundaryHit when the step size falls
+    Returns CAPTURED or HORIZON_REACHED, or raises _BoundaryHit when the step size falls
     below the step floor _STEP_FLOOR*max(t, dt) or a Cartesian step below _MIN_NORMAL.
 
     DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
@@ -788,9 +788,9 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
     if stiff:
         notes.append(_stiff_note(t_start, t, n_steps, n_jac))
     if captured:
-        return "captured"
+        return SimStatus.CAPTURED
     if t == t_end:
-        return "done"
+        return SimStatus.HORIZON_REACHED
     raise _BoundaryHit(f"step size {h:.3e} below the step floor {_STEP_FLOOR * max(t, dt):.3e} "
                        f"at t={t:.6g}")
 
@@ -799,7 +799,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
 _RK4_STABLE = 2.8
 
 
-def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
+def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> SimStatus:
     """Classic RK4 with step dt, recording the state after each step.
 
     The right-hand side at each new state is evaluated before the state is
@@ -808,7 +808,7 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
     valid sample.  The first step whose estimate of h*|lambda| exceeds
     RK4's stability bound adds a note; stages 2 and 3 share t + h/2 and
     differ by h/2*(f2 - f1), so h*|f3 - f2| / |y3 - y2| = 2*|f3 - f2| /
-    |f2 - f1|.  Appends each state to flat and returns "done" or "captured".
+    |f2 - f1|.  Appends each state to flat and returns CAPTURED or HORIZON_REACHED.
     """
     radius, polar, hypot = cfg.capture_radius, cfg.frame is Frame.POLAR, math.hypot
     ln_radius = math.log(radius) if radius > 0.0 else -math.inf
@@ -847,8 +847,8 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> str:
         flat += y
         if (y1 < ln_radius and abs(y2) < radius and abs(y3) < radius if polar
                 else hypot(y1, y2) < radius and _pose_captured(y1, y2, y3, radius)):
-            return "captured"
-    return "done"
+            return SimStatus.CAPTURED
+    return SimStatus.HORIZON_REACHED
 
 
 def _grid_samples(dt: float, flat: list, dop: bytearray) -> np.ndarray:
@@ -895,17 +895,15 @@ def _run(f, y0, cfg: SimConfig, jac=None):
     stop = ""
     try:
         if cfg.integrator is IntegratorKind.RK45_ADAPTIVE:
-            outcome = _integrate_adaptive(f, y0, cfg, flat, dop, notes, jac)
+            status = _integrate_adaptive(f, y0, cfg, flat, dop, notes, jac)
         else:
-            outcome = _integrate_fixed(f, y0, cfg, flat, notes)
+            status = _integrate_fixed(f, y0, cfg, flat, notes)
     except _BoundaryHit as hit:
-        outcome, stop = "boundary", str(hit)
+        status, stop = SimStatus.BOUNDARY_STOP, str(hit)
     ys = _grid_samples(cfg.dt, flat, dop)
     times = np.arange(len(ys), dtype=float) * cfg.dt
-    if outcome == "captured":
-        return times, ys, SimStatus.CAPTURED, float(times[-1]), notes, stop
-    status = SimStatus.BOUNDARY_STOP if outcome == "boundary" else SimStatus.HORIZON_REACHED
-    return times, ys, status, None, notes, stop
+    capture_time = float(times[-1]) if status is SimStatus.CAPTURED else None
+    return times, ys, status, capture_time, notes, stop
 
 
 def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):

@@ -37,7 +37,20 @@ __all__ = [
 ]
 
 
-_NONFINITE_KEY = "worst_margin_nonfinite"
+def _null_nonfinite(entry: dict, reasons: dict | None = None) -> dict:
+    """Write the non-finite float values of `entry` as None, so it stays strict JSON.
+
+    Each such value is kept, with the reason it is not finite (from
+    `reasons`, by key), under entry["nonfinite"].
+    """
+    bad = {k: v for k, v in entry.items() if isinstance(v, float) and not math.isfinite(v)}
+    if bad:
+        entry["nonfinite"] = {
+            k: {"value": repr(v), "reason": (reasons or {}).get(k, "overflow or NaN in the run")}
+            for k, v in bad.items()
+        }
+        entry.update(dict.fromkeys(bad))
+    return entry
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,7 @@ class CertReport:
         tolerance: Threshold the margin is compared against.
         criterion: How margin and tolerance combine, e.g. "worst_margin < 0".
         seed: RNG seed used for sampling; None for deterministic grids.
-        details: Extra scalar diagnostics (JSON-safe).
+        details: Extra scalar diagnostics (to_dict writes non-finite ones as None).
     """
 
     check_name: str
@@ -76,26 +89,21 @@ class CertReport:
     def to_dict(self) -> dict:
         """The report as strict JSON, its one serialised form.
 
-        A non-finite worst margin (inf or -inf after an overflow, or a NaN
-        counted as inf) is written as None, with its value and the reason
-        under details["worst_margin_nonfinite"].
+        A non-finite float of the report or of its details (an overflow, or
+        NaN) is written as None by _null_nonfinite, its value and reason
+        under that dict's "nonfinite" key; the report itself keeps the float.
         """
-        worst, details = self.worst_margin, self.details
-        if not math.isfinite(worst):
-            record = {"value": repr(worst), "reason": "a margin overflowed or was NaN"}
-            details = {**details, _NONFINITE_KEY: record}
-            worst = None
-        return {
+        return _null_nonfinite({
             "check_name": self.check_name,
             "domain": self.domain,
-            "worst_margin": worst,
+            "worst_margin": self.worst_margin,
             "witness": list(self.witness),
             "pass": self.passed,
             "tolerance": self.tolerance,
             "criterion": self.criterion,
             "seed": self.seed,
-            "details": details,
-        }
+            "details": _null_nonfinite(dict(self.details)),
+        }, {"worst_margin": "a margin overflowed or was NaN"})
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +335,8 @@ def check_proposition1(
     closed loop at off-origin samples.  details["failing_condition"] names
     the worst condition of a failing report (closed-loop-decrease for the
     sampled derivative), details["n_drawn"] the candidates drawn, and
-    details["decrease_margin"] (None if not finite) and ["decrease_witness"]
-    the worst sampled derivative and its sample (the screen's -1e-12 hides it).
+    details["decrease_margin"] and ["decrease_witness"] the worst sampled
+    derivative and its sample (the screen's -1e-12 hides it).
 
     Never raises on a bad merge function: a violated condition is returned
     as a failing report with its witness.  n_samples < 1 raises ValueError.
@@ -355,7 +363,7 @@ def check_proposition1(
         criterion="worst_margin < 0",
         seed=seed,
         details={"failing_condition": failing if worst >= 0.0 else None, "n_drawn": n_drawn,
-                 "decrease_margin": margin if math.isfinite(margin) else None,
+                 "decrease_margin": margin,
                  "decrease_witness": _row(states, i)},
     )
 

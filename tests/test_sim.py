@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import polarpark.controllers
 import polarpark.sim as sim
 from polarpark.controllers import steering_law
 from polarpark.geometry import COMPLEX_MATH, FLOAT_MATH, polar_image
@@ -194,6 +195,30 @@ class TestFields:
                     field(pose)
                 continue
             assert field(pose) == want, pose
+
+    def test_rhs_polar_binds_the_float_law_once_per_spec(self, monkeypatch):
+        # rhs_polar reads spec._float_law, bound on first use, not a new law per call
+        calls = []
+
+        def counting_law(xp, kind, gains):
+            calls.append(kind)
+            return steering_law(xp, kind, gains)
+
+        monkeypatch.setattr(polarpark.controllers, "steering_law", counting_law)
+        monkeypatch.setattr(sim, "steering_law", counting_law)
+        angles = (-3.1, -0.7, -0.0, 0.0, 0.5, 2.9)
+        for kind in ControllerKind:
+            spec = ControllerSpec(kind, Gains(1.3, 0.7, 1.1, 0.9), allow_unproven_gains=True)
+            calls.clear()
+            for _ in range(100):
+                rhs_polar(spec, PolarState(1.0, 0.5, -0.7))
+            assert len(calls) <= 1
+            field = sim._polar_field(spec.gains.k1, steering_law(FLOAT_MATH, kind, spec.gains))
+            for delta, gamma in itertools.product(angles, angles):
+                sigma_rate, delta_rate, gamma_rate = field((None, delta, gamma))
+                want = (2.0 * sigma_rate, delta_rate, gamma_rate)
+                got = rhs_polar(spec, PolarState(2.0, delta, gamma))
+                assert [v.hex() for v in got] == [v.hex() for v in want], (kind, delta, gamma)
 
     def test_field_regular_at_small_rho(self):
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)

@@ -196,8 +196,12 @@ class TestProposition1Check:
         comp = Compositor.custom(
             fn=lambda r, s: r + s, dfn_dr=lambda r, s: 1.0, dfn_ds=lambda r, s: -math.inf)
         rep = check_proposition1(comp, LyapunovFn(ControllerKind.GLOBA, UNIT), n_samples=50)
-        assert rep.worst_margin == math.inf and rep.details["decrease_margin"] is None
-        json.dumps(rep.to_dict(), allow_nan=False)
+        assert rep.worst_margin == math.inf and rep.details["decrease_margin"] == math.inf
+        details = json.loads(json.dumps(rep.to_dict(), allow_nan=False))["details"]
+        assert details["decrease_margin"] is None
+        assert details["nonfinite"] == {
+            "decrease_margin": {"value": "inf", "reason": "overflow or NaN in the run"}}
+        assert "nonfinite" not in rep.details and rep.details["decrease_margin"] == math.inf
 
 
 class TestKlDecayCheck:
@@ -516,9 +520,26 @@ class TestStrictJson:
             parsed = json.loads(json.dumps(d, allow_nan=False), parse_constant=_reject_constant)
             assert parsed == d and parsed["worst_margin"] is None
             assert parsed["witness"] == list(rep.witness)
-            assert parsed["details"]["worst_margin_nonfinite"] == {
-                "value": "inf", "reason": "a margin overflowed or was NaN"}
-            assert "worst_margin_nonfinite" not in rep.details
+            assert parsed["nonfinite"] == {"worst_margin": {
+                "value": "inf", "reason": "a margin overflowed or was NaN"}}
+            assert "nonfinite" not in parsed["details"] and "nonfinite" not in rep.details
+
+    def test_non_finite_details_are_written_as_null(self):
+        # V overflows to inf under exp_product near BAGAL's delta barrier; with no
+        # lyapunov to judge the rises on log(1 + V), inf - inf makes the largest NaN
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        full = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+        traj = simulate(spec, PolarState(1.0, math.pi - 0.05, 0.0), SimConfig(t_final=5.0),
+                        lyapunov=full)
+        rep = check_kl_decay(traj, spec.space)
+        assert math.isnan(rep.details["max_value_increase"])
+        before = dict(rep.details)
+        d = rep.to_dict()
+        parsed = json.loads(json.dumps(d, allow_nan=False), parse_constant=_reject_constant)
+        assert parsed == d and parsed["details"]["max_value_increase"] is None
+        assert parsed["details"]["nonfinite"] == {
+            "max_value_increase": {"value": "nan", "reason": "overflow or NaN in the run"}}
+        assert rep.details == before and "nonfinite" not in rep.details
 
     def test_empty_sample_set_is_rejected(self):
         # an empty set used to certify with worst margin -inf
