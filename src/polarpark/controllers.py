@@ -148,6 +148,7 @@ class ControllerSpec:
 
     @property
     def space(self) -> StateSpace:
+        """Open state space of the controller's kind."""
         return self.kind.space
 
     @cached_property

@@ -75,10 +75,12 @@ class LyapunovFn:
 
     @classmethod
     def for_controller(cls, spec: ControllerSpec) -> "LyapunovFn":
+        """The angular function of spec's kind at spec's gains."""
         return cls(spec.kind, spec.gains)
 
     @cached_property
     def space(self) -> StateSpace:
+        """Open state space of the function's kind, where V is finite."""
         return self.kind.space
 
     @cached_property
@@ -252,14 +254,17 @@ class Compositor:
 
     @classmethod
     def sum_form(cls, order: ArgumentOrder = ArgumentOrder.RHO_FIRST) -> "Compositor":
+        """C(r, s) = r + s."""
         return cls(CompositorForm.SUM, order)
 
     @classmethod
     def log_sum(cls, order: ArgumentOrder = ArgumentOrder.RHO_FIRST) -> "Compositor":
+        """C(r, s) = ln(1 + r) + s."""
         return cls(CompositorForm.LOG_SUM, order)
 
     @classmethod
     def exp_product(cls, order: ArgumentOrder = ArgumentOrder.RHO_FIRST) -> "Compositor":
+        """C(r, s) = (1 + r)*exp(s) - 1."""
         return cls(CompositorForm.EXP_PRODUCT, order)
 
     @classmethod
@@ -270,6 +275,7 @@ class Compositor:
         dfn_ds: Callable[[float, float], float],
         order: ArgumentOrder = ArgumentOrder.RHO_FIRST,
     ) -> "Compositor":
+        """C = fn with partials dfn_dr and dfn_ds, element-wise callables (see the class)."""
         return cls(CompositorForm.CUSTOM, order, fn, dfn_dr, dfn_ds)
 
     def value(self, r, s):
@@ -357,6 +363,7 @@ class CompositeLyapunovFn:
         return partials if self.compositor.order is ArgumentOrder.RHO_FIRST else partials[::-1]
 
     def value(self, rho, delta, gamma):
+        """V = C(rho^2, V_dg), or C(V_dg, rho^2) with VDG_FIRST, V_dg the angular value."""
         return self.compositor.value(*self._arguments(rho, self.angular.value(delta, gamma)))
 
     def log1p_value(self, rho, delta, gamma):

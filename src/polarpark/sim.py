@@ -123,16 +123,19 @@ def write_csv(path, header, rows) -> None:
 
 
 class Frame(Enum):
+    """Coordinates the simulator integrates in: (sigma, delta, gamma) or (x, y, theta)."""
     POLAR = "polar"
     CARTESIAN = "cartesian"
 
 
 class IntegratorKind(Enum):
+    """Fixed-step RK4 at dt, or the adaptive DOP853/ode23s loop sampled at dt."""
     RK4_FIXED = "rk4"
     RK45_ADAPTIVE = "rk45"
 
 
 class SimStatus(Enum):
+    """How a run ended: inside the capture box, at t_final, or cut short (with a note)."""
     CAPTURED = "captured"
     HORIZON_REACHED = "horizon_reached"
     BOUNDARY_STOP = "boundary_stop"
@@ -241,6 +244,7 @@ class Trajectory:
         return PolarState(float(self.rho[i]), float(self.delta[i]), float(self.gamma[i]))
 
     def final_state(self) -> PolarState:
+        """The last sample's polar state."""
         return self.state(len(self.t) - 1)
 
     def to_csv(self, path) -> None:
@@ -404,14 +408,6 @@ _MIN_NORMAL, _SUBNORMAL_NOTE = 2.0**-1022, "the position fell below the smallest
 _STEP_FLOOR = 10.0 * 2.0**-52
 
 
-def _error_norm(e1, e2, e3, y, z, rtol: float, atol: float) -> float:
-    """RMS of the error estimate scaled by atol + rtol*max(|y|, |z|), per component."""
-    s1 = atol + rtol * max(abs(y[0]), abs(z[0]))
-    s2 = atol + rtol * max(abs(y[1]), abs(z[1]))
-    s3 = atol + rtol * max(abs(y[2]), abs(z[2]))
-    return math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
-
-
 def _outside(y, z, lo, hi, t1, t2, t3, t4, t5, t6) -> bool:
     """Whether a coordinate that goes from y to z, its interpolant within w = (|t1| + ... +
     |t6|)/4 of that range, has no float sample in (lo, hi); the margin covers the samples'
@@ -565,8 +561,6 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                 r3 = fz[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c)
                 c2, c3 = (a22 * r2 + a12 * r3) * inv_det, (r3 + a21 * r2) * inv_det
                 c1 = r1 + w02 * c3
-                err = _error_norm(h / 6.0 * (a1 - 2.0 * b1 + c1), h / 6.0 * (a2 - 2.0 * b2 + c2),
-                                  h / 6.0 * (a3 - 2.0 * b3 + c3), y, z, rtol, atol)
                 scale = h / (1.0 - 2.0 * _ROS_D)
             else:
                 f2a, f2b, f2c = f((y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b,
@@ -633,9 +627,14 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                 g3 = (_B1 * f1c + _B6 * f6c + _B7 * f7c + _B8 * f8c + _B9 * f9c + _B10 * f10c +
                       _B11 * f11c + _B12 * f12c)
                 z1, z2, z3 = y1 + h * g1, y2 + h * g2, y3 + h * g3
-                s1 = atol + rtol * max(abs(y1), abs(z1))
-                s2 = atol + rtol * max(abs(y2), abs(z2))
-                s3 = atol + rtol * max(abs(y3), abs(z3))
+            s1 = atol + rtol * max(abs(y1), abs(z1))
+            s2 = atol + rtol * max(abs(y2), abs(z2))
+            s3 = atol + rtol * max(abs(y3), abs(z3))
+            if stiff:  # the RMS of h/6*(k1 - 2*k2 + k3) over s
+                err = sqrt(((h / 6.0 * (a1 - 2.0 * b1 + c1) / s1) ** 2 +
+                            (h / 6.0 * (a2 - 2.0 * b2 + c2) / s2) ** 2 +
+                            (h / 6.0 * (a3 - 2.0 * b3 + c3) / s3) ** 2) / 3.0)
+            else:
                 e51 = (_E1 * f1a + _E6 * f6a + _E7 * f7a + _E8 * f8a + _E9 * f9a + _E10 * f10a +
                        _E11 * f11a + _E12 * f12a) / s1
                 e52 = (_E1 * f1b + _E6 * f6b + _E7 * f7b + _E8 * f8b + _E9 * f9b + _E10 * f10b +
@@ -910,11 +909,11 @@ def _reconstruct_cartesian(ys: np.ndarray, start: PolarState):
     """Cartesian samples' (rho, delta, gamma), unwrapped from the start's, and wrapped delta."""
     x, y, theta = ys[:, 0], ys[:, 1], ys[:, 2]
     delta = np.unwrap(angle := np.arctan2(y, x) + math.pi)
-    delta += 2.0 * math.pi * round((start.delta - delta[0]) / (2.0 * math.pi))
+    delta += TWO_PI * round((start.delta - delta[0]) / TWO_PI)
     gamma = delta - theta
-    turns = round((start.gamma - gamma[0]) / (2.0 * math.pi))
+    turns = round((start.gamma - gamma[0]) / TWO_PI)
     if turns:  # a Cartesian start whose heading is not delta - gamma itself
-        gamma += 2.0 * math.pi * turns
+        gamma += TWO_PI * turns
     return np.hypot(x, y), delta, gamma, wrap_angle(angle)
 
 

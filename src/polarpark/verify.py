@@ -83,6 +83,7 @@ class CertReport:
     details: dict = field(default_factory=dict)
 
     def summary(self) -> str:
+        """One line: the check's name, its verdict and its worst margin."""
         verdict = "certified on grid" if self.passed else "NOT certified"
         return f"{self.check_name}: {verdict} (worst margin {self.worst_margin:.3e})"
 
@@ -389,8 +390,11 @@ def check_kl_decay(
 
     Requires the space metric to end below 1e-3 (a run captured in the
     battery's 2e-4 box ends below 6e-4) and the attached full-state function
-    samples to rise by at most 1e-8 per step, slack for rounding (the
+    samples to rise by less than 1e-8 per step, slack for rounding (the
     constructive surrogate for a decaying envelope), by value_increases.
+    Both tests are strict, where the CLI's V_monotone allows a rise of 1e-8.
+    The worst margin is the larger excess by _worst, the metric's on a tie, and a
+    NaN rise counts as +inf in it.
 
     Raises:
         ValueError: If the trajectory is empty or carries no function
@@ -415,16 +419,10 @@ def check_kl_decay(
         )
 
     final_metric = metric(space, traj.final_state())
-    increases = value_increases(traj, lyapunov)  # NaN fails the check
-    max_increase = float(increases.max()) if increases.size else 0.0
-    i_inc = int(np.argmax(increases)) + 1 if increases.size else 0
-
-    metric_excess = final_metric - _KL_METRIC_TOL
-    increase_excess = max_increase - _V_RISE_TOL
-    if metric_excess >= increase_excess:
-        worst, wit_i = metric_excess, len(traj) - 1
-    else:
-        worst, wit_i = increase_excess, i_inc
+    increases = value_increases(traj, lyapunov)
+    rise, i = _worst(increases) if increases.size else (0.0, -1)  # one sample: witness 0
+    worst, k = _worst(np.array([final_metric - _KL_METRIC_TOL, rise - _V_RISE_TOL]))
+    wit_i = i + 1 if k else len(traj) - 1
     witness = (float(traj.rho[wit_i]), float(traj.delta[wit_i]), float(traj.gamma[wit_i]))
 
     return CertReport(
@@ -442,7 +440,7 @@ def check_kl_decay(
         details={
             "final_metric": final_metric,
             "metric_tol": _KL_METRIC_TOL,
-            "max_value_increase": max_increase,
+            "max_value_increase": float(increases.max()) if increases.size else 0.0,
             "increase_tol": _V_RISE_TOL,
             "capture_time": traj.capture_time,
         },

@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,20 @@ import sys
 import pytest
 
 import polarpark.cli as cli
-from polarpark import CertReport, Frame, IntegratorKind, SimConfig
+from polarpark import (
+    CertReport,
+    CompositeLyapunovFn,
+    Compositor,
+    ControllerKind,
+    ControllerSpec,
+    Frame,
+    Gains,
+    IntegratorKind,
+    LyapunovFn,
+    PolarState,
+    SimConfig,
+    simulate,
+)
 from polarpark.cli import main
 
 
@@ -134,6 +148,16 @@ class TestSimulate:
         assert "nonfinite" not in entry
         rows = (out / "ic_000.csv").read_text().splitlines()[1:]
         assert len(rows) == 21 and all(row.endswith(",inf") for row in rows)
+
+    def test_a_nan_V_sample_is_not_monotone(self):
+        # a NaN rise counts against V_monotone, as it does in check_kl_decay
+        spec = ControllerSpec(ControllerKind.GLOBA, Gains(1.0, 1.0, 1.0, 1.0))
+        fn = CompositeLyapunovFn(Compositor.sum_form(), LyapunovFn.for_controller(spec))
+        traj = simulate(spec, PolarState(1.0, 0.5, -0.3), SimConfig(), lyapunov=fn)
+        values = traj.lyapunov.copy()
+        values[3] = math.nan
+        monotone, rise = cli._v_monotone(dataclasses.replace(traj, lyapunov=values), fn)
+        assert monotone is False and math.isnan(rise)
 
     def test_diverging_rk4_run_exits_3_with_strict_json(self, tmp_path, capsys):
         # gamma overflows after t = 269 (math.cos(inf) raised ValueError out

@@ -1239,9 +1239,7 @@ class TestCaptureScreen:
         assert not sim._outside(1.0, math.nan, -0.5, 0.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", list(ControllerKind))
-@pytest.mark.parametrize("integrator", list(IntegratorKind))
-def test_polar_runs_end_with_a_status_whatever_the_inputs(kind, integrator):
+def _check_runs_end_with_a_status(kind, cfg):
     # gains over twelve decades, rho0 over nine and delta or gamma 1e-12 to
     # 1e-1 inside +-pi (a barrier wherever the space bounds that angle):
     # simulate returns, the state stays finite, rho never goes negative and
@@ -1254,13 +1252,27 @@ def test_polar_runs_end_with_a_status_whatever_the_inputs(kind, integrator):
         spec = ControllerSpec(kind, Gains(*gains), allow_unproven_gains=True)
         near = sign * (math.pi - gap)
         start = PolarState(rho, near, angle) if wall == "delta" else PolarState(rho, angle, near)
-        traj = simulate(spec, start, SimConfig(t_final=5.0, integrator=integrator))
+        traj = simulate(spec, start, cfg)
         for column in (traj.rho, traj.delta, traj.gamma, traj.x, traj.y, traj.theta):
             assert np.all(np.isfinite(column))
         assert np.all(traj.rho >= 0.0)
         assert traj.status is not SimStatus.BOUNDARY_STOP or traj.note
 
     check()
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+@pytest.mark.parametrize("integrator", list(IntegratorKind))
+def test_polar_runs_end_with_a_status_whatever_the_inputs(kind, integrator):
+    _check_runs_end_with_a_status(kind, SimConfig(t_final=5.0, integrator=integrator))
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_cartesian_rk4_runs_end_with_a_status_whatever_the_inputs(kind):
+    # the Cartesian rk45 half waits for a stiff path in that frame: near a
+    # barrier its DOP853 steps take seconds a run
+    _check_runs_end_with_a_status(kind, SimConfig(
+        t_final=5.0, integrator=IntegratorKind.RK4_FIXED, frame=Frame.CARTESIAN))
 
 
 class TestLyapunovColumn:

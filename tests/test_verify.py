@@ -541,6 +541,26 @@ class TestStrictJson:
             "max_value_increase": {"value": "nan", "reason": "overflow or NaN in the run"}}
         assert rep.details == before and "nonfinite" not in rep.details
 
+    def test_a_nan_rise_is_an_infinite_margin(self):
+        # the run of the test above: V is inf on all 101 samples, so without a
+        # lyapunov every rise is inf - inf = NaN; that NaN counts as +inf, as in
+        # every check, and does not hide the final metric's excess of 82.7
+        spec = ControllerSpec(ControllerKind.BAGAL, UNIT)
+        full = CompositeLyapunovFn(Compositor.exp_product(), LyapunovFn.for_controller(spec))
+        traj = simulate(spec, PolarState(1.0, math.pi - 0.05, 0.0), SimConfig(t_final=5.0),
+                        lyapunov=full)
+        rep = check_kl_decay(traj, spec.space)
+        assert rep.worst_margin == math.inf and not rep.passed
+        assert rep.details["final_metric"] == pytest.approx(82.7077, rel=1e-5)
+        state = traj.state(1)  # the first NaN rise ends there
+        assert rep.witness == (state.rho, state.delta, state.gamma)
+        parsed = json.loads(json.dumps(rep.to_dict(), allow_nan=False),
+                            parse_constant=_reject_constant)
+        assert parsed["worst_margin"] is None and parsed["nonfinite"] == {"worst_margin": {
+            "value": "inf", "reason": "a margin overflowed or was NaN"}}
+        assert parsed["details"]["max_value_increase"] is None
+        assert parsed["details"]["nonfinite"]["max_value_increase"]["value"] == "nan"
+
     def test_empty_sample_set_is_rejected(self):
         # an empty set used to certify with worst margin -inf
         spec = ControllerSpec(ControllerKind.GLOBA, UNIT)
