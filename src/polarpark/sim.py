@@ -12,11 +12,11 @@ Trajectories can be integrated in either frame:
 
 Both frames describe the same flow while the trajectory stays inside the
 principal angle range, which is how the frame-equivalence checks are run.
-Each field is autonomous, f(y) on 3-tuples, steered by one law bound once
-per run on floats; the polar Jacobian takes it on complex scalars, and
-post-processing on the sample arrays.  simulate steers by steering_law,
-and simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma), which
-cancels the turn rate: both run one pipeline, in either frame.
+Each field is autonomous, f(s1, s2, s3) on the state's three floats, steered
+by one law bound once per run on floats; the polar Jacobian takes it on
+complex scalars, and post-processing on the sample arrays.  simulate steers
+by steering_law, and simulate_unsteered by omega_tilde = -(k1/2)*sin(2*gamma),
+which cancels the turn rate: both run one pipeline, in either frame.
 
 Integrators: a fixed-step classic Runge-Kutta scheme taking steps of dt,
 and for accuracy an adaptive one: a single step loop with two
@@ -160,13 +160,15 @@ class SimConfig:
 
     dt is the output sampling interval; with the fixed-step integrator it
     is also the step size, while the adaptive integrator's steps are set
-    by rtol and atol alone.  capture_radius <= 0 disables capture
-    detection.  Every numeric setting must be finite, and so must
-    t_final/dt.  The run samples t = i*dt for i = 0..n and ends at n*dt,
-    where n is the largest integer with n <= (t_final/dt)*(1 + 1e-12): the
-    last grid time not past t_final, the relative 1e-12 keeping a t_final
-    that is a multiple of dt (60/0.05, 0.3/0.1) from losing its last
-    sample to rounding in the quotient.  n may be at most 10**7.
+    by rtol and atol alone.  A run ends on its first sample inside the
+    capture box; the start is never tested, so the earliest capture is at
+    t = dt, and capture_radius <= 0 disables capture detection.  Every
+    numeric setting must be finite, and so must t_final/dt.  The run
+    samples t = i*dt for i = 0..n and ends at n*dt, where n is the largest
+    integer with n <= (t_final/dt)*(1 + 1e-12): the last grid time not past
+    t_final, the relative 1e-12 keeping a t_final that is a multiple of dt
+    (60/0.05, 0.3/0.1) from losing its last sample to rounding in the
+    quotient.  n may be at most 10**7.
     """
 
     dt: float = 0.05
@@ -262,12 +264,11 @@ class Trajectory:
 
 
 def _polar_field(k1: float, law):
-    """The closed-loop polar field as f(y) on (sigma, delta, gamma) tuples, sigma = ln(rho),
-    steered by the float law omega_tilde = law(delta, gamma)."""
+    """The closed-loop polar field as f(sigma, delta, gamma), sigma = ln(rho), steered by the
+    float law omega_tilde = law(delta, gamma)."""
     half_k1, cos, sin = 0.5 * k1, math.cos, math.sin
 
-    def f(y):
-        _, delta, gamma = y
+    def f(sigma, delta, gamma):
         cos_g = cos(gamma)
         return (-k1 * cos_g * cos_g, half_k1 * sin(2.0 * gamma), -law(delta, gamma))
 
@@ -275,16 +276,15 @@ def _polar_field(k1: float, law):
 
 
 def _polar_jacobian(k1: float, law):
-    """The Jacobian of _polar_field(k1, .) as jac(y) -> its nonzero entries (J02, J12, J21,
-    J22), for omega_tilde = law(delta, gamma) on Python complex scalars (cmath).
+    """The Jacobian of _polar_field(k1, .) as jac(sigma, delta, gamma) -> its nonzero entries
+    (J02, J12, J21, J22), for omega_tilde = law(delta, gamma) on Python complex scalars (cmath).
 
     sigma' and delta' depend on gamma alone and gamma' on the two angles.
     The partials of omega_tilde are complex-step derivatives,
     Im w(x + i*h*e_k)/h with h = 1e-30, from two calls of the law: free of
     cancellation, so exact to rounding.
     """
-    def jac(y):
-        _, delta, gamma = y
+    def jac(sigma, delta, gamma):
         w_delta = law(delta + 1e-30j, gamma).imag * 1e30
         w_gamma = law(delta, gamma + 1e-30j).imag * 1e30
         return k1 * math.sin(2.0 * gamma), k1 * math.cos(2.0 * gamma), -w_delta, -w_gamma
@@ -300,19 +300,18 @@ def rhs_polar(spec: ControllerSpec, state: PolarState) -> tuple[float, float, fl
     rates do not involve rho.
     """
     f = _polar_field(spec.gains.k1, spec._float_law)
-    sigma_rate, delta_rate, gamma_rate = f((None, state.delta, state.gamma))
+    sigma_rate, delta_rate, gamma_rate = f(None, state.delta, state.gamma)
     return state.rho * sigma_rate, delta_rate, gamma_rate
 
 
 def _cartesian_field(k1: float, law):
-    """The closed-loop Cartesian field as f(y) on (x, y, theta) tuples, steered by the
+    """The closed-loop Cartesian field as f(x, y, theta), steered by the
     float law from the pose's wrapped polar image (polar_image's float path, written out:
     atan2 + pi is in [0, 2*pi], where wrap_float only subtracts 2*pi above pi, exactly)."""
     half_k1, cos, sin = 0.5 * k1, math.cos, math.sin
     atan2, hypot, wrap, pi, two_pi = math.atan2, math.hypot, wrap_float, math.pi, TWO_PI
 
-    def f(y):
-        x, y_pos, theta = y
+    def f(x, y_pos, theta):
         delta = atan2(y_pos, x) + pi
         if delta > pi:
             delta -= two_pi
@@ -469,7 +468,7 @@ def _initial_step(f, y0, f0, cfg: SimConfig, h_max: float) -> float:
     dny = (y1 / s1) ** 2 + (y2 / s2) ** 2 + (y3 / s3) ** 2
     h = min(h_max, 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else 0.01 * math.sqrt(dny / dnf))
     try:
-        g1, g2, g3 = f((y1 + h * f1, y2 + h * f2, y3 + h * f3))
+        g1, g2, g3 = f(y1 + h * f1, y2 + h * f2, y3 + h * f3)
     except DomainError:
         return h
     der2 = math.sqrt(((g1 - f1) / s1) ** 2 + ((g2 - f2) / s2) ** 2 + ((g3 - f3) / s3) ** 2) / h
@@ -509,15 +508,18 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
     Returns CAPTURED or HORIZON_REACHED, or raises _BoundaryHit when the step size falls
     below the step floor _STEP_FLOOR*max(t, dt) or a Cartesian step below _MIN_NORMAL.
 
-    DOP853's stage N is unpacked once into fNa, fNb, fNc.  Stage 13, f(z),
-    is evaluated once the step is accepted, and the extra stages 14..16
-    only when the step holds a grid time.  ode23s takes one Jacobian per
-    accepted state, a rejected step keeping it, and its first is the one
-    that confirmed the switch.  jac(y) gives the nonzero entries (J02, J12,
-    J21, J22), the sparsity of the polar field, and W = I - h*d*J is solved
-    in closed form: the angular (delta, gamma) block first, then sigma.  In
-    the formulas of ode23s, f0 is (f1a, f1b, f1c), k1 is (a1, a2,
-    a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3) and k3 is (c1, c2, c3).
+    The state y is held as three floats y1, y2, y3 and the step's new state
+    z as z1, z2, z3; DOP853's stage N is unpacked once into fNa, fNb, fNc,
+    stage 1 being f(y) and stage 13 f(z), which becomes the next step's
+    stage 1.  Stage 13 is evaluated once the step is accepted, and the
+    extra stages 14..16 only when the step holds a grid time.  ode23s takes
+    one Jacobian per accepted state, a rejected step keeping it, and its
+    first is the one that confirmed the switch.  jac(y1, y2, y3) gives the
+    nonzero entries (J02, J12, J21, J22), the sparsity of the polar field,
+    and W = I - h*d*J is solved in closed form: the angular (delta, gamma)
+    block first, then sigma.  In the formulas of ode23s, f0 is (f1a, f1b,
+    f1c), k1 is (a1, a2, a3), f1 is (g1, g2, g3), k2 is (b1, b2, b3), f2 is
+    (f13a, f13b, f13c) and k3 is (c1, c2, c3).
     """
     rtol, atol, dt, radius, sqrt, hypot = (cfg.rtol, cfg.atol, cfg.dt, cfg.capture_radius,
                                            math.sqrt, math.hypot)
@@ -528,9 +530,10 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
         ((-math.inf, ln_radius), (-radius, radius), (-radius, radius)) if polar
         else ((-radius, radius), (-radius, radius), (-math.inf, math.inf)))
     can_switch = jac is not None
-    t, y, fy = 0.0, y0, f(y0)
+    t, (y1, y2, y3) = 0.0, y0
+    f1a, f1b, f1c = f0 = f(y1, y2, y3)
     try:
-        h = _initial_step(f, y0, fy, cfg, t_end)
+        h = _initial_step(f, y0, f0, cfg, t_end)
     except ArithmeticError as exc:  # (f/s)**2 overflows, or an infinite |f| makes h 0
         raise _BoundaryHit(f"initial-step estimate overflowed at t=0: {exc}") from None
     i, t_sample, stiff, expo, captured, probe, n_steps = 1, dt, False, -0.125, False, False, 0
@@ -540,8 +543,6 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
         if last:
             h = t_end - t
         t_new = t_end if last else t + h
-        y1, y2, y3 = y
-        f1a, f1b, f1c = fy
         try:
             if stiff:
                 hd = h * _ROS_D
@@ -550,66 +551,66 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                 # W^-1 r = (r1 + w02*x3, (a22*r2 + a12*r3)*inv_det, x3 = (r3 + a21*r2)*inv_det)
                 a2, a3 = (a22 * f1b + a12 * f1c) * inv_det, (f1c + a21 * f1b) * inv_det
                 a1 = f1a + w02 * a3
-                g1, g2, g3 = f((y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3))
+                g1, g2, g3 = f(y1 + 0.5 * h * a1, y2 + 0.5 * h * a2, y3 + 0.5 * h * a3)
                 r1, r2, r3 = g1 - a1, g2 - a2, g3 - a3
                 b2, b3 = (a22 * r2 + a12 * r3) * inv_det, (r3 + a21 * r2) * inv_det
                 b1, b2, b3 = r1 + w02 * b3 + a1, b2 + a2, b3 + a3
-                z1, z2, z3 = z = (y1 + h * b1, y2 + h * b2, y3 + h * b3)
-                fz = f(z)
-                r1 = fz[0] - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f1a)
-                r2 = fz[1] - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f1b)
-                r3 = fz[2] - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c)
+                z1, z2, z3 = y1 + h * b1, y2 + h * b2, y3 + h * b3
+                f13a, f13b, f13c = f(z1, z2, z3)
+                r1 = f13a - _ROS_E32 * (b1 - g1) - 2.0 * (a1 - f1a)
+                r2 = f13b - _ROS_E32 * (b2 - g2) - 2.0 * (a2 - f1b)
+                r3 = f13c - _ROS_E32 * (b3 - g3) - 2.0 * (a3 - f1c)
                 c2, c3 = (a22 * r2 + a12 * r3) * inv_det, (r3 + a21 * r2) * inv_det
                 c1 = r1 + w02 * c3
                 scale = h / (1.0 - 2.0 * _ROS_D)
             else:
-                f2a, f2b, f2c = f((y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b,
-                                   y3 + h * _A2_1 * f1c))
-                f3a, f3b, f3c = f((
+                f2a, f2b, f2c = f(y1 + h * _A2_1 * f1a, y2 + h * _A2_1 * f1b,
+                                  y3 + h * _A2_1 * f1c)
+                f3a, f3b, f3c = f(
                     y1 + h * (_A3_1 * f1a + _A3_2 * f2a),
                     y2 + h * (_A3_1 * f1b + _A3_2 * f2b),
-                    y3 + h * (_A3_1 * f1c + _A3_2 * f2c)))
-                f4a, f4b, f4c = f((
+                    y3 + h * (_A3_1 * f1c + _A3_2 * f2c))
+                f4a, f4b, f4c = f(
                     y1 + h * (_A4_1 * f1a + _A4_3 * f3a),
                     y2 + h * (_A4_1 * f1b + _A4_3 * f3b),
-                    y3 + h * (_A4_1 * f1c + _A4_3 * f3c)))
-                f5a, f5b, f5c = f((
+                    y3 + h * (_A4_1 * f1c + _A4_3 * f3c))
+                f5a, f5b, f5c = f(
                     y1 + h * (_A5_1 * f1a + _A5_3 * f3a + _A5_4 * f4a),
                     y2 + h * (_A5_1 * f1b + _A5_3 * f3b + _A5_4 * f4b),
-                    y3 + h * (_A5_1 * f1c + _A5_3 * f3c + _A5_4 * f4c)))
-                f6a, f6b, f6c = f((
+                    y3 + h * (_A5_1 * f1c + _A5_3 * f3c + _A5_4 * f4c))
+                f6a, f6b, f6c = f(
                     y1 + h * (_A6_1 * f1a + _A6_4 * f4a + _A6_5 * f5a),
                     y2 + h * (_A6_1 * f1b + _A6_4 * f4b + _A6_5 * f5b),
-                    y3 + h * (_A6_1 * f1c + _A6_4 * f4c + _A6_5 * f5c)))
-                f7a, f7b, f7c = f((
+                    y3 + h * (_A6_1 * f1c + _A6_4 * f4c + _A6_5 * f5c))
+                f7a, f7b, f7c = f(
                     y1 + h * (_A7_1 * f1a + _A7_4 * f4a + _A7_5 * f5a + _A7_6 * f6a),
                     y2 + h * (_A7_1 * f1b + _A7_4 * f4b + _A7_5 * f5b + _A7_6 * f6b),
-                    y3 + h * (_A7_1 * f1c + _A7_4 * f4c + _A7_5 * f5c + _A7_6 * f6c)))
-                f8a, f8b, f8c = f((
+                    y3 + h * (_A7_1 * f1c + _A7_4 * f4c + _A7_5 * f5c + _A7_6 * f6c))
+                f8a, f8b, f8c = f(
                     y1 + h * (_A8_1 * f1a + _A8_4 * f4a + _A8_5 * f5a + _A8_6 * f6a + _A8_7 * f7a),
                     y2 + h * (_A8_1 * f1b + _A8_4 * f4b + _A8_5 * f5b + _A8_6 * f6b + _A8_7 * f7b),
-                    y3 + h * (_A8_1 * f1c + _A8_4 * f4c + _A8_5 * f5c + _A8_6 * f6c + _A8_7 * f7c)))
+                    y3 + h * (_A8_1 * f1c + _A8_4 * f4c + _A8_5 * f5c + _A8_6 * f6c + _A8_7 * f7c))
                 u1 = y1 + h * (_A9_1 * f1a + _A9_4 * f4a + _A9_5 * f5a + _A9_6 * f6a + _A9_7 * f7a +
                                _A9_8 * f8a)
                 u2 = y2 + h * (_A9_1 * f1b + _A9_4 * f4b + _A9_5 * f5b + _A9_6 * f6b + _A9_7 * f7b +
                                _A9_8 * f8b)
                 u3 = y3 + h * (_A9_1 * f1c + _A9_4 * f4c + _A9_5 * f5c + _A9_6 * f6c + _A9_7 * f7c +
                                _A9_8 * f8c)
-                f9a, f9b, f9c = f((u1, u2, u3))
+                f9a, f9b, f9c = f(u1, u2, u3)
                 u1 = y1 + h * (_A10_1 * f1a + _A10_4 * f4a + _A10_5 * f5a + _A10_6 * f6a +
                                _A10_7 * f7a + _A10_8 * f8a + _A10_9 * f9a)
                 u2 = y2 + h * (_A10_1 * f1b + _A10_4 * f4b + _A10_5 * f5b + _A10_6 * f6b +
                                _A10_7 * f7b + _A10_8 * f8b + _A10_9 * f9b)
                 u3 = y3 + h * (_A10_1 * f1c + _A10_4 * f4c + _A10_5 * f5c + _A10_6 * f6c +
                                _A10_7 * f7c + _A10_8 * f8c + _A10_9 * f9c)
-                f10a, f10b, f10c = f((u1, u2, u3))
+                f10a, f10b, f10c = f(u1, u2, u3)
                 u1 = y1 + h * (_A11_1 * f1a + _A11_4 * f4a + _A11_5 * f5a + _A11_6 * f6a +
                                _A11_7 * f7a + _A11_8 * f8a + _A11_9 * f9a + _A11_10 * f10a)
                 u2 = y2 + h * (_A11_1 * f1b + _A11_4 * f4b + _A11_5 * f5b + _A11_6 * f6b +
                                _A11_7 * f7b + _A11_8 * f8b + _A11_9 * f9b + _A11_10 * f10b)
                 u3 = y3 + h * (_A11_1 * f1c + _A11_4 * f4c + _A11_5 * f5c + _A11_6 * f6c +
                                _A11_7 * f7c + _A11_8 * f8c + _A11_9 * f9c + _A11_10 * f10c)
-                f11a, f11b, f11c = f((u1, u2, u3))
+                f11a, f11b, f11c = f(u1, u2, u3)
                 u1 = y1 + h * (_A12_1 * f1a + _A12_4 * f4a + _A12_5 * f5a + _A12_6 * f6a +
                                _A12_7 * f7a + _A12_8 * f8a + _A12_9 * f9a + _A12_10 * f10a +
                                _A12_11 * f11a)
@@ -619,7 +620,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                 u3 = y3 + h * (_A12_1 * f1c + _A12_4 * f4c + _A12_5 * f5c + _A12_6 * f6c +
                                _A12_7 * f7c + _A12_8 * f8c + _A12_9 * f9c + _A12_10 * f10c +
                                _A12_11 * f11c)
-                f12a, f12b, f12c = f((u1, u2, u3))
+                f12a, f12b, f12c = f(u1, u2, u3)
                 g1 = (_B1 * f1a + _B6 * f6a + _B7 * f7a + _B8 * f8a + _B9 * f9a + _B10 * f10a +
                       _B11 * f11a + _B12 * f12a)
                 g2 = (_B1 * f1b + _B6 * f6b + _B7 * f7b + _B8 * f8b + _B9 * f9b + _B10 * f10b +
@@ -655,8 +656,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
             if not polar and hypot(z1, z2) < _MIN_NORMAL:
                 raise _BoundaryHit(f"step from t={t:.6g} left the domain: {_SUBNORMAL_NOTE}")
             if not stiff:
-                z = (z1, z2, z3)
-                f13a, f13b, f13c = fz = f(z)
+                f13a, f13b, f13c = f(z1, z2, z3)
             if t_sample <= t_new and not stiff:
                 v1 = y1 + h * (_A14_1 * f1a + _A14_7 * f7a + _A14_8 * f8a + _A14_9 * f9a +
                                _A14_10 * f10a + _A14_11 * f11a + _A14_12 * f12a + _A14_13 * f13a)
@@ -664,21 +664,21 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
                                _A14_10 * f10b + _A14_11 * f11b + _A14_12 * f12b + _A14_13 * f13b)
                 v3 = y3 + h * (_A14_1 * f1c + _A14_7 * f7c + _A14_8 * f8c + _A14_9 * f9c +
                                _A14_10 * f10c + _A14_11 * f11c + _A14_12 * f12c + _A14_13 * f13c)
-                f14a, f14b, f14c = f((v1, v2, v3))
+                f14a, f14b, f14c = f(v1, v2, v3)
                 v1 = y1 + h * (_A15_1 * f1a + _A15_6 * f6a + _A15_7 * f7a + _A15_8 * f8a +
                                _A15_11 * f11a + _A15_12 * f12a + _A15_13 * f13a + _A15_14 * f14a)
                 v2 = y2 + h * (_A15_1 * f1b + _A15_6 * f6b + _A15_7 * f7b + _A15_8 * f8b +
                                _A15_11 * f11b + _A15_12 * f12b + _A15_13 * f13b + _A15_14 * f14b)
                 v3 = y3 + h * (_A15_1 * f1c + _A15_6 * f6c + _A15_7 * f7c + _A15_8 * f8c +
                                _A15_11 * f11c + _A15_12 * f12c + _A15_13 * f13c + _A15_14 * f14c)
-                f15a, f15b, f15c = f((v1, v2, v3))
+                f15a, f15b, f15c = f(v1, v2, v3)
                 v1 = y1 + h * (_A16_1 * f1a + _A16_6 * f6a + _A16_7 * f7a + _A16_8 * f8a +
                                _A16_9 * f9a + _A16_13 * f13a + _A16_14 * f14a + _A16_15 * f15a)
                 v2 = y2 + h * (_A16_1 * f1b + _A16_6 * f6b + _A16_7 * f7b + _A16_8 * f8b +
                                _A16_9 * f9b + _A16_13 * f13b + _A16_14 * f14b + _A16_15 * f15b)
                 v3 = y3 + h * (_A16_1 * f1c + _A16_6 * f6c + _A16_7 * f7c + _A16_8 * f8c +
                                _A16_9 * f9c + _A16_13 * f13c + _A16_14 * f14c + _A16_15 * f15c)
-                f16a, f16b, f16c = f((v1, v2, v3))
+                f16a, f16b, f16c = f(v1, v2, v3)
                 # the dense output's q0..q6, as in the comment on the _Dk_j
                 q01, q02, q03 = z1 - y1, z2 - y2, z3 - y3
                 q11, q12, q13 = h * f1a - q01, h * f1b - q02, h * f1c - q03
@@ -734,8 +734,9 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
             k = int(t / dt)  # one off at most from the last index with k*dt <= t
             k += ((k + 1) * dt <= t) - (k * dt > t)
             end = k if k * dt == t else k + 1
-            dop += struct.pack("28d", i, end, t_step, h, *y, q01, q02, q03, q11, q12, q13, q21, q22,
-                               q23, q31, q32, q33, q41, q42, q43, q51, q52, q53, q61, q62, q63)
+            dop += struct.pack("28d", i, end, t_step, h, y1, y2, y3, q01, q02, q03, q11, q12, q13,
+                               q21, q22, q23, q31, q32, q33, q41, q42, q43, q51, q52, q53, q61,
+                               q62, q63)
             flat += (z1, z2, z3) if end == k else ()
             i, t_sample = k + 1, (k + 1) * dt
         while t_sample <= t:  # a screened-in step: each sample as it comes, tested for capture
@@ -763,7 +764,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
             t_sample = i * dt
         if captured or last:
             break
-        y, fy, h_step = z, fz, h
+        y1, y2, y3, f1a, f1b, f1c, h_step = z1, z2, z3, f13a, f13b, f13c, h
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**expo))
         # the stiffness tests, on the accepted step h_step
         if stiff:
@@ -776,7 +777,7 @@ def _integrate_adaptive(f, y0, cfg: SimConfig, flat: list, dop: bytearray, notes
             probe = h_step * h_step * (d1 * d1 + d2 * d2 + d3 * d3) > _STIFF_RATIO_SQ * (
                 (z1 - u1) ** 2 + (z2 - u2) ** 2 + (z3 - u3) ** 2)
         if stiff or probe:
-            j02, j12, j21, j22 = jac(y)
+            j02, j12, j21, j22 = jac(y1, y2, y3)
             # spectral radius: the roots of l^2 - J22*l - J12*J21 (the third eigenvalue is 0)
             disc = j22 * j22 + 4.0 * j12 * j21
             spectral = (abs(j22) + sqrt(disc)) / 2.0 if disc >= 0.0 else sqrt(abs(j12 * j21))
@@ -814,36 +815,34 @@ def _integrate_fixed(f, y0, cfg: SimConfig, flat: list, notes: list) -> SimStatu
     isfinite, t = math.isfinite, 0.0
     y1, y2, y3 = y0
     h = cfg.dt
-    f1 = f(y0)
+    f1a, f1b, f1c = f(y1, y2, y3)
     stable = True
     for i in range(1, _interval_count(cfg.dt, cfg.t_final) + 1):
         try:
-            f2 = f((y1 + h / 2 * f1[0], y2 + h / 2 * f1[1], y3 + h / 2 * f1[2]))
-            f3 = f((y1 + h / 2 * f2[0], y2 + h / 2 * f2[1], y3 + h / 2 * f2[2]))
+            f2a, f2b, f2c = f(y1 + h / 2 * f1a, y2 + h / 2 * f1b, y3 + h / 2 * f1c)
+            f3a, f3b, f3c = f(y1 + h / 2 * f2a, y2 + h / 2 * f2b, y3 + h / 2 * f2c)
             if stable:
-                num = (f3[0] - f2[0]) ** 2 + (f3[1] - f2[1]) ** 2 + (f3[2] - f2[2]) ** 2
-                den = (f2[0] - f1[0]) ** 2 + (f2[1] - f1[1]) ** 2 + (f2[2] - f1[2]) ** 2
+                num = (f3a - f2a) ** 2 + (f3b - f2b) ** 2 + (f3c - f2c) ** 2
+                den = (f2a - f1a) ** 2 + (f2b - f1b) ** 2 + (f2c - f1c) ** 2
                 if 4.0 * num > _RK4_STABLE**2 * den:  # den > 0: f2 == f1 gives f3 == f2
                     stable = False
                     notes.append((t, "rk4 unstable: h*|lambda| ~ "
                                   f"{2.0 * math.sqrt(num / den):.3g} > {_RK4_STABLE} at t={t:.6g}"))
-            f4 = f((y1 + h * f3[0], y2 + h * f3[1], y3 + h * f3[2]))
-            y1, y2, y3 = y = (
-                y1 + h / 6 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]),
-                y2 + h / 6 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]),
-                y3 + h / 6 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2]),
-            )
+            f4a, f4b, f4c = f(y1 + h * f3a, y2 + h * f3b, y3 + h * f3c)
+            y1 += h / 6 * (f1a + 2 * f2a + 2 * f3a + f4a)
+            y2 += h / 6 * (f1b + 2 * f2b + 2 * f3b + f4b)
+            y3 += h / 6 * (f1c + 2 * f2c + 2 * f3c + f4c)
             if not polar and hypot(y1, y2) < _MIN_NORMAL:
                 raise DomainError(_SUBNORMAL_NOTE)
-            f1 = f(y)
+            f1a, f1b, f1c = f(y1, y2, y3)
             if not (isfinite(y1) and isfinite(y2) and isfinite(y3)):
                 raise OverflowError("the state overflowed")
-            if not (isfinite(f1[0]) and isfinite(f1[1]) and isfinite(f1[2])):
+            if not (isfinite(f1a) and isfinite(f1b) and isfinite(f1c)):
                 raise OverflowError("the right-hand side overflowed")
         except (ValueError, OverflowError) as exc:  # DomainError, or overflow to inf or NaN
             raise _BoundaryHit(f"rk4 step from t={t:.6g} left the domain: {exc}") from None
         t = i * h
-        flat += y
+        flat += (y1, y2, y3)
         if (y1 < ln_radius and abs(y2) < radius and abs(y3) < radius if polar
                 else hypot(y1, y2) < radius and _pose_captured(y1, y2, y3, radius)):
             return SimStatus.CAPTURED
@@ -881,9 +880,10 @@ def _run(f, y0, cfg: SimConfig, jac=None):
 
     ys is the sample buffer as an (n, 3) array and times[i] = i*dt, as the
     integrators computed it.  A run ends on its first sample inside the
-    capture box: a polar one is captured when sigma is below
-    ln(cfg.capture_radius) and both |angles| below the radius (never, for a
-    radius <= 0), a Cartesian one when hypot(x, y) is and _pose_captured.
+    capture box, at t = dt at the earliest since the start is never tested:
+    a polar one is captured when sigma is below ln(cfg.capture_radius) and
+    both |angles| below the radius (never, for a radius <= 0), a Cartesian
+    one when hypot(x, y) is and _pose_captured.
     notes are the integrator's remarks on the run (stiff stretches, rk4
     instability), each as (start of the step it names, text); stop is the
     reason for a boundary stop, else "".

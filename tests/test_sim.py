@@ -154,7 +154,7 @@ class TestFields:
                 polar = PolarState(rho, delta, gamma)
                 cart = polar_to_cart(polar)
                 field = sim._cartesian_field(1.0, steering_law(FLOAT_MATH, kind, UNIT))
-                x_rate, y_rate, th_rate = field((cart.x, cart.y, cart.theta))
+                x_rate, y_rate, th_rate = field(cart.x, cart.y, cart.theta)
                 rho_c = (cart.x * x_rate + cart.y * y_rate) / rho
                 delta_c = (cart.x * y_rate - cart.y * x_rate) / (rho * rho)
                 gamma_c = delta_c - th_rate
@@ -192,9 +192,9 @@ class TestFields:
                 want = expected(*pose)
             except DomainError:
                 with pytest.raises(DomainError):
-                    field(pose)
+                    field(*pose)
                 continue
-            assert field(pose) == want, pose
+            assert field(*pose) == want, pose
 
     def test_rhs_polar_binds_the_float_law_once_per_spec(self, monkeypatch):
         # rhs_polar reads spec._float_law, bound on first use, not a new law per call
@@ -215,7 +215,7 @@ class TestFields:
             assert len(calls) <= 1
             field = sim._polar_field(spec.gains.k1, steering_law(FLOAT_MATH, kind, spec.gains))
             for delta, gamma in itertools.product(angles, angles):
-                sigma_rate, delta_rate, gamma_rate = field((None, delta, gamma))
+                sigma_rate, delta_rate, gamma_rate = field(None, delta, gamma)
                 want = (2.0 * sigma_rate, delta_rate, gamma_rate)
                 got = rhs_polar(spec, PolarState(2.0, delta, gamma))
                 assert [v.hex() for v in got] == [v.hex() for v in want], (kind, delta, gamma)
@@ -697,8 +697,8 @@ class TestStiffFallback:
                 up, down = list(y), list(y)
                 up[k] += step
                 down[k] -= step
-                full[:, k] = (np.array(field(up)) - np.array(field(down))) / (2 * step)
-            j02, j12, j21, j22 = jac(y)
+                full[:, k] = (np.array(field(*up)) - np.array(field(*down))) / (2 * step)
+            j02, j12, j21, j22 = jac(*y)
             expected = np.array([[0.0, 0.0, j02], [0.0, 0.0, j12], [0.0, j21, j22]])
             assert np.all(np.abs(full - expected) <= 1e-6 * np.maximum(1.0, np.abs(expected)))
 
@@ -725,7 +725,7 @@ class TestStiffFallback:
                 points.append((1.0, other, edge))
         for y in points:
             _, delta, gamma = y
-            entries = jac(y)
+            entries = jac(*y)
             assert all(type(v) is float and math.isfinite(v) for v in entries)
             ref = omega_tilde(spec, delta + np.array([1e-30j, 0.0]),
                               gamma + np.array([0.0, 1e-30j])).imag * 1e30
@@ -733,17 +733,17 @@ class TestStiffFallback:
             assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), y
 
     @staticmethod
-    def toward_wall(y):
+    def toward_wall(sigma, delta, gamma):
         """gamma' = -1e4*(gamma - delta) on a slow drift delta' = 1 toward a wall at delta = 0.5."""
-        if y[1] >= 0.5:
+        if delta >= 0.5:
             raise DomainError("wall")
-        return (0.0, 1.0, -1e4 * (y[2] - y[1]))
+        return (0.0, 1.0, -1e4 * (gamma - delta))
 
     def test_stiff_stretch_keeps_retries_and_the_step_floor(self):
         # DOP853 goes stiff, ode23s follows the slow manifold exactly (the
         # problem is linear), and its stages at the wall shrink the step
         # below the step floor, 10 ulps of t
-        def jac(y):
+        def jac(sigma, delta, gamma):
             return (0.0, 0.0, 1e4, -1e4)
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
@@ -766,8 +766,8 @@ class TestStiffFallback:
         # zeros never confirms: DOP853 keeps every step, probing each one.
         calls = []
 
-        def jac(y):
-            calls.append(y)
+        def jac(sigma, delta, gamma):
+            calls.append((sigma, delta, gamma))
             return (0.0, 0.0, 1e4, -1e4) if true_jacobian else (0.0,) * 4
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
@@ -787,10 +787,10 @@ class TestStiffFallback:
         # eigenvalues -500 +- 9987i make disc < 0 on every Jacobian, so ode23s
         # takes the spectral radius as sqrt(|J12*J21|); a radius too small
         # would hand the run back to DOP853 and add a second note
-        def f(y):
-            return (0.0, y[2], -1e8 * y[1] - 1e3 * y[2])
+        def f(sigma, delta, gamma):
+            return (0.0, gamma, -1e8 * delta - 1e3 * gamma)
 
-        def jac(y):
+        def jac(sigma, delta, gamma):
             return (0.0, 1.0, -1e8, -1e3)
 
         cfg = SimConfig(dt=0.01, t_final=1.0, capture_radius=0.0)
@@ -838,8 +838,8 @@ class TestStiffFallback:
         # from 1e-5 below it the first steps are HINIT's.  Either way the
         # step loop's retries at h/4 carry the run up to the wall, where the
         # step floor (10 ulps of dt = 0.01 while t < dt) ends it
-        def f(y):
-            if y[1] >= 0.5:
+        def f(sigma, delta, gamma):
+            if delta >= 0.5:
                 raise DomainError("wall")
             return (0.0, 1.0, 0.0)
 
@@ -1239,11 +1239,19 @@ class TestCaptureScreen:
         assert not sim._outside(1.0, math.nan, -0.5, 0.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _check_runs_end_with_a_status(kind, cfg):
-    # gains over twelve decades, rho0 over nine and delta or gamma 1e-12 to
-    # 1e-1 inside +-pi (a barrier wherever the space bounds that angle):
+def _assert_run_ends_with_a_status(spec, start, cfg):
     # simulate returns, the state stays finite, rho never goes negative and
     # a boundary stop says why
+    traj = simulate(spec, start, cfg)
+    for column in (traj.rho, traj.delta, traj.gamma, traj.x, traj.y, traj.theta):
+        assert np.all(np.isfinite(column))
+    assert np.all(traj.rho >= 0.0)
+    assert traj.status is not SimStatus.BOUNDARY_STOP or traj.note
+
+
+def _check_runs_end_with_a_status(kind, cfg):
+    # gains over twelve decades, rho0 over nine and delta or gamma 1e-12 to
+    # 1e-1 inside +-pi (a barrier wherever the space bounds that angle)
     @settings(derandomize=True, deadline=None, max_examples=20, database=None)
     @given(gains=st.tuples(*[_log_uniform(1e-6, 1e6)] * 4), rho=_log_uniform(1e-6, 1e3),
            angle=st.floats(-3.0, 3.0), wall=st.sampled_from(("delta", "gamma")),
@@ -1252,11 +1260,7 @@ def _check_runs_end_with_a_status(kind, cfg):
         spec = ControllerSpec(kind, Gains(*gains), allow_unproven_gains=True)
         near = sign * (math.pi - gap)
         start = PolarState(rho, near, angle) if wall == "delta" else PolarState(rho, angle, near)
-        traj = simulate(spec, start, cfg)
-        for column in (traj.rho, traj.delta, traj.gamma, traj.x, traj.y, traj.theta):
-            assert np.all(np.isfinite(column))
-        assert np.all(traj.rho >= 0.0)
-        assert traj.status is not SimStatus.BOUNDARY_STOP or traj.note
+        _assert_run_ends_with_a_status(spec, start, cfg)
 
     check()
 
@@ -1273,6 +1277,23 @@ def test_cartesian_rk4_runs_end_with_a_status_whatever_the_inputs(kind):
     # barrier its DOP853 steps take seconds a run
     _check_runs_end_with_a_status(kind, SimConfig(
         t_final=5.0, integrator=IntegratorKind.RK4_FIXED, frame=Frame.CARTESIAN))
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+@pytest.mark.parametrize("frame, integrator", [
+    (Frame.POLAR, IntegratorKind.RK45_ADAPTIVE), (Frame.POLAR, IntegratorKind.RK4_FIXED),
+    (Frame.CARTESIAN, IntegratorKind.RK4_FIXED)])
+@pytest.mark.parametrize("k4", [1e150, 1e300])
+def test_huge_k4_runs_end_with_a_status(kind, frame, integrator, k4):
+    # the k4 draws the property tests leave out, at moderate and at extreme
+    # other gains, from a unit start and from one at rho = 1e-6; the
+    # Cartesian rk45 case waits for a stiff path in that frame
+    cfg = SimConfig(t_final=5.0, frame=frame, integrator=integrator)
+    for gains, start in itertools.product(
+            ((1.0, 1.0, 1.0, k4), (1e-6, 1e6, 1e-6, k4)),
+            (PolarState(1.0, 0.5, -0.3), PolarState(1e-6, 1.0, 2.0))):
+        _assert_run_ends_with_a_status(
+            ControllerSpec(kind, Gains(*gains), allow_unproven_gains=True), start, cfg)
 
 
 class TestLyapunovColumn:
@@ -1449,9 +1470,9 @@ class TestUnsteered:
         def counting_field(k1, law):
             f = polar_field(k1, law)
 
-            def counted(y):
+            def counted(sigma, delta, gamma):
                 calls.append(1)
-                return f(y)
+                return f(sigma, delta, gamma)
 
             return counted
 
