@@ -10,6 +10,7 @@ barrier).
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from .controllers import ControllerKind, ControllerSpec, Gains
 from .geometry import CartesianState, DomainError, PolarState, metric
 from .lyapunov import ArgumentOrder, Compositor, CompositeLyapunovFn, CompositorForm, LyapunovFn
-from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate, write_csv
+from .sim import Frame, IntegratorKind, SimConfig, SimStatus, Trajectory, simulate
 from .verify import _V_RISE_TOL, SUITE_NAMES, _null_nonfinite, run_suite, value_increases
 
 __all__ = ["main"]
@@ -193,6 +194,15 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_table(path: Path, columns: tuple, rows: list[dict]) -> None:
+    """Write the rows as CSV under columns by the csv module's rule: a float as its repr, a
+    missing value or None as an empty cell, and a cell with a comma, quote or newline quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -414,7 +424,7 @@ def _cmd_compare(args) -> int:
         "ic_index", "controller", "status", "capture_time", "path_length",
         "max_abs_omega", "min_barrier_distance", "flag",
     )
-    write_csv(out / "compare.csv", cols, ([row.get(c) for c in cols] for row in rows))
+    _write_table(out / "compare.csv", cols, rows)
     summary = {
         "controllers": [s.kind.value for s in specs],
         "similarity_tol": _SIMILARITY_TOL,
@@ -456,7 +466,7 @@ def _cmd_sweep(args) -> int:
     rows.sort(key=lambda row: (row["gain_set"], row["ic_index"]))  # _runs goes start by start
     cols = ("gain_set", "ic_index", *_GAIN_KEYS, "status", "capture_time", "path_length",
             "final_metric", "min_barrier_distance", "error")
-    write_csv(out / "sweep.csv", cols, ([row.get(c) for c in cols] for row in rows))
+    _write_table(out / "sweep.csv", cols, rows)
     summary = {
         "controller": kind.value,
         "n_gain_sets": len(specs),

@@ -105,21 +105,7 @@ __all__ = [
     "rhs_polar",
     "simulate",
     "simulate_unsteered",
-    "write_csv",
 ]
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV: None is an empty cell, any other value str().
-
-    str() of a float is its shortest round-trip form, so a file is
-    byte-stable for identical inputs.  It writes the CLI's mixed rows (None, int, str).
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join(["" if value is None else str(value) for value in row]) + "\n" for row in rows
-        )
 
 
 class Frame(Enum):
@@ -250,13 +236,13 @@ class Trajectory:
         return self.state(len(self.t) - 1)
 
     def to_csv(self, path) -> None:
-        """Write the trajectory with the fixed header t,x,y,theta,rho,delta,gamma,v,omega,V,
-        in write_csv's bytes (%r of a float is its str()), one % call per _CSV_BLOCK rows,
-        so that the writer's memory does not grow with the row count."""
+        """Write the trajectory with the fixed header t,x,y,theta,rho,delta,gamma,v,omega,V in
+        the csv module's bytes (a float as its repr, a newline after each row), one % call per
+        _CSV_BLOCK rows, so that the writer's memory does not grow with the row count."""
         columns = (self.t, self.x, self.y, self.theta, self.rho, self.delta, self.gamma,
                    self.v, self.omega, self.lyapunov)
         row = ",".join(["%r"] * len(columns)) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("t,x,y,theta,rho,delta,gamma,v,omega,V\n")
             for start in range(0, len(self.t), _CSV_BLOCK):
                 block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])

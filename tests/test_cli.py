@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, and exit codes."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -613,6 +614,27 @@ class TestSweep:
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gain_sets" in capsys.readouterr().err
+
+
+class TestWriteTable:
+    def test_frozen_bytes(self, tmp_path):
+        path = tmp_path / "row.csv"
+        columns = ("none", "int", "str", "float", "inf", "negzero")
+        row = dict(zip(columns, (None, 7, "boundary_stop", 0.1, math.inf, -0.0)))
+        cli._write_table(path, columns, [row])
+        assert path.read_bytes() == b"none,int,str,float,inf,negzero\n,7,boundary_stop,0.1,inf,-0.0\n"
+
+    def test_missing_and_extra_keys(self, tmp_path):
+        path = tmp_path / "row.csv"
+        cli._write_table(path, ("a", "b", "c"), [{"c": 1.5, "a": "x", "nonfinite": {}}])
+        assert path.read_bytes() == b"a,b,c\nx,,1.5\n"
+
+    def test_special_cells_round_trip(self, tmp_path):
+        path = tmp_path / "row.csv"
+        row = {"comma": "a,b", "quote": 'say "hi"', "newline": "one\ntwo", "float": 0.25}
+        cli._write_table(path, tuple(row), [row])
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(csv.DictReader(fh)) == [{**row, "float": "0.25"}]
 
 
 class TestOutputDirectory:

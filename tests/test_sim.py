@@ -1,5 +1,6 @@
 """Closed-loop integration: fields, integrators, capture, and CSV output."""
 
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -1390,10 +1391,14 @@ class TestCsv:
         self.run().to_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bytes_are_pinned(self, tmp_path):
+    @staticmethod
+    def pinned_run():
         # No Lyapunov function, so V is nan; delta0 = 0 puts y = -rho*sin(0) = -0.0 in row 1.
-        traj = simulate(ControllerSpec(ControllerKind.GLOBA, UNIT), PolarState(1.0, 0.0, 0.5),
+        return simulate(ControllerSpec(ControllerKind.GLOBA, UNIT), PolarState(1.0, 0.0, 0.5),
                         SimConfig(dt=0.01, t_final=100.0, capture_radius=0.0))
+
+    def test_bytes_are_pinned(self, tmp_path):
+        traj = self.pinned_run()
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         data = path.read_bytes()
@@ -1424,11 +1429,16 @@ class TestCsv:
         large = self.csv_peak_bytes(tmp_path / "large.csv", 20_001)
         assert large < 1.5 * small, (small, large)
 
-    def test_writer_frozen_bytes(self, tmp_path):
-        path = tmp_path / "row.csv"
-        sim.write_csv(path, ("none", "int", "str", "float", "inf", "negzero"),
-                      [(None, 7, "boundary_stop", 0.1, math.inf, -0.0)])
-        assert path.read_bytes() == b"none,int,str,float,inf,negzero\n,7,boundary_stop,0.1,inf,-0.0\n"
+    def test_bytes_follow_the_csv_module(self, tmp_path):
+        traj = self.pinned_run()
+        traj.to_csv(tmp_path / "traj.csv")
+        columns = (traj.t, traj.x, traj.y, traj.theta, traj.rho, traj.delta, traj.gamma,
+                   traj.v, traj.omega, traj.lyapunov)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(self.HEADER.split(","))
+            writer.writerows(np.column_stack(columns).tolist())
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestUnsteered:
